@@ -103,42 +103,97 @@ def make_params(model: PotentialModel, table: VacuumTable, labels: Sequence[int]
                            shifts=tuple(float(a) for a in shifts), profiles=profiles)
 
 
+class AnsatzLevel:
+    """The multikink ansatz at one time level.
+
+    Each kink profile H_k is sampled once, at gamma_k (x - v_k t - a_k);
+    every piece below is derived from those samples on first use, so a
+    caller pays only for the pieces it reads. The potential's W' and W''
+    are applied to the sampled H_k, never to tabulated values.
+    """
+
+    def __init__(self, params: MultikinkParams, t: float, grid: np.ndarray):
+        self.params = params
+        self.t = float(t)
+        self.grid = np.asarray(grid, dtype=float)
+        self.kinks = [params.profile(k)(params.kink_argument(k, t, self.grid))
+                      for k in range(1, params.K + 1)]
+        self._slopes: dict[int, np.ndarray] = {}
+
+    def slope(self, k: int) -> np.ndarray:
+        """Profile derivative H_k' at the k-th kink's argument (1-indexed)."""
+        if k not in self._slopes:
+            self._slopes[k] = self.params.profile(k).deriv_at_values(self.kinks[k - 1], 1)
+        return self._slopes[k]
+
+    @cached_property
+    def H(self) -> np.ndarray:
+        """Vacuum plus the sum of the kink increments."""
+        p = self.params
+        H = np.full_like(self.grid, p.table.vacuum(p.chain.labels[0]))
+        for k, hk in enumerate(self.kinks, start=1):
+            H += hk - p.table.vacuum(p.chain.labels[k - 1])
+        return H
+
+    @cached_property
+    def H_t(self) -> np.ndarray:
+        """Exact time derivative of H by the chain rule."""
+        p = self.params
+        H_t = np.zeros_like(self.grid)
+        for k in range(1, p.K + 1):
+            H_t += -p.gammas[k - 1] * p.velocities[k - 1] * self.slope(k)
+        return H_t
+
+    @cached_property
+    def kink_wpp(self) -> list[np.ndarray]:
+        """W''(H_k) per kink."""
+        return [self.params.model(hk, 2) for hk in self.kinks]
+
+    @cached_property
+    def V(self) -> np.ndarray:
+        """Potential of the linearized operator: the sum of W''(H_k) with
+        the vacuum-mass offsets removed, so the limits at -/+ infinity are
+        the squared masses of the end vacua. For K = 0 this is the constant
+        squared mass of the single vacuum."""
+        p = self.params
+        labels = p.chain.labels
+        if p.K == 0:
+            return np.full_like(self.grid, p.table.mass(labels[0]) ** 2)
+        V = self.kink_wpp[0]
+        for j in range(1, p.K):
+            V = V + self.kink_wpp[j] - p.table.mass(labels[j]) ** 2
+        return V
+
+    @cached_property
+    def sum_wp(self) -> np.ndarray:
+        """Sum over the kinks of W'(H_k)."""
+        out = np.zeros_like(self.grid)
+        for hk in self.kinks:
+            out += self.params.model(hk, 1)
+        return out
+
+
+def evaluate_ansatz(params: MultikinkParams, t: float, grid: np.ndarray) -> AnsatzLevel:
+    """The ansatz at time t on the grid; samples every kink profile once."""
+    return AnsatzLevel(params, t, grid)
+
+
 def multikink(params: MultikinkParams, t: float, grid: np.ndarray) -> FieldState:
     """The ansatz field: vacuum plus the sum of boosted kink increments.
 
     phi_dot is the exact time derivative of the superposition, using the
     tail-extended profile derivatives and the chain rule.
     """
-    grid = np.asarray(grid, dtype=float)
-    phi = np.full_like(grid, params.table.vacuum(params.chain.labels[0]))
-    phi_dot = np.zeros_like(grid)
-    for k in range(1, params.K + 1):
-        prof = params.profile(k)
-        arg = params.kink_argument(k, t, grid)
-        phi += prof(arg) - params.table.vacuum(params.chain.labels[k - 1])
-        phi_dot += -params.gammas[k - 1] * params.velocities[k - 1] * prof.deriv(arg, 1)
+    level = evaluate_ansatz(params, t, grid)
     sector = (params.chain.labels[0], params.chain.labels[-1])
-    return FieldState(t=float(t), grid=grid, phi=phi, phi_dot=phi_dot, sector=sector)
+    return FieldState(t=level.t, grid=level.grid, phi=level.H, phi_dot=level.H_t,
+                      sector=sector)
 
 
 def linearization_potential(params: MultikinkParams, t: float, grid: np.ndarray) -> np.ndarray:
-    """Potential V(t, x) of the linearized operator around the multikink.
-
-    Sum of W''(H_k) along the chain with the vacuum-mass offsets removed so
-    the limits at -/+ infinity are the squared masses of the end vacua. For
-    K = 0 this is the constant squared mass of the single vacuum.
-    """
-    grid = np.asarray(grid, dtype=float)
-    labels = params.chain.labels
-    if params.K == 0:
-        return np.full_like(grid, params.table.mass(labels[0]) ** 2)
-    prof = params.profile(1)
-    v = params.model(prof(params.kink_argument(1, t, grid)), 2)
-    for j in range(1, params.K):
-        prof = params.profile(j + 1)
-        v = v + params.model(prof(params.kink_argument(j + 1, t, grid)), 2) \
-            - params.table.mass(labels[j]) ** 2
-    return v
+    """Potential V(t, x) of the linearized operator around the multikink
+    (see AnsatzLevel.V)."""
+    return evaluate_ansatz(params, t, grid).V
 
 
 def apply_J(h: np.ndarray) -> np.ndarray:

@@ -42,11 +42,10 @@ def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]):
 
 
 def _grid_from_config(cfg: ExperimentConfig):
-    x_min = cfg.get_float("grid", "x_min", required=True)
-    x_max = cfg.get_float("grid", "x_max", required=True)
-    dx = cfg.get_float("grid", "dx", default=0.02)
-    n = int(round((x_max - x_min) / dx))
-    return x_min + dx * np.arange(n + 1)
+    return construct.SolverConfig(
+        x_min=cfg.get_float("grid", "x_min", required=True),
+        x_max=cfg.get_float("grid", "x_max", required=True),
+        dx=cfg.get_float("grid", "dx", default=0.02)).grid
 
 
 def cmd_kink(cfg: ExperimentConfig, out: Path, seed: int) -> None:

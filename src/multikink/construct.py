@@ -16,11 +16,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .ansatz import MultikinkParams, multikink
+from .ansatz import AnsatzLevel, MultikinkParams, evaluate_ansatz, multikink
 from .errors import ConfigError, FitError, NoContractionError
 from .evolve import EvolveConfig, SpaceTimeSlab, _leapfrog, make_laplacian
 from .numerics import central_diff, derivative2, fit_log_linear, integrate_grid
@@ -37,10 +38,12 @@ class SolverConfig:
     snapshot_dt: float = 0.25
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.x_min, self.x_max, self.dx, self.snapshot_dt))):
+            raise ConfigError("x_min, x_max, dx and snapshot_dt must be finite")
         if self.x_max <= self.x_min:
             raise ConfigError("x_max must exceed x_min")
-        if self.dx <= 0 or not 0 < self.cfl <= 1:
-            raise ConfigError("dx must be positive and cfl in (0, 1]")
+        if self.dx <= 0 or not 0 < self.cfl <= 1 or self.snapshot_dt <= 0:
+            raise ConfigError("dx and snapshot_dt must be positive and cfl in (0, 1]")
         n = int(round((self.x_max - self.x_min) / self.dx))
         if n < 8:
             raise ConfigError("domain too narrow for the stencil")
@@ -100,39 +103,15 @@ def weighted_norm(slab: SpaceTimeSlab, config: WeightedNormConfig,
     return float(np.max(np.exp(config.delta * slab.times[mask]) * norms))
 
 
-def kink_values(params: MultikinkParams, t: float, grid: np.ndarray) -> list[np.ndarray]:
-    """Per-kink profile samples H_k(gamma_k (x - v_k t - a_k))."""
-    return [params.profile(k)(params.kink_argument(k, t, grid))
-            for k in range(1, params.K + 1)]
-
-
-def _ansatz_pieces(params: MultikinkParams, t: float, grid: np.ndarray):
-    """(H, V, sum_k W'(H_k)) evaluated from one set of profile samples."""
-    model = params.model
-    table = params.table
-    labels = params.chain.labels
-    hk = kink_values(params, t, grid)
-    if params.K == 0:
-        vac = table.vacuum(labels[0])
-        return (np.full_like(grid, vac),
-                np.full_like(grid, table.mass(labels[0]) ** 2),
-                np.zeros_like(grid))
-    H = np.full_like(grid, table.vacuum(labels[0]))
-    sum_wp = np.zeros_like(grid)
-    V = model(hk[0], 2)
-    for k in range(1, params.K + 1):
-        H += hk[k - 1] - table.vacuum(labels[k - 1])
-        sum_wp += model(hk[k - 1], 1)
-        if k >= 2:
-            V = V + model(hk[k - 1], 2) - table.mass(labels[k - 1]) ** 2
-    return H, V, sum_wp
+def level_nonlinearity(level: AnsatzLevel, g) -> np.ndarray:
+    """N(g) = -W'(H + g) + sum_k W'(H_k) + V g at one ansatz level."""
+    g = np.asarray(g, dtype=float) if not np.isscalar(g) else float(g)
+    return -level.params.model(level.H + g, 1) + level.sum_wp + level.V * g
 
 
 def nonlinearity(params: MultikinkParams, g, t: float, grid: np.ndarray) -> np.ndarray:
     """N(g) = -W'(H + g) + sum_k W'(H_k) + V g, evaluated pointwise."""
-    H, V, sum_wp = _ansatz_pieces(params, t, grid)
-    g = np.asarray(g, dtype=float) if not np.isscalar(g) else float(g)
-    return -params.model(H + g, 1) + sum_wp + V * g
+    return level_nonlinearity(evaluate_ansatz(params, t, grid), g)
 
 
 def forcing_decay_scan(params: MultikinkParams, grid: np.ndarray,
@@ -168,47 +147,64 @@ def fitted_forcing_rate(params: MultikinkParams, grid: np.ndarray, T: float,
     return -slope
 
 
-def _wrap_forcing(forcing, grid):
+@dataclass(frozen=True)
+class LevelTerms:
+    """Right-hand side of solve_backward computed from the ansatz level the
+    solver evaluates for each step: terms(t, level) returns (b, f), the
+    extra potential (or None) and the forcing."""
+
+    terms: Callable[[float, AnsatzLevel], tuple]
+
+
+def _level_terms(forcing, grid) -> Callable[[float, AnsatzLevel], tuple]:
+    if isinstance(forcing, LevelTerms):
+        return forcing.terms
     if forcing is None:
         zero = np.zeros_like(grid)
-        return lambda _t: zero
+        return lambda _t, _level: (None, zero)
     if isinstance(forcing, SpaceTimeSlab):
         spline = CubicSpline(forcing.times, forcing.phis, axis=0)
-        return lambda t: spline(t)
-    return forcing
+        return lambda t, _level: (None, spline(t))
+    return lambda t, _level: (None, forcing(t))
 
 
 def solve_backward(params: MultikinkParams, forcing, t_start: float, t_final: float,
-                   config: SolverConfig, extra_potential=None) -> SpaceTimeSlab:
+                   config: SolverConfig) -> SpaceTimeSlab:
     """Solve d_t^2 h - d_x^2 h + (V + b) h = f backward from zero data.
 
     Integrates from (h, d_t h)(t_final) = (0, 0) down to t_start with the
     leapfrog stepper; this realizes the decaying solution once t_final is
     large enough that the forcing is negligible beyond it.
 
-    forcing may be None, a callable t -> samples, or a SpaceTimeSlab
-    (interpolated cubically in time). extra_potential is an optional
-    callable t -> samples added to the multikink potential.
+    forcing may be None, a callable t -> f, a SpaceTimeSlab (interpolated
+    cubically in time) or a LevelTerms giving b and f; b is zero otherwise.
+    The ansatz is evaluated once per time level and shared by V and the
+    LevelTerms.
     """
     grid = config.grid
     dx = config.dx
     dt, every = config.plan(t_start, t_final)
     n_steps = int(round((t_final - t_start) / dt))
-    f_of = _wrap_forcing(forcing, grid)
+    terms = _level_terms(forcing, grid)
     cfg = EvolveConfig(dt=dt, t_end=t_final, cfl_limit=config.cfl)
     lap = make_laplacian(dx, cfg.stencil_blend(dx))
 
     def accel(t, h, out):
-        _, V, _ = _ansatz_pieces(params, t, grid)
+        level = evaluate_ansatz(params, t, grid)
+        extra, f = terms(t, level)
         lap(h, out)
-        pot = V if extra_potential is None else V + extra_potential(t)
+        pot = level.V if extra is None else level.V + extra
         out[1:-1] -= pot[1:-1] * h[1:-1]
-        out[1:-1] += f_of(t)[1:-1]
+        out[1:-1] += f[1:-1]
 
     h = np.zeros_like(grid)
     hd = np.zeros_like(grid)
     times, phis, dots = _leapfrog(h, hd, -dt, n_steps, accel, t_final, every)
     return SpaceTimeSlab(times[::-1], grid, phis[::-1], dots[::-1])
+
+
+# the forcing N(0) of the zero iterate
+_FREE_FORCING = LevelTerms(lambda _t, level: (None, level_nonlinearity(level, 0.0)))
 
 
 def _zero_slab(grid, times):
@@ -248,21 +244,23 @@ class ConstructReport:
 
 
 def choose_final_time(params: MultikinkParams, config: SolverConfig, T: float,
-                      delta: float, rtol: float = 1e-8, max_span: float = 400.0) -> float:
+                      delta: float, rtol: float = 1e-8, max_span: float = 400.0):
     """Double the truncation time until the zero-iterate response on the
     kept window stops changing (mirrors the limiting construction of the
-    backward solver)."""
+    backward solver).
+
+    Returns (t_final, slab): slab is the accepted response R N(0) on
+    [T, t_final], which is the first fixed-point iterate.
+    """
     span = max(16.0, 4.0 / delta)
-    h_prev = solve_backward(params, lambda t: nonlinearity(params, 0.0, t, config.grid),
-                            T, T + span, config)
+    h_prev = solve_backward(params, _FREE_FORCING, T, T + span, config)
     probe = np.linspace(T, T + span, 41)
     while True:
         new_span = 2.0 * span
         if new_span > max_span:
             warnings.warn("truncation time hit its cap before stabilizing")
-            return T + span
-        h_next = solve_backward(params, lambda t: nonlinearity(params, 0.0, t, config.grid),
-                                T, T + new_span, config)
+            return T + span, h_prev
+        h_next = solve_backward(params, _FREE_FORCING, T, T + new_span, config)
         diff = 0.0
         scale = 1e-300
         for t in probe:
@@ -271,7 +269,7 @@ def choose_final_time(params: MultikinkParams, config: SolverConfig, T: float,
             diff = max(diff, float(np.max(np.abs(pa - pb))), float(np.max(np.abs(da - db))))
             scale = max(scale, float(np.max(np.abs(pb))))
         if diff <= rtol * max(1.0, scale):
-            return T + span
+            return T + span, h_prev
         span = new_span
         h_prev = h_next
         probe = np.linspace(T, T + span, 41)
@@ -321,7 +319,8 @@ def fixed_point(params: MultikinkParams, config: SolverConfig,
 
     T defaults to the first time the free forcing N(0) is small, delta to
     half its fitted decay rate, and the truncation time to the stabilized
-    doubling of choose_final_time.
+    doubling of choose_final_time, whose accepted slab R N(0) then serves
+    as the first iterate when the iteration starts from g = 0.
     """
     grid = config.grid
     if T is None:
@@ -337,8 +336,11 @@ def fixed_point(params: MultikinkParams, config: SolverConfig,
             raise NoContractionError("free forcing does not decay; increase T")
         delta = 0.5 * eta
     norm_cfg = WeightedNormConfig(T=T, delta=delta)
+    first = None
     if t_final is None:
-        t_final = choose_final_time(params, config, T, delta)
+        t_final, first = choose_final_time(params, config, T, delta)
+        if g0 is not None:
+            first = None  # the first iterate is R N(g0), not R N(0)
     start_norm = math.sqrt(integrate_grid(nonlinearity(params, 0.0, T, grid) ** 2, config.dx))
     if start_norm > 0.1:
         warnings.warn(f"|N(0)(T)| = {start_norm:.3g} is large; T may be too small")
@@ -352,10 +354,14 @@ def fixed_point(params: MultikinkParams, config: SolverConfig,
     ratios = []
     rising = 0
     for it in range(max_iter):
-        spline = CubicSpline(g.times, g.phis, axis=0)
-        g_new = solve_backward(
-            params, lambda t: nonlinearity(params, spline(t), t, grid),
-            T, t_final, config)
+        if first is not None:
+            # R N(0) on [T, t_final]: the truncation search already solved it
+            g_new, first = first, None
+        else:
+            spline = CubicSpline(g.times, g.phis, axis=0)
+            g_new = solve_backward(params, LevelTerms(
+                lambda t, level: (None, level_nonlinearity(level, spline(t)))),
+                T, t_final, config)
         dnorm = weighted_norm(_diff_slab(g_new, g), norm_cfg)
         report.iterate_norms.append(dnorm)
         if len(report.iterate_norms) >= 2 and report.iterate_norms[-2] > 0:
@@ -387,25 +393,23 @@ def fixed_point(params: MultikinkParams, config: SolverConfig,
             rate, r2 = decay_fit(g, T, span=min(fit_span, t_final - T - 2 * config.snapshot_dt))
             report.fitted_decay_rate = rate
             report.decay_fit_r2 = r2
-        except Exception:
+        except FitError:
             pass
     return g, report
 
 
-def shift_derivative_of_kink(params: MultikinkParams, k: int, t: float,
-                             grid: np.ndarray) -> np.ndarray:
+def shift_derivative_of_kink(level: AnsatzLevel, k: int) -> np.ndarray:
     """d H_k / d a_k = -gamma_k H'(gamma_k (x - v_k t - a_k))."""
-    g = params.gammas[k - 1]
-    return -g * params.profile(k).deriv(params.kink_argument(k, t, grid), 1)
+    return -level.params.gammas[k - 1] * level.slope(k)
 
 
-def velocity_derivative_of_kink(params: MultikinkParams, k: int, t: float,
-                                grid: np.ndarray) -> np.ndarray:
+def velocity_derivative_of_kink(level: AnsatzLevel, k: int) -> np.ndarray:
     """d H_k / d v_k = H'(gamma_k y) (gamma_k^3 v_k y - gamma_k t)."""
-    g = params.gammas[k - 1]
-    v = params.velocities[k - 1]
-    y = grid - v * t - params.shifts[k - 1]
-    return params.profile(k).deriv(g * y, 1) * (g**3 * v * y - g * t)
+    p = level.params
+    g = p.gammas[k - 1]
+    v = p.velocities[k - 1]
+    y = level.grid - v * level.t - p.shifts[k - 1]
+    return level.slope(k) * (g**3 * v * y - g * level.t)
 
 
 def param_derivative(params: MultikinkParams, psi_slab: SpaceTimeSlab, k: int,
@@ -420,25 +424,16 @@ def param_derivative(params: MultikinkParams, psi_slab: SpaceTimeSlab, k: int,
         raise ConfigError("which must be 'shift' or 'velocity'")
     if not 1 <= k <= params.K:
         raise ConfigError(f"kink index {k} outside 1..{params.K}")
-    grid = config.grid
     spline = CubicSpline(psi_slab.times, psi_slab.phis, axis=0)
     dkink = shift_derivative_of_kink if which == "shift" else velocity_derivative_of_kink
 
-    def wpp_full(t):
-        H, _, _ = _ansatz_pieces(params, t, grid)
-        return params.model(H + spline(t), 2)
+    def terms(t, level):
+        wpp_full = params.model(level.H + spline(t), 2)
+        forcing = -(wpp_full - level.kink_wpp[k - 1]) * dkink(level, k)
+        return wpp_full - level.V, forcing
 
-    def extra_potential(t):
-        _, V, _ = _ansatz_pieces(params, t, grid)
-        return wpp_full(t) - V
-
-    def forcing(t):
-        hk = params.profile(k)(params.kink_argument(k, t, grid))
-        return -(wpp_full(t) - params.model(hk, 2)) * dkink(params, k, t, grid)
-
-    return solve_backward(params, forcing, float(psi_slab.times[0]),
-                          float(psi_slab.times[-1]), config,
-                          extra_potential=extra_potential)
+    return solve_backward(params, LevelTerms(terms), float(psi_slab.times[0]),
+                          float(psi_slab.times[-1]), config)
 
 
 def suggest_domain(params: MultikinkParams, t_max: float, margin: float | None = None):

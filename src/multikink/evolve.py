@@ -122,10 +122,6 @@ class SpaceTimeSlab:
             self._tderiv_spline = RectBivariateSpline(self.times, self.grid, self.phi_dots)
         return self._tderiv_spline
 
-    def restricted(self, t_min: float, t_max: float) -> "SpaceTimeSlab":
-        mask = (self.times >= t_min - 1e-12) & (self.times <= t_max + 1e-12)
-        return SpaceTimeSlab(self.times[mask], self.grid, self.phis[mask], self.phi_dots[mask])
-
     def merged(self, other: "SpaceTimeSlab") -> "SpaceTimeSlab":
         """Union of two slabs on the same grid (overlapping times deduplicated)."""
         if len(self.grid) != len(other.grid) or not np.allclose(self.grid, other.grid):
@@ -143,13 +139,14 @@ class SpaceTimeSlab:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         names = []
-        for i, t in enumerate(self.times):
+        xs = [f"{x:.17g}," for x in self.grid.tolist()]
+        for i in range(len(self.times)):
             name = f"snapshot_{i:05d}.csv"
             names.append(name)
+            rows = ["%s%.17g,%.17g\n" % row for row in
+                    zip(xs, self.phis[i].tolist(), self.phi_dots[i].tolist())]
             with open(directory / name, "w") as fh:
-                fh.write("x,phi,phi_dot\n")
-                for x, p, d in zip(self.grid, self.phis[i], self.phi_dots[i]):
-                    fh.write(f"{x:.17g},{p:.17g},{d:.17g}\n")
+                fh.write("x,phi,phi_dot\n" + "".join(rows))
         manifest = {"times": [float(t) for t in self.times], "files": names,
                     "n_grid": len(self.grid),
                     "x_min": float(self.grid[0]), "x_max": float(self.grid[-1])}

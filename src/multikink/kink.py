@@ -109,10 +109,6 @@ class KinkProfile:
         self._c_right = h[-1] - self.vac_right
         self._spline = CubicSpline(x, h)
 
-    @property
-    def is_kink(self) -> bool:
-        return self.orientation > 0
-
     def __call__(self, x):
         scalar = np.isscalar(x) or np.ndim(x) == 0
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -129,7 +125,11 @@ class KinkProfile:
 
     def deriv(self, x, order: int = 1):
         """Spatial derivative of the profile via the Bogomolny relations."""
-        hval = self(x)
+        return self.deriv_at_values(self(x), order)
+
+    def deriv_at_values(self, hval, order: int = 1):
+        """deriv(x, order) from the profile values hval = self(x), for a
+        caller that already holds them and need not sample the profile again."""
         if order == 1:
             w = np.maximum(self.model(hval, 0), 0.0)
             return self.orientation * np.sqrt(2.0 * w)

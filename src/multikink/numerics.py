@@ -56,16 +56,6 @@ def central_diff(y: np.ndarray, dx: float) -> np.ndarray:
     return d
 
 
-def laplacian_interior(y: np.ndarray, dx: float, out: np.ndarray | None = None) -> np.ndarray:
-    """Three-point second difference; the two boundary entries are zero."""
-    if out is None:
-        out = np.zeros_like(y)
-    out[1:-1] = (y[2:] - 2.0 * y[1:-1] + y[:-2]) / (dx * dx)
-    out[0] = 0.0
-    out[-1] = 0.0
-    return out
-
-
 def smoothstep_quintic(s: np.ndarray | float):
     """C^2 monotone join rising 0 -> 1 on [0, 1] (6s^5 - 15s^4 + 10s^3)."""
     s = np.clip(s, 0.0, 1.0)

@@ -67,6 +67,40 @@ def test_admissibility():
         ansatz.make_params(model, table, (0, 1, 2), (0.3,), (0.0,))
 
 
+def _direct_pieces(params, t, grid):
+    """H, H_t, V and sum_k W'(H_k) kink by kink from the profile formulas."""
+    labels, table, model = params.chain.labels, params.table, params.model
+    H = np.full_like(grid, table.vacuum(labels[0]))
+    H_t = np.zeros_like(grid)
+    V = np.full_like(grid, table.mass(labels[0]) ** 2)
+    sum_wp = np.zeros_like(grid)
+    for k in range(1, params.K + 1):
+        g, v, a = params.gammas[k - 1], params.velocities[k - 1], params.shifts[k - 1]
+        prof = params.profile(k)
+        hk = prof(g * (grid - v * t - a))
+        H += hk - table.vacuum(labels[k - 1])
+        H_t -= g * v * prof.deriv(g * (grid - v * t - a), 1)
+        V += model(hk, 2) - table.mass(labels[k - 1]) ** 2
+        sum_wp += model(hk, 1)
+    return H, H_t, V, sum_wp
+
+
+@pytest.mark.parametrize("labels,velocities,shifts", [
+    ((1,), (), ()),                                  # K = 0
+    ((0, 1), (0.4,), (-1.5,)),                       # K = 1, kink
+    ((0, 1, 2), (-0.3, 0.3), (0.0, 0.0)),            # K = 2, kink-kink
+    ((2, 1, 0), (-0.5, 0.2), (3.0, -2.0)),           # K = 2, antikink chain
+])
+def test_evaluator_matches_per_kink_formulas(sg, grid, labels, velocities, shifts):
+    model, table = sg
+    params = ansatz.make_params(model, table, labels, velocities, shifts)
+    for t in (0.0, 4.5):
+        level = ansatz.evaluate_ansatz(params, t, grid)
+        for got, want in zip((level.H, level.H_t, level.V, level.sum_wp),
+                             _direct_pieces(params, t, grid)):
+            assert np.allclose(got, want, rtol=0.0, atol=1e-13)
+
+
 def test_linearization_potential_single(phi4_static, grid):
     v = ansatz.linearization_potential(phi4_static, 0.0, grid)
     exact = 12.0 * np.tanh(np.sqrt(2.0) * grid) ** 2 - 4.0

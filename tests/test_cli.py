@@ -156,3 +156,12 @@ def test_missing_required_key_exit_2(tmp_path):
     path = tmp_path / "nokind.cfg"
     path.write_text(SG_SINGLE.replace("kind = sine_gordon", ""))
     assert main(["kink", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("dx", ["0", "-0.05", "nan"])
+def test_bad_grid_step_exit_2(tmp_path, capsys, dx):
+    path = tmp_path / "baddx.cfg"
+    path.write_text(SG_SINGLE.replace("dx = 0.05", f"dx = {dx}"))
+    assert main(["multikink", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from multikink import ansatz, construct
-from multikink.errors import ConfigError, NoContractionError
+from multikink.errors import ConfigError, FitError, NoContractionError
 from multikink.evolve import SpaceTimeSlab
 from multikink.numerics import gaussian_bumps, integrate_grid
 from conftest import two_soliton_oracle
@@ -20,6 +20,15 @@ def _bump_slab(grid, times, delta0):
     phis = np.array([np.exp(-delta0 * t) * b for t in times])
     dots = np.array([-delta0 * np.exp(-delta0 * t) * b for t in times])
     return SpaceTimeSlab(times, grid, phis, dots)
+
+
+@pytest.mark.parametrize("bad", [dict(dx=0.0), dict(dx=-0.05), dict(dx=math.nan),
+                                 dict(x_max=math.inf), dict(cfl=0.0),
+                                 dict(snapshot_dt=0.0), dict(snapshot_dt=-0.25),
+                                 dict(snapshot_dt=math.nan)])
+def test_solver_config_rejects_bad_values(bad):
+    with pytest.raises(ConfigError):
+        construct.SolverConfig(**{"x_min": -10.0, "x_max": 10.0, **bad})
 
 
 def test_weighted_norm_closed_form(small_cfg):
@@ -118,11 +127,90 @@ def test_stability_constant_across_parameters(sg):
     assert max(consts) <= 1.2 * min(consts)
 
 
+def test_solve_backward_one_evaluation_per_level(sg2_params, monkeypatch):
+    cfg = construct.SolverConfig(x_min=-34.0, x_max=34.0, dx=0.1)
+    calls = []
+
+    def counting(params, t, grid):
+        calls.append(t)
+        return ansatz.evaluate_ansatz(params, t, grid)
+
+    monkeypatch.setattr(construct, "evaluate_ansatz", counting)
+    dt, _ = cfg.plan(16.0, 24.0)
+    n_steps = int(round(8.0 / dt))
+    # the forcing N(0) and the potential share each step's level
+    construct.solve_backward(sg2_params, construct._FREE_FORCING, 16.0, 24.0, cfg)
+    assert len(calls) == n_steps + 1
+    assert len(set(calls)) == n_steps + 1
+
+
+def _count_solves(monkeypatch):
+    """Counts of all backward solves and of those in the truncation search."""
+    counts = {"solves": 0, "probes": 0}
+    solve, choose = construct.solve_backward, construct.choose_final_time
+
+    def counting_solve(*args, **kwargs):
+        counts["solves"] += 1
+        return solve(*args, **kwargs)
+
+    def counting_choose(*args, **kwargs):
+        before = counts["solves"]
+        out = choose(*args, **kwargs)
+        counts["probes"] += counts["solves"] - before
+        return out
+
+    monkeypatch.setattr(construct, "solve_backward", counting_solve)
+    monkeypatch.setattr(construct, "choose_final_time", counting_choose)
+    return counts
+
+
+def test_fixed_point_reuses_truncation_slab(sg2_params, monkeypatch):
+    cfg = construct.SolverConfig(x_min=-34.0, x_max=34.0, dx=0.1)
+    kw = dict(T=16.0, delta=0.31, tol=1e-7, max_iter=4)
+    counts = _count_solves(monkeypatch)
+    psi, rep = construct.fixed_point(sg2_params, cfg, **kw)
+    assert counts["probes"] >= 2
+    assert counts["solves"] == counts["probes"] + rep.iterations - 1
+    # the same construction with t_final given solves its first iterate
+    counts.update(solves=0, probes=0)
+    psi2, rep2 = construct.fixed_point(sg2_params, cfg, t_final=rep.t_final, **kw)
+    assert counts == {"solves": rep2.iterations, "probes": 0}
+    assert np.array_equal(psi.times, psi2.times)
+    assert np.array_equal(psi.phis, psi2.phis)
+    assert np.array_equal(psi.phi_dots, psi2.phi_dots)
+    assert rep.iterate_norms == rep2.iterate_norms
+
+
+def _single_kink_construction(sg, small_cfg):
+    model, table = sg
+    params = ansatz.make_params(model, table, (0, 1), (0.3,), (0.0,))
+    return construct.fixed_point(params, small_cfg, T=3.0, delta=0.4, t_final=12.0,
+                                 max_iter=1)
+
+
+def test_decay_fit_catches_only_fit_errors(sg, small_cfg, monkeypatch):
+    def no_fit(*_args, **_kwargs):
+        raise FitError("log-linear fit requires positive values")
+
+    monkeypatch.setattr(construct, "decay_fit", no_fit)
+    _, rep = _single_kink_construction(sg, small_cfg)
+    assert math.isnan(rep.fitted_decay_rate) and math.isnan(rep.decay_fit_r2)
+
+    def broken(*_args, **_kwargs):
+        raise ValueError("not a fit failure")
+
+    monkeypatch.setattr(construct, "decay_fit", broken)
+    with pytest.raises(ValueError, match="not a fit failure"):
+        _single_kink_construction(sg, small_cfg)
+
+
 def test_ansatz_pieces_match_public_potential(sg2_params):
     grid = np.arange(-34.0, 34.0 + 1e-9, 0.05)
-    _, v_fast, _ = construct._ansatz_pieces(sg2_params, 21.0, grid)
-    v_ref = ansatz.linearization_potential(sg2_params, 21.0, grid)
-    assert np.max(np.abs(v_fast - v_ref)) <= 1e-13
+    level = ansatz.evaluate_ansatz(sg2_params, 21.0, grid)
+    state = ansatz.multikink(sg2_params, 21.0, grid)
+    assert np.array_equal(level.V, ansatz.linearization_potential(sg2_params, 21.0, grid))
+    assert np.array_equal(level.H, state.phi)
+    assert np.array_equal(level.H_t, state.phi_dot)
 
 
 def test_nonlinearity_trivial_and_decay(sg, sg2_params):
@@ -143,8 +231,8 @@ def test_nonlinearity_quadratic_smallness(sg2_params):
     b = gaussian_bumps(grid, rng)
     t = 20.0
     n0 = construct.nonlinearity(sg2_params, 0.0, t, grid)
-    H, V, _ = construct._ansatz_pieces(sg2_params, t, grid)
-    lin = -sg2_params.model(H, 2) + V
+    level = ansatz.evaluate_ansatz(sg2_params, t, grid)
+    lin = -sg2_params.model(level.H, 2) + level.V
     errs = []
     for eps in (1e-2, 1e-3):
         n_eps = construct.nonlinearity(sg2_params, eps * b, t, grid)
@@ -202,7 +290,7 @@ def test_no_contraction_detected(sg2_params, monkeypatch):
     calls = {"n": 0}
     bump = np.exp(-0.5 * cfg.grid**2)
 
-    def fake(params, forcing, t0, t1, config, extra_potential=None):
+    def fake(params, forcing, t0, t1, config):
         calls["n"] += 1
         dt, every = config.plan(t0, t1)
         times = np.arange(t0, t1 + 1e-9, dt * every)

@@ -235,3 +235,18 @@ def test_slab_save_load(tmp_path, sg, grid):
     assert np.allclose(loaded.times, slab.times)
     assert np.allclose(loaded.phis, slab.phis)
     assert np.allclose(loaded.phi_dots, slab.phi_dots)
+
+
+def test_slab_save_bytes_match_row_writer(tmp_path):
+    # the documented format: one f-string row per grid point
+    grid = np.linspace(-1.0, 1.0, 7)
+    phis = np.array([[0.0, -0.0, 1e-300, -2.5e17, np.pi, 1.0 / 3.0, 5e-324],
+                     np.sin(3.0 * grid)])
+    dots = np.array([np.exp(grid), [np.inf, -np.inf, np.nan, 1.0, -1.0, 0.1, 7.0]])
+    slab = evolve.SpaceTimeSlab([0.0, 0.5], grid, phis, dots)
+    slab.save(tmp_path / "slab")
+    for i in range(2):
+        rows = ["x,phi,phi_dot\n"] + [f"{x:.17g},{p:.17g},{d:.17g}\n"
+                                      for x, p, d in zip(grid, phis[i], dots[i])]
+        written = (tmp_path / "slab" / f"snapshot_{i:05d}.csv").read_bytes()
+        assert written == "".join(rows).encode()
