@@ -55,7 +55,7 @@ class ExperimentConfig:
             return self._parser.has_section(section)
         return self._parser.has_option(section, key)
 
-    def _raw(self, section, key, default, required):
+    def _raw(self, section, key, required):
         if not self._parser.has_option(section, key):
             if required:
                 raise ConfigError(f"missing required config key [{section}] {key}")
@@ -63,11 +63,11 @@ class ExperimentConfig:
         return self._parser.get(section, key)
 
     def get_str(self, section, key, default=None, required=False):
-        raw = self._raw(section, key, default, required)
+        raw = self._raw(section, key, required)
         return self._record(section, key, default if raw is None else raw.strip())
 
     def get_float(self, section, key, default=None, required=False):
-        raw = self._raw(section, key, default, required)
+        raw = self._raw(section, key, required)
         if raw is None:
             return self._record(section, key, default)
         try:
@@ -77,7 +77,7 @@ class ExperimentConfig:
 
     def get_auto_float(self, section, key, default=None):
         """A float or the word 'auto' (returned as None)."""
-        raw = self._raw(section, key, default, False)
+        raw = self._raw(section, key, False)
         if raw is None or raw.strip().lower() == "auto":
             self._record(section, key, "auto" if raw is not None else default)
             return default
@@ -87,7 +87,7 @@ class ExperimentConfig:
             raise ConfigError(f"[{section}] {key}: expected a number or 'auto'") from exc
 
     def get_int(self, section, key, default=None, required=False):
-        raw = self._raw(section, key, default, required)
+        raw = self._raw(section, key, required)
         if raw is None:
             return self._record(section, key, default)
         try:
@@ -96,7 +96,7 @@ class ExperimentConfig:
             raise ConfigError(f"[{section}] {key}: expected an integer, got {raw!r}") from exc
 
     def get_bool(self, section, key, default=False):
-        raw = self._raw(section, key, default, False)
+        raw = self._raw(section, key, False)
         if raw is None:
             return self._record(section, key, default)
         val = raw.strip().lower()
@@ -107,13 +107,13 @@ class ExperimentConfig:
         raise ConfigError(f"[{section}] {key}: expected a boolean, got {raw!r}")
 
     def get_floats(self, section, key, default=None, required=False):
-        raw = self._raw(section, key, default, required)
+        raw = self._raw(section, key, required)
         if raw is None:
             return self._record(section, key, default)
         return self._record(section, key, _floats(raw))
 
     def get_ints(self, section, key, default=None, required=False):
-        raw = self._raw(section, key, default, required)
+        raw = self._raw(section, key, required)
         if raw is None:
             return self._record(section, key, default)
         return self._record(section, key, _ints(raw))

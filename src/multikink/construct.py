@@ -209,7 +209,8 @@ _FREE_FORCING = LevelTerms(lambda _t, level: (None, level_nonlinearity(level, 0.
 
 def _zero_slab(grid, times):
     z = np.zeros((len(times), len(grid)))
-    return SpaceTimeSlab(times, grid, z.copy(), z.copy())
+    z.flags.writeable = False  # one array backs both components
+    return SpaceTimeSlab(times, grid, z, z)
 
 
 def _diff_slab(a: SpaceTimeSlab, b: SpaceTimeSlab) -> SpaceTimeSlab:
@@ -243,6 +244,31 @@ class ConstructReport:
         }
 
 
+# grid columns per block of time splines when truncation probes are compared
+_PROBE_BLOCK = 256
+
+
+def _probe_gap(prev: SpaceTimeSlab, nxt: SpaceTimeSlab, probe: np.ndarray):
+    """(diff, scale) of two truncation probes at the probe times: diff is the
+    largest |phi| or |phi_t| difference, scale the largest |phi| of nxt.
+
+    The cubic splines in time treat each grid column on its own, so building
+    them on blocks of columns gives the full-slab values bit for bit while
+    holding only one block's coefficients at a time.
+    """
+    diff = 0.0
+    scale = 1e-300
+    for lo in range(0, len(prev.grid), _PROBE_BLOCK):
+        cols = slice(lo, lo + _PROBE_BLOCK)
+        pa = CubicSpline(prev.times, prev.phis[:, cols], axis=0)(probe)
+        pb = CubicSpline(nxt.times, nxt.phis[:, cols], axis=0)(probe)
+        da = CubicSpline(prev.times, prev.phi_dots[:, cols], axis=0)(probe)
+        db = CubicSpline(nxt.times, nxt.phi_dots[:, cols], axis=0)(probe)
+        diff = max(diff, float(np.max(np.abs(pa - pb))), float(np.max(np.abs(da - db))))
+        scale = max(scale, float(np.max(np.abs(pb))))
+    return diff, scale
+
+
 def choose_final_time(params: MultikinkParams, config: SolverConfig, T: float,
                       delta: float, rtol: float = 1e-8, max_span: float = 400.0):
     """Double the truncation time until the zero-iterate response on the
@@ -261,13 +287,7 @@ def choose_final_time(params: MultikinkParams, config: SolverConfig, T: float,
             warnings.warn("truncation time hit its cap before stabilizing")
             return T + span, h_prev
         h_next = solve_backward(params, _FREE_FORCING, T, T + new_span, config)
-        diff = 0.0
-        scale = 1e-300
-        for t in probe:
-            pa, da = h_prev.sample(t)
-            pb, db = h_next.sample(t)
-            diff = max(diff, float(np.max(np.abs(pa - pb))), float(np.max(np.abs(da - db))))
-            scale = max(scale, float(np.max(np.abs(pb))))
+        diff, scale = _probe_gap(h_prev, h_next, probe)
         if diff <= rtol * max(1.0, scale):
             return T + span, h_prev
         span = new_span
@@ -362,6 +382,7 @@ def fixed_point(params: MultikinkParams, config: SolverConfig,
             g_new = solve_backward(params, LevelTerms(
                 lambda t, level: (None, level_nonlinearity(level, spline(t)))),
                 T, t_final, config)
+            del spline  # free its coefficients before the next spline is built
         dnorm = weighted_norm(_diff_slab(g_new, g), norm_cfg)
         report.iterate_norms.append(dnorm)
         if len(report.iterate_norms) >= 2 and report.iterate_norms[-2] > 0:

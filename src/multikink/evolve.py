@@ -106,7 +106,11 @@ class SpaceTimeSlab:
                           phi=self.phis[i].copy(), phi_dot=self.phi_dots[i].copy())
 
     def sample(self, t: float):
-        """(phi, phi_dot) at an arbitrary time via cubic interpolation."""
+        """(phi, phi_dot) at an arbitrary time via cubic interpolation.
+
+        The first call builds and caches two cubic splines in time over
+        the whole slab; their coefficients take 8x the bytes of phis.
+        """
         if self._time_splines is None:
             self._time_splines = (CubicSpline(self.times, self.phis, axis=0),
                                   CubicSpline(self.times, self.phi_dots, axis=0))
@@ -168,14 +172,17 @@ class SpaceTimeSlab:
         return SpaceTimeSlab(manifest["times"], grid, phis, dots)
 
 
-def _leapfrog(phi, pd, dt, n_steps, accel, t0, snapshot_every, record_first=True):
+def _leapfrog(phi, pd, dt, n_steps, accel, t0, snapshot_every):
     """Shared leapfrog driver; accel(t, phi, out) fills the acceleration
-    with zero boundary entries. Returns (times, phis, dots)."""
-    times, phis, dots = [], [], []
-    if record_first:
-        times.append(t0)
-        phis.append(phi.copy())
-        dots.append(pd.copy())
+    with zero boundary entries. Returns (times, phis, dots), arrays with
+    one row per snapshot: the initial state, every snapshot_every-th step
+    and the last step."""
+    n_snap = n_steps // snapshot_every + 1 + (n_steps % snapshot_every != 0)
+    times = np.empty(n_snap)
+    phis = np.empty((n_snap, len(phi)))
+    dots = np.empty_like(phis)
+    times[0], phis[0], dots[0] = t0, phi, pd
+    j = 1
     a = np.zeros_like(phi)
     accel(t0, phi, a)
     t = t0
@@ -190,9 +197,8 @@ def _leapfrog(phi, pd, dt, n_steps, accel, t0, snapshot_every, record_first=True
         if step % snapshot_every == 0 or step == n_steps:
             if not np.all(np.isfinite(phi)):
                 raise InstabilityError(f"NaN/Inf detected at t={t}")
-            times.append(t)
-            phis.append(phi.copy())
-            dots.append(pd.copy())
+            times[j], phis[j], dots[j] = t, phi, pd
+            j += 1
     return times, phis, dots
 
 

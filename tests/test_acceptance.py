@@ -6,6 +6,7 @@ import time
 
 import mpmath as mp
 import numpy as np
+import pytest
 from scipy.integrate import cumulative_trapezoid
 
 from multikink import ansatz, construct, evolve, kink, lorentz, spectral
@@ -151,6 +152,7 @@ def test_criterion_5_coercivity(sg, sg2_params):
                 + f"; threshold {0.05 * edge}, runtime {elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_6_construction(sg2_params, sg2_construction):
     rep = sg2_construction["report"]
     psi = sg2_construction["psi"]
@@ -175,6 +177,7 @@ def test_criterion_6_construction(sg2_params, sg2_construction):
                 f"sup {worst:.2e} (<=1e-3), residual refinement x{ratio:.2f} (>=3)")
 
 
+@pytest.mark.slow
 def test_criterion_7_uniqueness(sg2_construction, sg2_restart):
     cfg = sg2_construction["config"]
     rep = sg2_construction["report"]
@@ -189,6 +192,7 @@ def test_criterion_7_uniqueness(sg2_construction, sg2_restart):
                 f"restarted run differs by {diff:.2e} (<= 10 tol = 1e-09)")
 
 
+@pytest.mark.slow
 def test_criterion_8_parameter_derivatives(sg2_params, sg2_construction,
                                            sg2_shift_derivatives):
     cfg = sg2_construction["config"]
@@ -242,6 +246,7 @@ def test_criterion_8_parameter_derivatives(sg2_params, sg2_construction,
                 f"time identity {time_worst:.2e} (both <=1e-5)")
 
 
+@pytest.mark.slow
 def test_criterion_9_lorentz_covariance(sg2_params, sg2_construction):
     rep = sg2_construction["report"]
     cfg = sg2_construction["config"]

@@ -85,6 +85,7 @@ def test_cmd_multikink_and_evolve(tmp_path, sg_config):
     assert abs(series[0, 1] - 8.0 * gamma) <= 1e-3
 
 
+@pytest.mark.slow
 def test_cmd_construct(tmp_path, sg_config):
     out = tmp_path / "o"
     assert main(["construct", "--config", str(sg_config), "--out", str(out)]) == 0
@@ -108,6 +109,7 @@ def test_cmd_boost_and_spectrum(tmp_path, sg_config):
     assert spec["kernel_cosine_similarity"] >= 0.9999
 
 
+@pytest.mark.slow
 def test_cmd_verify(tmp_path, sg_config):
     out = tmp_path / "o"
     assert main(["verify", "--config", str(sg_config), "--out", str(out)]) == 0
@@ -117,6 +119,7 @@ def test_cmd_verify(tmp_path, sg_config):
     assert doc["coercivity"]["min_rayleigh_ratio"] >= 0.05
 
 
+@pytest.mark.slow
 def test_determinism(tmp_path, sg_config):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -164,6 +165,7 @@ def _count_solves(monkeypatch):
     return counts
 
 
+@pytest.mark.slow
 def test_fixed_point_reuses_truncation_slab(sg2_params, monkeypatch):
     cfg = construct.SolverConfig(x_min=-34.0, x_max=34.0, dx=0.1)
     kw = dict(T=16.0, delta=0.31, tol=1e-7, max_iter=4)
@@ -181,6 +183,63 @@ def test_fixed_point_reuses_truncation_slab(sg2_params, monkeypatch):
     assert rep.iterate_norms == rep2.iterate_norms
 
 
+def _sampled_gap(prev, nxt, probe):
+    """The truncation search's per-time comparison through SpaceTimeSlab.sample."""
+    diff = 0.0
+    scale = 1e-300
+    for t in probe:
+        pa, da = prev.sample(t)
+        pb, db = nxt.sample(t)
+        diff = max(diff, float(np.max(np.abs(pa - pb))), float(np.max(np.abs(da - db))))
+        scale = max(scale, float(np.max(np.abs(pb))))
+    return diff, scale
+
+
+@pytest.mark.parametrize("n_grid", [3401, 300, 40])
+def test_probe_gap_matches_per_time_sampling(n_grid):
+    # 3401 columns leave a ragged last block, 40 are narrower than one block;
+    # the rows are reversed views, as backward solves return them
+    rng = np.random.default_rng(n_grid)
+    grid = np.linspace(-34.0, 34.0, n_grid)
+
+    def probe_slab(n_snap):
+        times = np.linspace(16.0, 16.0 + 0.25 * (n_snap - 1), n_snap)
+        phis, dots = rng.standard_normal((2, n_snap, n_grid))
+        return SpaceTimeSlab(times, grid, phis[::-1], dots[::-1])
+
+    prev, nxt = probe_slab(65), probe_slab(129)
+    probe = np.linspace(16.0, 32.0, 41)
+    assert construct._probe_gap(prev, nxt, probe) == _sampled_gap(prev, nxt, probe)
+    # both maxima in one column, at either edge of a block
+    for hot in {0, 255, 256, n_grid - 1} & set(range(n_grid)):
+        loud = SpaceTimeSlab(nxt.times, grid, nxt.phis.copy(), nxt.phi_dots.copy())
+        loud.phis[:, hot] *= 100.0
+        loud.phi_dots[:, hot] *= 100.0
+        assert construct._probe_gap(prev, loud, probe) == _sampled_gap(prev, loud, probe)
+
+
+def test_truncation_search_memory(sg2_params, monkeypatch):
+    # the search holds two probes; comparing them must not add full-slab splines
+    cfg = construct.SolverConfig(x_min=-34.0, x_max=34.0, dx=0.05)
+    probe_bytes = []
+    solve = construct.solve_backward
+
+    def recording(*args, **kwargs):
+        slab = solve(*args, **kwargs)
+        probe_bytes.append(slab.phis.nbytes + slab.phi_dots.nbytes)
+        return slab
+
+    monkeypatch.setattr(construct, "solve_backward", recording)
+    tracemalloc.start()
+    try:
+        construct.choose_final_time(sg2_params, cfg, T=16.0, delta=0.31)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(probe_bytes) >= 2
+    assert peak < 3 * max(probe_bytes)
+
+
 def _single_kink_construction(sg, small_cfg):
     model, table = sg
     params = ansatz.make_params(model, table, (0, 1), (0.3,), (0.0,))
@@ -188,6 +247,7 @@ def _single_kink_construction(sg, small_cfg):
                                  max_iter=1)
 
 
+@pytest.mark.slow
 def test_decay_fit_catches_only_fit_errors(sg, small_cfg, monkeypatch):
     def no_fit(*_args, **_kwargs):
         raise FitError("log-linear fit requires positive values")
@@ -241,6 +301,7 @@ def test_nonlinearity_quadratic_smallness(sg2_params):
     assert errs[1] <= 0.02 * errs[0]  # O(eps^2) scaling
 
 
+@pytest.mark.slow
 def test_fixed_point_single_kink(sg, small_cfg):
     model, table = sg
     params = ansatz.make_params(model, table, (0, 1), (0.3,), (0.0,))
@@ -250,6 +311,7 @@ def test_fixed_point_single_kink(sg, small_cfg):
     assert rep.converged
 
 
+@pytest.mark.slow
 def test_fixed_point_reference(sg2_construction):
     rep = sg2_construction["report"]
     assert rep.converged
@@ -260,6 +322,7 @@ def test_fixed_point_reference(sg2_construction):
                zip(rep.iterate_norms[1:], rep.iterate_norms[2:]))
 
 
+@pytest.mark.slow
 def test_fixed_point_matches_two_soliton(sg2_params, sg2_construction):
     psi = sg2_construction["psi"]
     rep = sg2_construction["report"]
@@ -304,6 +367,7 @@ def test_no_contraction_detected(sg2_params, monkeypatch):
                               tol=1e-14, max_iter=12)
 
 
+@pytest.mark.slow
 def test_uniqueness_restart(sg2_construction, sg2_restart):
     cfg = sg2_construction["config"]
     rep = sg2_construction["report"]
@@ -316,6 +380,7 @@ def test_uniqueness_restart(sg2_construction, sg2_restart):
     assert diff <= 10.0 * 1e-10
 
 
+@pytest.mark.slow
 def test_param_derivative_single_kink_zero(sg, small_cfg):
     model, table = sg
     params = ansatz.make_params(model, table, (0, 1), (0.3,), (0.0,))
@@ -329,6 +394,7 @@ def test_param_derivative_single_kink_zero(sg, small_cfg):
         construct.param_derivative(params, psi, 1, "acceleration", small_cfg)
 
 
+@pytest.mark.slow
 def test_velocity_derivative_consistency(sg2_params):
     # coarse finite-difference check of the velocity derivative
     cfg = construct.SolverConfig(x_min=-36.0, x_max=36.0, dx=0.05)

@@ -147,6 +147,29 @@ def test_detect_sector(phi4, sg, sg2_params, grid):
         evolve.detect_sector(bad, phi4_table)
 
 
+@pytest.mark.parametrize("n_steps, every, steps", [(12, 4, [0, 4, 8, 12]),
+                                                   (10, 4, [0, 4, 8, 10]),
+                                                   (3, 4, [0, 3])])
+def test_leapfrog_snapshot_schedule(n_steps, every, steps):
+    # zero acceleration: the interior moves at the constant initial speed
+    phi0 = np.linspace(0.0, 1.0, 9)
+    pd0 = np.zeros(9)
+    pd0[1:-1] = 2.0
+
+    def accel(_t, _f, out):
+        out[:] = 0.0
+
+    times, phis, dots = evolve._leapfrog(phi0.copy(), pd0.copy(), 0.1, n_steps, accel,
+                                         5.0, every)
+    steps = np.array(steps)
+    assert np.array_equal(times, 5.0 + steps * 0.1)
+    assert phis.shape == dots.shape == (len(steps), 9)
+    assert np.array_equal(phis[0], phi0)
+    assert np.allclose(phis[:, 1:-1], phi0[1:-1] + 0.2 * steps[:, None], rtol=0, atol=1e-12)
+    assert np.array_equal(phis[:, [0, -1]], np.tile(phi0[[0, -1]], (len(steps), 1)))
+    assert np.array_equal(dots, np.tile(pd0, (len(steps), 1)))
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_instability_detection(phi4, grid):
     model, _ = phi4

@@ -111,6 +111,7 @@ def test_coverage_error(phi4_slab):
     assert "slab covers" in str(err.value)
 
 
+@pytest.mark.slow
 def test_covariance_single_kink(sg):
     # K=1: both sides are the same exact kink, discrepancy at the
     # interpolation level
