@@ -23,7 +23,7 @@ from scipy.interpolate import CubicSpline
 
 from .ansatz import AnsatzLevel, MultikinkParams, evaluate_ansatz, multikink
 from .errors import ConfigError, FitError, NoContractionError
-from .evolve import EvolveConfig, SpaceTimeSlab, _leapfrog, make_laplacian
+from .evolve import SPLINE_BLOCK, EvolveConfig, SpaceTimeSlab, _leapfrog, make_laplacian
 from .numerics import central_diff, derivative2, fit_log_linear, integrate_grid
 
 
@@ -114,26 +114,26 @@ def nonlinearity(params: MultikinkParams, g, t: float, grid: np.ndarray) -> np.n
     return level_nonlinearity(evaluate_ansatz(params, t, grid), g)
 
 
-def forcing_decay_scan(params: MultikinkParams, grid: np.ndarray,
-                       t_lo: float = 0.5, t_hi: float = 200.0, step: float = 0.5):
-    """Times and L2 norms of N(0) on a coarse scan grid."""
-    times = np.arange(t_lo, t_hi + 1e-9, step)
-    dx = grid[1] - grid[0]
-    norms = np.array([math.sqrt(integrate_grid(nonlinearity(params, 0.0, t, grid) ** 2, dx))
-                      for t in times])
-    return times, norms
+def _forcing_norm(params: MultikinkParams, t: float, grid: np.ndarray, dx: float) -> float:
+    """|N(0)(t)|_{L2}, the free forcing's norm."""
+    return math.sqrt(integrate_grid(nonlinearity(params, 0.0, t, grid) ** 2, dx))
 
 
 def default_start_time(params: MultikinkParams, grid: np.ndarray,
                        threshold: float = 1e-3) -> float:
-    """Smallest scanned time with |N(0)(t)|_{L2} <= threshold."""
-    times, norms = forcing_decay_scan(params, grid)
-    below = np.nonzero(norms <= threshold)[0]
-    if below.size == 0:
-        warnings.warn("forcing never drops below threshold in the scanned range; "
-                      "using the time of its minimum")
-        return float(times[np.argmin(norms)])
-    return float(times[below[0]])
+    """First time of the scan 0.5, 1.0, ..., 200 with |N(0)(t)|_{L2} <=
+    threshold; the scan stops there. If no time qualifies, warns and
+    returns the scanned time of the smallest norm."""
+    times = np.arange(0.5, 200.0 + 1e-9, 0.5)
+    dx = grid[1] - grid[0]
+    norms = []
+    for t in times:
+        norms.append(_forcing_norm(params, t, grid, dx))
+        if norms[-1] <= threshold:
+            return float(t)
+    warnings.warn("forcing never drops below threshold in the scanned range; "
+                  "using the time of its minimum")
+    return float(times[np.argmin(norms)])
 
 
 def fitted_forcing_rate(params: MultikinkParams, grid: np.ndarray, T: float,
@@ -141,8 +141,7 @@ def fitted_forcing_rate(params: MultikinkParams, grid: np.ndarray, T: float,
     """Exponential decay rate eta of |N(0)(t)| over [T, T + span]."""
     times = np.linspace(T, T + span, 21)
     dx = grid[1] - grid[0]
-    norms = np.array([math.sqrt(integrate_grid(nonlinearity(params, 0.0, t, grid) ** 2, dx))
-                      for t in times])
+    norms = np.array([_forcing_norm(params, t, grid, dx) for t in times])
     slope, _, _, _ = fit_log_linear(times, norms)
     return -slope
 
@@ -163,8 +162,7 @@ def _level_terms(forcing, grid) -> Callable[[float, AnsatzLevel], tuple]:
         zero = np.zeros_like(grid)
         return lambda _t, _level: (None, zero)
     if isinstance(forcing, SpaceTimeSlab):
-        spline = CubicSpline(forcing.times, forcing.phis, axis=0)
-        return lambda t, _level: (None, spline(t))
+        return lambda t, _level: (None, forcing.phi_at(t))
     return lambda t, _level: (None, forcing(t))
 
 
@@ -244,10 +242,6 @@ class ConstructReport:
         }
 
 
-# grid columns per block of time splines when truncation probes are compared
-_PROBE_BLOCK = 256
-
-
 def _probe_gap(prev: SpaceTimeSlab, nxt: SpaceTimeSlab, probe: np.ndarray):
     """(diff, scale) of two truncation probes at the probe times: diff is the
     largest |phi| or |phi_t| difference, scale the largest |phi| of nxt.
@@ -258,8 +252,8 @@ def _probe_gap(prev: SpaceTimeSlab, nxt: SpaceTimeSlab, probe: np.ndarray):
     """
     diff = 0.0
     scale = 1e-300
-    for lo in range(0, len(prev.grid), _PROBE_BLOCK):
-        cols = slice(lo, lo + _PROBE_BLOCK)
+    for lo in range(0, len(prev.grid), SPLINE_BLOCK):
+        cols = slice(lo, lo + SPLINE_BLOCK)
         pa = CubicSpline(prev.times, prev.phis[:, cols], axis=0)(probe)
         pb = CubicSpline(nxt.times, nxt.phis[:, cols], axis=0)(probe)
         da = CubicSpline(prev.times, prev.phi_dots[:, cols], axis=0)(probe)
@@ -304,17 +298,19 @@ def measure_residual(params: MultikinkParams, psi_slab: SpaceTimeSlab,
     dx = psi_slab.dx
     mask = (grid >= grid[0] + boundary_margin) & (grid <= grid[-1] - boundary_margin)
     worst = 0.0
-    phis = [multikink(params, t, grid).phi + psi_slab.phis[i]
-            for i, t in enumerate(psi_slab.times)]
-    for i in range(1, len(psi_slab) - 1):
+    # H + Psi per snapshot, held three at a time
+    fields = (multikink(params, t, grid).phi + psi
+              for t, psi in zip(psi_slab.times, psi_slab.phis))
+    prev, cur = next(fields, None), next(fields, None)
+    for i, nxt in enumerate(fields, start=1):
         dt1 = psi_slab.times[i] - psi_slab.times[i - 1]
         dt2 = psi_slab.times[i + 1] - psi_slab.times[i]
-        if abs(dt1 - dt2) > 1e-9:
-            continue
-        dtt = (phis[i - 1] - 2.0 * phis[i] + phis[i + 1]) / (dt1 * dt1)
-        dxx = derivative2(phis[i], dx)
-        r = dtt - dxx + params.model(phis[i], 1)
-        worst = max(worst, math.sqrt(integrate_grid(r[mask] ** 2, dx)))
+        if abs(dt1 - dt2) <= 1e-9:
+            dtt = (prev - 2.0 * cur + nxt) / (dt1 * dt1)
+            dxx = derivative2(cur, dx)
+            r = dtt - dxx + params.model(cur, 1)
+            worst = max(worst, math.sqrt(integrate_grid(r[mask] ** 2, dx)))
+        prev, cur = cur, nxt
     return worst
 
 
@@ -361,7 +357,7 @@ def fixed_point(params: MultikinkParams, config: SolverConfig,
         t_final, first = choose_final_time(params, config, T, delta)
         if g0 is not None:
             first = None  # the first iterate is R N(g0), not R N(0)
-    start_norm = math.sqrt(integrate_grid(nonlinearity(params, 0.0, T, grid) ** 2, config.dx))
+    start_norm = _forcing_norm(params, T, grid, config.dx)
     if start_norm > 0.1:
         warnings.warn(f"|N(0)(T)| = {start_norm:.3g} is large; T may be too small")
 
@@ -378,11 +374,9 @@ def fixed_point(params: MultikinkParams, config: SolverConfig,
             # R N(0) on [T, t_final]: the truncation search already solved it
             g_new, first = first, None
         else:
-            spline = CubicSpline(g.times, g.phis, axis=0)
             g_new = solve_backward(params, LevelTerms(
-                lambda t, level: (None, level_nonlinearity(level, spline(t)))),
+                lambda t, level: (None, level_nonlinearity(level, g.phi_at(t)))),
                 T, t_final, config)
-            del spline  # free its coefficients before the next spline is built
         dnorm = weighted_norm(_diff_slab(g_new, g), norm_cfg)
         report.iterate_norms.append(dnorm)
         if len(report.iterate_norms) >= 2 and report.iterate_norms[-2] > 0:
@@ -439,17 +433,17 @@ def param_derivative(params: MultikinkParams, psi_slab: SpaceTimeSlab, k: int,
 
     The equation carries the potential W''(H + Psi) and the right-hand side
     -(W''(H + Psi) - W''(H_k)) dH_k; both are evaluated along the stored
-    Psi slab (cubic interpolation in time).
+    Psi slab (cubic interpolation in time, psi_slab.phi_at, whose
+    interpolant is built once per slab and shared by all four derivatives).
     """
     if which not in ("shift", "velocity"):
         raise ConfigError("which must be 'shift' or 'velocity'")
     if not 1 <= k <= params.K:
         raise ConfigError(f"kink index {k} outside 1..{params.K}")
-    spline = CubicSpline(psi_slab.times, psi_slab.phis, axis=0)
     dkink = shift_derivative_of_kink if which == "shift" else velocity_derivative_of_kink
 
     def terms(t, level):
-        wpp_full = params.model(level.H + spline(t), 2)
+        wpp_full = params.model(level.H + psi_slab.phi_at(t), 2)
         forcing = -(wpp_full - level.kink_wpp[k - 1]) * dkink(level, k)
         return wpp_full - level.V, forcing
 

@@ -81,6 +81,58 @@ def make_laplacian(dx: float, blend: float):
     return lap
 
 
+# grid columns per block when cubic splines in time are built
+SPLINE_BLOCK = 64
+
+
+class TimeInterpolant:
+    """Cubic interpolation in time of one slab component: t -> values(t).
+
+    The values equal scipy's not-a-knot CubicSpline(times, values, axis=0)
+    bit for bit, but only the knot slopes are kept, about the bytes of
+    values, instead of four coefficient rows per interval. The spline is
+    built on blocks of SPLINE_BLOCK grid columns (each column is a spline
+    of its own); each block yields the slopes at knots 0..n-2 and the whole
+    last interval. When a call lands in another interval, that interval's
+    coefficients are re-formed with CubicHermiteSpline's formulas and then
+    summed in PPoly's order.
+    """
+
+    def __init__(self, times: np.ndarray, values: np.ndarray):
+        self.times = times
+        self.values = values
+        self.slopes = np.empty((len(times) - 1, values.shape[1]))
+        self.last = np.empty((4, values.shape[1]))
+        for lo in range(0, values.shape[1], SPLINE_BLOCK):
+            cols = slice(lo, lo + SPLINE_BLOCK)
+            c = CubicSpline(times, values[:, cols], axis=0).c
+            self.slopes[:, cols] = c[2]
+            self.last[:, cols] = c[:, -1]
+        self._interval = -1
+        self._coeffs = None
+
+    def _coefficients(self, i: int):
+        if i != self._interval:
+            if i == len(self.times) - 2:
+                self._coeffs = self.last
+            else:
+                dx = self.times[i + 1] - self.times[i]
+                y, s0, s1 = self.values[i], self.slopes[i], self.slopes[i + 1]
+                slope = (self.values[i + 1] - y) / dx
+                t = (s0 + s1 - 2 * slope) / dx
+                self._coeffs = (t / dx, (slope - s0) / dx - t, s0, y)
+            self._interval = i
+        return self._coeffs
+
+    def __call__(self, t: float) -> np.ndarray:
+        # x[i] <= t < x[i+1], the last interval closed, clipped at both ends
+        i = int(np.searchsorted(self.times, t, side="right")) - 1
+        i = min(max(i, 0), len(self.times) - 2)
+        c0, c1, c2, c3 = self._coefficients(i)
+        s = t - self.times[i]
+        return c3 + c2 * s + c1 * (s * s) + c0 * (s * s * s)
+
+
 class SpaceTimeSlab:
     """Time-ordered snapshots of (phi, d_t phi) on a common uniform grid."""
 
@@ -96,7 +148,8 @@ class SpaceTimeSlab:
         self.dx = grid_spacing(self.grid)
         self._value_spline = None
         self._tderiv_spline = None
-        self._time_splines = None
+        self._phi_interp = None
+        self._dot_interp = None
 
     def __len__(self):
         return len(self.times)
@@ -105,16 +158,23 @@ class SpaceTimeSlab:
         return FieldState(t=float(self.times[i]), grid=self.grid,
                           phi=self.phis[i].copy(), phi_dot=self.phi_dots[i].copy())
 
-    def sample(self, t: float):
-        """(phi, phi_dot) at an arbitrary time via cubic interpolation.
+    def phi_at(self, t: float) -> np.ndarray:
+        """phi at time t, interpolated cubically in time (scipy's not-a-knot
+        CubicSpline values); the first call builds and caches the
+        TimeInterpolant, about the bytes of phis."""
+        if self._phi_interp is None:
+            self._phi_interp = TimeInterpolant(self.times, self.phis)
+        return self._phi_interp(t)
 
-        The first call builds and caches two cubic splines in time over
-        the whole slab; their coefficients take 8x the bytes of phis.
+    def sample(self, t: float):
+        """(phi, phi_dot) at time t via cubic interpolation in time.
+
+        The first call caches a TimeInterpolant per component; together
+        they take about the bytes of phis and phi_dots.
         """
-        if self._time_splines is None:
-            self._time_splines = (CubicSpline(self.times, self.phis, axis=0),
-                                  CubicSpline(self.times, self.phi_dots, axis=0))
-        return self._time_splines[0](t), self._time_splines[1](t)
+        if self._dot_interp is None:
+            self._dot_interp = TimeInterpolant(self.times, self.phi_dots)
+        return self.phi_at(t), self._dot_interp(t)
 
     def value_spline(self) -> RectBivariateSpline:
         if self._value_spline is None:

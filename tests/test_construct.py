@@ -3,11 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
-from multikink import ansatz, construct
+from multikink import ansatz, construct, evolve
 from multikink.errors import ConfigError, FitError, NoContractionError
 from multikink.evolve import SpaceTimeSlab
-from multikink.numerics import gaussian_bumps, integrate_grid
+from multikink.numerics import derivative2, gaussian_bumps, integrate_grid
 from conftest import two_soliton_oracle
 
 
@@ -238,6 +239,115 @@ def test_truncation_search_memory(sg2_params, monkeypatch):
         tracemalloc.stop()
     assert len(probe_bytes) >= 2
     assert peak < 3 * max(probe_bytes)
+
+
+def test_solve_backward_slab_forcing_matches_spline(sg2_params, small_cfg):
+    # a slab forcing is the cubic spline in time of its phis, bit for bit
+    rng = np.random.default_rng(4)
+    times = np.linspace(15.5, 20.5, 23)
+    phis = gaussian_bumps(small_cfg.grid, rng) * np.exp(-0.5 * times)[:, None]
+    slab = SpaceTimeSlab(times, small_cfg.grid, phis, np.zeros_like(phis))
+    spline = CubicSpline(times, phis, axis=0)
+    a = construct.solve_backward(sg2_params, slab, 16.0, 20.0, small_cfg)
+    b = construct.solve_backward(sg2_params, spline, 16.0, 20.0, small_cfg)
+    assert np.array_equal(a.phis, b.phis)
+    assert np.array_equal(a.phi_dots, b.phi_dots)
+
+
+def test_param_derivative_memory(sg2_params, monkeypatch):
+    # the Psi interpolant holds about one phis' bytes, built once per slab;
+    # a full-slab CubicSpline alone took about 11x. The dense snapshots keep
+    # the solver's per-level arrays small beside the slab at few steps.
+    cfg = construct.SolverConfig(x_min=-34.0, x_max=34.0, dx=0.02, snapshot_dt=0.025)
+    dt, every = cfg.plan(16.0, 20.0)
+    times = np.linspace(16.0, 20.0, int(round(4.0 / dt)) // every + 1)
+    psi = _bump_slab(cfg.grid, times, 0.3)
+    builds = []
+
+    class Counting(evolve.TimeInterpolant):
+        def __init__(self, *args):
+            builds.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(evolve, "TimeInterpolant", Counting)
+    tracemalloc.start()
+    try:
+        out = construct.param_derivative(sg2_params, psi, 1, "shift", cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    returned = out.times.nbytes + out.phis.nbytes + out.phi_dots.nbytes
+    assert peak - returned < 2 * psi.phis.nbytes
+    construct.param_derivative(sg2_params, psi, 2, "velocity", cfg)
+    assert len(builds) == 1
+
+
+def _old_residual(params, psi_slab, boundary_margin=5.0):
+    """measure_residual as first written, with H + Psi of every snapshot held."""
+    grid, dx = psi_slab.grid, psi_slab.dx
+    mask = (grid >= grid[0] + boundary_margin) & (grid <= grid[-1] - boundary_margin)
+    worst = 0.0
+    phis = [ansatz.multikink(params, t, grid).phi + psi_slab.phis[i]
+            for i, t in enumerate(psi_slab.times)]
+    for i in range(1, len(psi_slab) - 1):
+        dt1 = psi_slab.times[i] - psi_slab.times[i - 1]
+        dt2 = psi_slab.times[i + 1] - psi_slab.times[i]
+        if abs(dt1 - dt2) > 1e-9:
+            continue
+        dtt = (phis[i - 1] - 2.0 * phis[i] + phis[i + 1]) / (dt1 * dt1)
+        r = dtt - derivative2(phis[i], dx) + params.model(phis[i], 1)
+        worst = max(worst, math.sqrt(integrate_grid(r[mask] ** 2, dx)))
+    return worst
+
+
+@pytest.mark.parametrize("n_snap", [1, 2, 3, 12])
+def test_measure_residual_rolling_window(sg2_params, small_cfg, n_snap):
+    # one uneven step makes the residual skip the snapshots beside it
+    times = 16.0 + 0.25 * np.arange(n_snap)
+    times[-1] += 0.1 * (n_snap > 3)
+    slab = _bump_slab(small_cfg.grid, times, 0.3)
+    assert construct.measure_residual(sg2_params, slab) == _old_residual(sg2_params, slab)
+
+
+def _full_scan(params, grid):
+    """The start-time scan without stopping: times and |N(0)(t)|_{L2}."""
+    times = np.arange(0.5, 200.0 + 1e-9, 0.5)
+    dx = grid[1] - grid[0]
+    return times, np.array([math.sqrt(integrate_grid(
+        construct.nonlinearity(params, 0.0, t, grid) ** 2, dx)) for t in times])
+
+
+def _counting_nonlinearity(monkeypatch):
+    calls = []
+    real = construct.nonlinearity
+
+    def counting(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(construct, "nonlinearity", counting)
+    return calls
+
+
+def test_default_start_time_stops_at_threshold(sg2_params, monkeypatch):
+    grid = np.arange(-34.0, 34.0 + 1e-9, 0.05)
+    times, norms = _full_scan(sg2_params, grid)
+    first = int(np.nonzero(norms <= 1e-3)[0][0])
+    calls = _counting_nonlinearity(monkeypatch)
+    T = construct.default_start_time(sg2_params, grid)
+    assert T == times[first]
+    assert len(calls) == first + 1 < len(times)
+
+
+def test_default_start_time_without_crossing(sg2_params, monkeypatch):
+    # no norm is <= a negative threshold: the whole scan and its minimum
+    grid = np.arange(-34.0, 34.0 + 1e-9, 0.05)
+    times, norms = _full_scan(sg2_params, grid)
+    calls = _counting_nonlinearity(monkeypatch)
+    with pytest.warns(UserWarning, match="never drops below"):
+        T = construct.default_start_time(sg2_params, grid, threshold=-1.0)
+    assert T == times[np.argmin(norms)]
+    assert len(calls) == len(times)
 
 
 def _single_kink_construction(sg, small_cfg):

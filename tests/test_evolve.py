@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
+from scipy.interpolate import CubicSpline
 
 from multikink import ansatz, evolve
+from multikink.construct import SolverConfig
 from multikink.errors import ConfigError, InstabilityError, SectorError
 from multikink.numerics import gaussian_bumps, random_pair_field
 
@@ -273,3 +275,56 @@ def test_slab_save_bytes_match_row_writer(tmp_path):
                                       for x, p, d in zip(grid, phis[i], dots[i])]
         written = (tmp_path / "slab" / f"snapshot_{i:05d}.csv").read_bytes()
         assert written == "".join(rows).encode()
+
+
+def _knot_queries(times):
+    """Every knot, every mid-interval point and a point past either end."""
+    mids = 0.5 * (times[1:] + times[:-1])
+    return [*times, *mids, times[0] - 0.1, times[-1] + 0.1]
+
+
+@pytest.mark.parametrize("n_times, n_cols", [(2, 70), (3, 70), (5, 1), (33, 65), (129, 3401)])
+def test_time_interpolant_matches_cubic_spline(n_times, n_cols):
+    # the rows are reversed views, as backward solves return them; 65 and
+    # 3401 columns leave a ragged last block
+    rng = np.random.default_rng(n_times * n_cols)
+    times = 16.0 + 0.25 * np.arange(n_times)
+    values = rng.standard_normal((n_times, n_cols))[::-1]
+    spline = CubicSpline(times, values, axis=0)
+    interp = evolve.TimeInterpolant(times, values)
+    for t in _knot_queries(times):
+        assert np.array_equal(interp(t), spline(t)), t
+
+
+def test_time_interpolant_on_solver_levels(sg2_params):
+    # the backward solver's levels t_final - step * dt, visited downward
+    cfg = SolverConfig(x_min=-34.0, x_max=34.0, dx=0.1)
+    dt, every = cfg.plan(16.0, 24.0)
+    n_steps = int(round(8.0 / dt))
+    times = np.linspace(16.0, 24.0, n_steps // every + 1)
+    values = np.array([ansatz.multikink(sg2_params, t, cfg.grid).phi for t in times])
+    spline = CubicSpline(times, values, axis=0)
+    interp = evolve.TimeInterpolant(times, values)
+    for step in range(n_steps + 1):
+        t = 24.0 + step * -dt
+        assert np.array_equal(interp(t), spline(t)), t
+
+
+def test_slab_sample_on_merged_slab():
+    # merging two staggered slabs gives non-uniform knot spacing
+    rng = np.random.default_rng(5)
+    grid = np.linspace(-5.0, 5.0, 300)
+
+    def slab(times):
+        phis, dots = rng.standard_normal((2, len(times), len(grid)))
+        return evolve.SpaceTimeSlab(times, grid, phis, dots)
+
+    merged = slab(np.linspace(0.0, 4.0, 9)).merged(slab(np.linspace(0.3, 6.3, 7)))
+    assert np.ptp(np.diff(merged.times)) > 0.1
+    phi_spline = CubicSpline(merged.times, merged.phis, axis=0)
+    dot_spline = CubicSpline(merged.times, merged.phi_dots, axis=0)
+    for t in _knot_queries(merged.times):
+        phi, dot = merged.sample(t)
+        assert np.array_equal(phi, phi_spline(t)), t
+        assert np.array_equal(dot, dot_spline(t)), t
+        assert np.array_equal(merged.phi_at(t), phi)
