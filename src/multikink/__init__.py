@@ -5,20 +5,20 @@ potentials."""
 __version__ = "0.1.0"
 
 from .potential import (  # noqa: F401
-    ChainOfVacua, PotentialModel, VacuumTable, eval_potential, find_vacua, validate_chain,
+    ChainOfVacua, PotentialModel, VacuumTable, find_vacua, validate_chain,
 )
 from .kink import (  # noqa: F401
     KinkProfile, TailFit, bogomolny_bound, fit_tails, kink_energy, kink_profile,
     position_from_value, stationary_residual,
 )
 from .ansatz import (  # noqa: F401
-    FieldState, ModePair, MultikinkParams, inner_product, kink_cutoff,
+    FieldState, ModePair, MultikinkParams, coercivity_sample, inner_product, kink_cutoff,
     linearization_potential, make_params, multikink, quad_form_multi,
     quad_form_single, zero_modes,
 )
 from .evolve import (  # noqa: F401
     EvolveConfig, SpaceTimeSlab, detect_sector, energy, evolve_linearized,
-    evolve_nonlinear, zero_mode_drift,
+    evolve_nonlinear, zero_mode_drift, zero_mode_laws,
 )
 from .construct import (  # noqa: F401
     ConstructReport, SolverConfig, WeightedNormConfig, fixed_point, nonlinearity,

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .kink import KinkProfile, kink_profile
-from .numerics import central_diff, grid_spacing, integrate_grid, smoothstep_quintic
+from .numerics import central_diff, grid_spacing, integrate_grid, random_pair_field, smoothstep_quintic
 from .potential import ChainOfVacua, PotentialModel, VacuumTable, validate_chain
 
 
@@ -317,3 +317,23 @@ def remove_projections(h: np.ndarray, duals: Sequence[np.ndarray], dx: float) ->
     for c, psi in zip(coef, duals):
         out -= c * psi
     return out
+
+
+def coercivity_sample(params: MultikinkParams, t: float, grid: np.ndarray,
+                      rng: np.random.Generator, n_samples: int) -> float:
+    """Smallest Rayleigh ratio q(h) / |h|^2 (energy norm) over n_samples
+    random pair fields, each drawn from rng in turn and projected off the
+    2K duals psi_j^0, psi_j^1 at time t. q is quad_form_single for K = 1,
+    quad_form_multi otherwise."""
+    grid = np.asarray(grid, dtype=float)
+    dx = grid_spacing(grid)
+    duals = []
+    for j in range(1, params.K + 1):
+        m = zero_modes(params, j, t, grid)
+        duals.extend([m.psi0, m.psi1])
+    quad_form = quad_form_single if params.K == 1 else quad_form_multi
+    worst = np.inf
+    for _ in range(n_samples):
+        h = remove_projections(random_pair_field(grid, rng), duals, dx)
+        worst = min(worst, quad_form(params, t, h, grid) / energy_norm_sq(h, dx))
+    return float(worst)

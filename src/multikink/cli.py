@@ -48,6 +48,12 @@ def _grid_from_config(cfg: ExperimentConfig):
         dx=cfg.get_float("grid", "dx", default=0.02)).grid
 
 
+def _params_from_config(cfg: ExperimentConfig):
+    """The multikink parameters; they carry the model and its vacuum table."""
+    model = cfg.build_model()
+    return cfg.build_params(model, cfg.build_table(model))
+
+
 def cmd_kink(cfg: ExperimentConfig, out: Path, seed: int) -> None:
     model = cfg.build_model()
     table = cfg.build_table(model)
@@ -75,44 +81,43 @@ def cmd_kink(cfg: ExperimentConfig, out: Path, seed: int) -> None:
 
 
 def cmd_multikink(cfg: ExperimentConfig, out: Path, seed: int) -> None:
-    model = cfg.build_model()
-    table = cfg.build_table(model)
-    params = cfg.build_params(model, table)
+    params = _params_from_config(cfg)
     grid = _grid_from_config(cfg)
     t = cfg.get_float("grid", "t_start", default=0.0)
     state = ansatz.multikink(params, t, grid)
     _write_csv(out / "multikink.csv", ["x", "phi", "phi_dot"],
                [grid, state.phi, state.phi_dot])
-    sector = evolve.detect_sector(state, table)
+    sector = evolve.detect_sector(state, params.table)
     _write_json(out / "sector.json", {
         "sector": list(sector), "t": t,
         "boundary_values": [float(state.phi[0]), float(state.phi[-1])],
     }, cfg, seed)
 
 
-def cmd_evolve(cfg: ExperimentConfig, out: Path, seed: int) -> None:
-    model = cfg.build_model()
-    table = cfg.build_table(model)
-    params = cfg.build_params(model, table)
-    grid = _grid_from_config(cfg)
-    t_start = cfg.get_float("grid", "t_start", default=0.0)
-    t_end = cfg.get_float("grid", "t_end", required=True)
-    dx = float(grid[1] - grid[0])
-    cfl = cfg.get_float("grid", "cfl", default=0.9)
+def _evolve_from_config(cfg: ExperimentConfig, params, grid, t_start: float,
+                        t_end: float):
+    """Evolve the ansatz from t_start to t_end with steps of at most
+    [grid] cfl * dx: the slab and (E, E_p, E_k) per snapshot."""
     econf = evolve.EvolveConfig(
-        dt=cfl * dx, t_end=t_end,
+        dt=cfg.get_float("grid", "cfl", default=0.9) * float(grid[1] - grid[0]), t_end=t_end,
         snapshot_every=cfg.get_int("grid", "snapshot_every", default=25))
-    state = ansatz.multikink(params, t_start, grid)
-    slab = evolve.evolve_nonlinear(state, model, econf)
+    slab = evolve.evolve_nonlinear(ansatz.multikink(params, t_start, grid), params.model, econf)
+    energies = np.array([evolve.energy(slab.state(i), params.model) for i in range(len(slab))])
+    return slab, energies
+
+
+def cmd_evolve(cfg: ExperimentConfig, out: Path, seed: int) -> None:
+    params = _params_from_config(cfg)
+    slab, energies = _evolve_from_config(
+        cfg, params, _grid_from_config(cfg), cfg.get_float("grid", "t_start", default=0.0),
+        cfg.get_float("grid", "t_end", required=True))
     slab.save(out / "slab")
-    energies = np.array([evolve.energy(slab.state(i), model) for i in range(len(slab))])
     _write_csv(out / "energy_series.csv", ["t", "E", "E_p", "E_k"],
                [slab.times, energies[:, 0], energies[:, 1], energies[:, 2]])
-    drift = float(np.max(np.abs(energies[:, 0] - energies[0, 0])))
     _write_json(out / "evolve.json", {
-        "energy_drift": drift,
+        "energy_drift": float(np.max(np.abs(energies[:, 0] - energies[0, 0]))),
         "energy_initial": float(energies[0, 0]),
-        "sector": list(evolve.detect_sector(slab.state(len(slab) - 1), table)),
+        "sector": list(evolve.detect_sector(slab.state(len(slab) - 1), params.table)),
         "snapshots": len(slab),
     }, cfg, seed)
 
@@ -130,9 +135,7 @@ def _construct_from_config(cfg: ExperimentConfig, params):
 
 
 def cmd_construct(cfg: ExperimentConfig, out: Path, seed: int) -> None:
-    model = cfg.build_model()
-    table = cfg.build_table(model)
-    params = cfg.build_params(model, table)
+    params = _params_from_config(cfg)
     sconf, psi, rep = _construct_from_config(cfg, params)
     psi.save(out / "psi_slab")
     _write_json(out / "report.json", {"report": rep.to_dict()}, cfg, seed)
@@ -141,9 +144,7 @@ def cmd_construct(cfg: ExperimentConfig, out: Path, seed: int) -> None:
 
 
 def cmd_boost(cfg: ExperimentConfig, out: Path, seed: int) -> None:
-    model = cfg.build_model()
-    table = cfg.build_table(model)
-    params = cfg.build_params(model, table)
+    params = _params_from_config(cfg)
     boost = cfg.build_boost()
     boosted = lorentz.boost_params(params, boost)
     back = lorentz.boost_params(boosted, boost.inverse)
@@ -184,76 +185,42 @@ def cmd_spectrum(cfg: ExperimentConfig, out: Path, seed: int) -> None:
 
 
 def cmd_verify(cfg: ExperimentConfig, out: Path, seed: int) -> None:
-    model = cfg.build_model()
-    table = cfg.build_table(model)
-    params = cfg.build_params(model, table)
+    params = _params_from_config(cfg)
     rng = np.random.default_rng(seed)
+    checks = {name: cfg.get_bool("verify", name, default=True)
+              for name in ("energy_drift", "zero_modes", "coercivity")}
+    grid = _grid_from_config(cfg) if any(checks.values()) else None
     result: dict = {}
 
-    if cfg.get_bool("verify", "energy_drift", default=True):
-        grid = _grid_from_config(cfg)
-        dx = float(grid[1] - grid[0])
+    if checks["energy_drift"]:
         t_start = cfg.get_float("grid", "t_start", default=0.0)
-        t_end = cfg.get_float("grid", "t_end", default=t_start + 10.0)
-        econf = evolve.EvolveConfig(
-            dt=cfg.get_float("grid", "cfl", default=0.9) * dx, t_end=t_end,
-            snapshot_every=cfg.get_int("grid", "snapshot_every", default=25))
-        state = ansatz.multikink(params, t_start, grid)
-        slab = evolve.evolve_nonlinear(state, model, econf)
-        energies = [evolve.energy(slab.state(i), model)[0] for i in range(len(slab))]
+        slab, energies = _evolve_from_config(
+            cfg, params, grid, t_start, cfg.get_float("grid", "t_end", default=t_start + 10.0))
         result["energy_drift"] = {
-            "initial": energies[0],
-            "max_drift": float(np.max(np.abs(np.array(energies) - energies[0]))),
-            "sector": list(evolve.detect_sector(slab.state(len(slab) - 1), table)),
+            "initial": float(energies[0, 0]),
+            "max_drift": float(np.max(np.abs(energies[:, 0] - energies[0, 0]))),
+            "sector": list(evolve.detect_sector(slab.state(len(slab) - 1), params.table)),
         }
 
-    if cfg.get_bool("verify", "zero_modes", default=True):
-        grid = _grid_from_config(cfg)
-        dx = float(grid[1] - grid[0])
+    if checks["zero_modes"]:
         t0 = max(cfg.get_float("grid", "t_start", default=0.0), 1.0)
         if params.K >= 2:
             # the pairing laws hold once the kinks are well separated; start
             # where the free forcing has become small
             t0 = max(t0, construct.default_start_time(params, grid))
-        econf = evolve.EvolveConfig(dt=0.9 * dx, t_end=t0 + 10.0, snapshot_every=10)
+        econf = evolve.EvolveConfig(dt=0.9 * float(grid[1] - grid[0]), t_end=t0 + 10.0,
+                                    snapshot_every=10)
         h0 = random_pair_field(grid, rng)
-        slab, pairings = evolve.zero_mode_drift(params, h0, grid, t0, econf)
-        drift = {}
-        for j in range(1, params.K + 1):
-            p0 = pairings[:, j - 1, 0]
-            p1 = pairings[:, j - 1, 1]
-            integral = np.concatenate([[0.0], np.cumsum(
-                0.5 * (p0[1:] + p0[:-1]) * np.diff(slab.times))])
-            law = p1 - p1[0] + integral / params.gammas[j - 1]
-            drift[f"kink_{j}"] = {
-                "psi0_drift": float(np.max(np.abs(p0 - p0[0]))),
-                "psi1_law_residual": float(np.max(np.abs(law))),
-                "psi0_scale": float(np.max(np.abs(p0))),
-            }
-        result["zero_modes"] = drift
+        result["zero_modes"] = evolve.zero_mode_laws(
+            params, *evolve.zero_mode_drift(params, h0, grid, t0, econf))
 
-    if cfg.get_bool("verify", "coercivity", default=True):
-        grid = _grid_from_config(cfg)
-        dx = float(grid[1] - grid[0])
+    if checks["coercivity"]:
         n_samples = cfg.get_int("verify", "coercivity_samples", default=100)
         t_eval = max(cfg.get_float("grid", "t_end", default=10.0), 1.0)
-        duals = []
-        for j in range(1, params.K + 1):
-            m = ansatz.zero_modes(params, j, t_eval, grid)
-            duals.extend([m.psi0, m.psi1])
-        edge = min(params.table.masses) ** 2
-        worst = np.inf
-        for _ in range(n_samples):
-            h = random_pair_field(grid, rng)
-            h = ansatz.remove_projections(h, duals, dx)
-            if params.K == 1:
-                q = ansatz.quad_form_single(params, t_eval, h, grid)
-            else:
-                q = ansatz.quad_form_multi(params, t_eval, h, grid)
-            worst = min(worst, q / ansatz.energy_norm_sq(h, dx))
-        result["coercivity"] = {"min_rayleigh_ratio": float(worst),
-                                "continuum_edge": float(edge),
-                                "samples": n_samples, "t": t_eval}
+        result["coercivity"] = {
+            "min_rayleigh_ratio": ansatz.coercivity_sample(params, t_eval, grid, rng, n_samples),
+            "continuum_edge": float(min(params.table.masses) ** 2),
+            "samples": n_samples, "t": t_eval}
 
     if cfg.has("boost") and cfg.get_bool("verify", "covariance", default=True):
         boost = cfg.build_boost()

@@ -21,10 +21,10 @@ from typing import Callable
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .ansatz import AnsatzLevel, MultikinkParams, evaluate_ansatz, multikink
+from .ansatz import AnsatzLevel, MultikinkParams, energy_norm_sq, evaluate_ansatz, multikink
 from .errors import ConfigError, FitError, NoContractionError
-from .evolve import SPLINE_BLOCK, EvolveConfig, SpaceTimeSlab, _leapfrog, make_laplacian
-from .numerics import central_diff, derivative2, fit_log_linear, integrate_grid
+from .evolve import SPLINE_BLOCK, EvolveConfig, SpaceTimeSlab, _evolve, step_plan
+from .numerics import derivative2, fit_log_linear, integrate_grid
 
 
 @dataclass
@@ -74,13 +74,9 @@ class WeightedNormConfig:
 
 
 def _snapshot_energy_norms(slab: SpaceTimeSlab) -> np.ndarray:
-    """sqrt(int g^2 + g_x^2 + g_t^2 dx) per snapshot."""
-    out = np.empty(len(slab))
-    for i in range(len(slab)):
-        gx = central_diff(slab.phis[i], slab.dx)
-        out[i] = math.sqrt(integrate_grid(
-            slab.phis[i] ** 2 + gx**2 + slab.phi_dots[i] ** 2, slab.dx))
-    return out
+    """Energy norm of (g, g_t) per snapshot (sqrt of ansatz.energy_norm_sq)."""
+    return np.array([math.sqrt(energy_norm_sq((phi, dot), slab.dx))
+                     for phi, dot in zip(slab.phis, slab.phi_dots)])
 
 
 def weighted_norm(slab: SpaceTimeSlab, config: WeightedNormConfig,
@@ -180,25 +176,20 @@ def solve_backward(params: MultikinkParams, forcing, t_start: float, t_final: fl
     LevelTerms.
     """
     grid = config.grid
-    dx = config.dx
     dt, every = config.plan(t_start, t_final)
-    n_steps = int(round((t_final - t_start) / dt))
     terms = _level_terms(forcing, grid)
-    cfg = EvolveConfig(dt=dt, t_end=t_final, cfl_limit=config.cfl)
-    lap = make_laplacian(dx, cfg.stencil_blend(dx))
 
-    def accel(t, h, out):
+    def source(t, h, out):
         level = evaluate_ansatz(params, t, grid)
         extra, f = terms(t, level)
-        lap(h, out)
         pot = level.V if extra is None else level.V + extra
         out[1:-1] -= pot[1:-1] * h[1:-1]
         out[1:-1] += f[1:-1]
 
-    h = np.zeros_like(grid)
-    hd = np.zeros_like(grid)
-    times, phis, dots = _leapfrog(h, hd, -dt, n_steps, accel, t_final, every)
-    return SpaceTimeSlab(times[::-1], grid, phis[::-1], dots[::-1])
+    zero = np.zeros_like(grid)
+    return _evolve(zero, zero, t_final, grid, config.dx,
+                   EvolveConfig(dt=-dt, t_end=t_start, snapshot_every=every,
+                                cfl_limit=config.cfl), source)
 
 
 # the forcing N(0) of the zero iterate
@@ -362,7 +353,7 @@ def fixed_point(params: MultikinkParams, config: SolverConfig,
         warnings.warn(f"|N(0)(T)| = {start_norm:.3g} is large; T may be too small")
 
     dt, every = config.plan(T, t_final)
-    n_snap = int(round((t_final - T) / dt)) // every + 1
+    n_snap = step_plan(t_final - T, dt)[0] // every + 1
     times = np.linspace(T, t_final, n_snap)
     g = _zero_slab(grid, times) if g0 is None else g0
 

@@ -12,7 +12,8 @@ by the integrator. Negative dt integrates backward in time.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,17 +27,15 @@ from .potential import PotentialModel, VacuumTable
 
 @dataclass
 class EvolveConfig:
-    """Leapfrog run parameters; dt must satisfy dt <= cfl_limit * dx."""
+    """Leapfrog run parameters; dt must satisfy dt <= cfl_limit * dx. A run
+    takes the fewest steps of at most |dt| that land on t_end (step_plan)."""
 
     dt: float
     t_end: float
     snapshot_every: int = 25
     cfl_limit: float = 0.9
-    boundary: str = "clamp"
 
     def validate(self, dx: float):
-        if self.boundary != "clamp":
-            raise ConfigError("only vacuum-clamped boundaries are supported")
         if abs(self.dt) <= 0:
             raise ConfigError("dt must be nonzero")
         if abs(self.dt) > self.cfl_limit * dx + 1e-15:
@@ -55,6 +54,14 @@ class EvolveConfig:
         """
         r2 = (self.dt / dx) ** 2
         return min(1.0, max(0.0, 3.0 * (0.97 / r2 - 1.0)))
+
+
+def step_plan(span: float, dt: float) -> tuple[int, float]:
+    """(n, span / n): the fewest steps of at most |dt| covering span. The
+    1e-9 slack keeps a span that is a whole number of steps up to rounding
+    at that number."""
+    n = max(1, math.ceil(abs(span / dt) - 1e-9))
+    return n, span / n
 
 
 def make_laplacian(dx: float, blend: float):
@@ -262,6 +269,33 @@ def _leapfrog(phi, pd, dt, n_steps, accel, t0, snapshot_every):
     return times, phis, dots
 
 
+def _evolve(phi, pd, t0: float, grid: np.ndarray, dx: float, config: EvolveConfig,
+            source) -> SpaceTimeSlab:
+    """Leapfrog from (phi, pd) at t0 to config.t_end with the blended
+    Laplacian; source(t, f, out) adds the other terms of the acceleration
+    to out, which holds the Laplacian of f. phi and pd are copied, and the
+    velocity is clamped to zero at both ends. Backward runs (dt < 0) are
+    returned in increasing time."""
+    config.validate(dx)
+    span = config.t_end - t0
+    if span * config.dt <= 0:
+        raise ConfigError("sign of dt must match t_end - t_start")
+    n_steps, dt = step_plan(span, config.dt)
+    phi = np.array(phi, dtype=float)
+    pd = np.array(pd, dtype=float)
+    pd[0] = pd[-1] = 0.0
+    lap = make_laplacian(dx, config.stencil_blend(dx))
+
+    def accel(t, f, out):
+        lap(f, out)
+        source(t, f, out)
+
+    times, phis, dots = _leapfrog(phi, pd, dt, n_steps, accel, t0, config.snapshot_every)
+    if dt < 0:
+        times, phis, dots = times[::-1], phis[::-1], dots[::-1]
+    return SpaceTimeSlab(times, grid, phis, dots)
+
+
 def evolve_nonlinear(state: FieldState, model: PotentialModel,
                      config: EvolveConfig) -> SpaceTimeSlab:
     """Evolve d_t^2 phi = d_x^2 phi - W'(phi) with clamped boundaries.
@@ -270,28 +304,10 @@ def evolve_nonlinear(state: FieldState, model: PotentialModel,
     config.dt may be negative for backward evolution; t_end is then below
     the initial time.
     """
-    dx = state.dx
-    config.validate(dx)
-    dt = config.dt
-    span = config.t_end - state.t
-    if span * dt <= 0:
-        raise ConfigError("sign of dt must match t_end - t_start")
-    n_steps = int(round(span / dt))
-    phi = state.phi.astype(float).copy()
-    pd = state.phi_dot.astype(float).copy()
-    pd[0] = 0.0
-    pd[-1] = 0.0
-    lap = make_laplacian(dx, config.stencil_blend(dx))
-
-    def accel(_t, f, out):
-        lap(f, out)
+    def source(_t, f, out):
         out[1:-1] -= model(f[1:-1], 1)
 
-    times, phis, dots = _leapfrog(phi, pd, dt, n_steps, accel, state.t,
-                                  config.snapshot_every)
-    if dt < 0:
-        times, phis, dots = times[::-1], phis[::-1], dots[::-1]
-    return SpaceTimeSlab(times, state.grid, phis, dots)
+    return _evolve(state.phi, state.phi_dot, state.t, state.grid, state.dx, config, source)
 
 
 def evolve_linearized(h0: np.ndarray, params: MultikinkParams, grid: np.ndarray,
@@ -302,29 +318,13 @@ def evolve_linearized(h0: np.ndarray, params: MultikinkParams, grid: np.ndarray,
     resampled from the ansatz at every step.
     """
     grid = np.asarray(grid, dtype=float)
-    dx = grid_spacing(grid)
-    config.validate(dx)
-    dt = config.dt
-    span = config.t_end - t_start
-    if span * dt <= 0:
-        raise ConfigError("sign of dt must match t_end - t_start")
-    n_steps = int(round(span / dt))
-    h = h0[0].astype(float).copy()
-    hd = h0[1].astype(float).copy()
-    h[0] = h[-1] = 0.0
-    hd[0] = hd[-1] = 0.0
-    lap = make_laplacian(dx, config.stencil_blend(dx))
+    h = np.array(h0, dtype=float)
+    h[:, 0] = h[:, -1] = 0.0
 
-    def accel(t, f, out):
-        pot = linearization_potential(params, t, grid)
-        lap(f, out)
-        out[1:-1] -= pot[1:-1] * f[1:-1]
+    def source(t, f, out):
+        out[1:-1] -= linearization_potential(params, t, grid)[1:-1] * f[1:-1]
 
-    times, phis, dots = _leapfrog(h, hd, dt, n_steps, accel, t_start,
-                                  config.snapshot_every)
-    if dt < 0:
-        times, phis, dots = times[::-1], phis[::-1], dots[::-1]
-    return SpaceTimeSlab(times, grid, phis, dots)
+    return _evolve(h[0], h[1], t_start, grid, grid_spacing(grid), config, source)
 
 
 def energy(state: FieldState, model: PotentialModel):
@@ -366,3 +366,24 @@ def zero_mode_drift(params: MultikinkParams, h0: np.ndarray, grid: np.ndarray,
             pairings[i, j - 1, 0] = inner_product(modes.psi0, h, dx)
             pairings[i, j - 1, 1] = inner_product(modes.psi1, h, dx)
     return slab, pairings
+
+
+def zero_mode_laws(params: MultikinkParams, slab: SpaceTimeSlab,
+                   pairings: np.ndarray) -> dict:
+    """The pairing laws per kink, from zero_mode_drift's output: p0 =
+    <psi_j^0, h> is conserved and p1 - p1(t_0) = -(1/gamma_j) int p0 dt
+    (trapezoidal). Returns {"kink_j": {"psi0_drift": max |p0 - p0(t_0)|,
+    "psi1_law_residual": max law violation, "psi0_scale": max |p0|}}."""
+    laws = {}
+    for j in range(1, params.K + 1):
+        p0 = pairings[:, j - 1, 0]
+        p1 = pairings[:, j - 1, 1]
+        integral = np.concatenate([[0.0], np.cumsum(
+            0.5 * (p0[1:] + p0[:-1]) * np.diff(slab.times))])
+        law = p1 - p1[0] + integral / params.gammas[j - 1]
+        laws[f"kink_{j}"] = {
+            "psi0_drift": float(np.max(np.abs(p0 - p0[0]))),
+            "psi1_law_residual": float(np.max(np.abs(law))),
+            "psi0_scale": float(np.max(np.abs(p0))),
+        }
+    return laws

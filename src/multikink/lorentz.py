@@ -106,20 +106,15 @@ def ansatz_plus_error_slab(params: MultikinkParams, psi: SpaceTimeSlab) -> Space
 
 
 def extend_backward(slab: SpaceTimeSlab, model, t_min: float,
-                    snapshot_dt: float = 0.25, cfl: float = 0.9) -> SpaceTimeSlab:
+                    config: SolverConfig) -> SpaceTimeSlab:
     """Prepend snapshots down to t_min by evolving the earliest stored state
     backward in time (the equation is globally well posed, and leapfrog is
-    time reversible)."""
+    time reversible), stepping and snapshotting by config.plan."""
     if t_min >= slab.times[0]:
         return slab
-    state = slab.state(0)
-    span = slab.times[0] - t_min
-    every = max(1, math.ceil(snapshot_dt / (cfl * slab.dx)))
-    n_snap = max(2, math.ceil(span / snapshot_dt))
-    dt = span / (n_snap * every)
-    cfg = EvolveConfig(dt=-dt, t_end=t_min, snapshot_every=every, cfl_limit=cfl)
-    tail = evolve_nonlinear(state, model, cfg)
-    return tail.merged(slab)
+    dt, every = config.plan(t_min, slab.times[0])
+    cfg = EvolveConfig(dt=-dt, t_end=t_min, snapshot_every=every, cfl_limit=config.cfl)
+    return evolve_nonlinear(slab.state(0), model, cfg).merged(slab)
 
 
 def verify_covariance(params: MultikinkParams, boost: BoostSpec,
@@ -156,8 +151,7 @@ def verify_covariance(params: MultikinkParams, boost: BoostSpec,
     grid_p = np.arange(window_x[0], window_x[1] + 1e-9, config.dx)
     needed_t = [boost.unprimed(tp, xp)[0]
                 for tp in (t_lo, t_hi) for xp in (grid_p[0], grid_p[-1])]
-    field = extend_backward(field, params.model, min(needed_t) - 0.5,
-                            snapshot_dt=config.snapshot_dt, cfl=config.cfl)
+    field = extend_backward(field, params.model, min(needed_t) - 0.5, config)
 
     spline_p = None
     worst = {"discrepancy": -1.0}

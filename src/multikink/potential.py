@@ -126,11 +126,6 @@ class PotentialModel:
             raise ConfigError(f"unknown potential kind {kind!r}") from None
 
 
-def eval_potential(model: PotentialModel, phi, order: int = 0):
-    """d^order W / d phi^order at phi (order in 0..3)."""
-    return model(phi, order)
-
-
 @dataclass(frozen=True)
 class VacuumTable:
     """Vacua of a potential in increasing order with their masses."""

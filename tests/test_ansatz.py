@@ -218,3 +218,36 @@ def test_quad_form_multi_basics(sg2_params, grid):
     q = ansatz.quad_form_multi(sg2_params, 20.0, h, grid)
     q2 = ansatz.quad_form_multi(sg2_params, 20.0, 2.0 * h, grid)
     assert q2 == pytest.approx(4.0 * q, rel=1e-12)
+
+
+def _old_coercivity_loop(params, t, grid, rng, n_samples):
+    """The sampler as it was written inline in the verify command."""
+    dx = float(grid[1] - grid[0])
+    duals = []
+    for j in range(1, params.K + 1):
+        m = ansatz.zero_modes(params, j, t, grid)
+        duals.extend([m.psi0, m.psi1])
+    worst = np.inf
+    for _ in range(n_samples):
+        h = random_pair_field(grid, rng)
+        h = ansatz.remove_projections(h, duals, dx)
+        if params.K == 1:
+            q = ansatz.quad_form_single(params, t, h, grid)
+        else:
+            q = ansatz.quad_form_multi(params, t, h, grid)
+        worst = min(worst, q / ansatz.energy_norm_sq(h, dx))
+    return float(worst)
+
+
+@pytest.mark.parametrize("K", [1, 2])
+def test_coercivity_sample_matches_inline_loop(sg, sg2_params, K):
+    model, table = sg
+    params = ansatz.make_params(model, table, (0, 1), (0.5,), (0.0,)) if K == 1 else sg2_params
+    grid = np.arange(-30.0, 30.0 + 1e-9, 0.05)
+    old = _old_coercivity_loop(params, 20.0, grid, np.random.default_rng(23), 8)
+    rng = np.random.default_rng(23)
+    assert ansatz.coercivity_sample(params, 20.0, grid, rng, 8) == old
+    # the draws are those of the loop: both generators end in the same state
+    old_rng = np.random.default_rng(23)
+    _old_coercivity_loop(params, 20.0, grid, old_rng, 8)
+    assert rng.random() == old_rng.random()

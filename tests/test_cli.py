@@ -85,6 +85,17 @@ def test_cmd_multikink_and_evolve(tmp_path, sg_config):
     assert abs(series[0, 1] - 8.0 * gamma) <= 1e-3
 
 
+def test_cmd_evolve_ends_at_t_end(tmp_path, sg_config):
+    # dt = 0.9 dx = 0.045 does not divide t_end = 8; the run takes 178
+    # steps of 8/178 and its last snapshot is t_end itself
+    out = tmp_path / "o"
+    assert main(["evolve", "--config", str(sg_config), "--out", str(out)]) == 0
+    times = json.loads((out / "slab" / "manifest.json").read_text())["times"]
+    assert times[-1] == 8.0
+    assert len(times) == 178 // 20 + 2
+    assert json.loads((out / "evolve.json").read_text())["snapshots"] == len(times)
+
+
 @pytest.mark.slow
 def test_cmd_construct(tmp_path, sg_config):
     out = tmp_path / "o"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
@@ -328,3 +330,87 @@ def test_slab_sample_on_merged_slab():
         assert np.array_equal(phi, phi_spline(t)), t
         assert np.array_equal(dot, dot_spline(t)), t
         assert np.array_equal(merged.phi_at(t), phi)
+
+
+def _step_of(slab, every):
+    """The run's step, read off the first full snapshot interval."""
+    return (slab.times[1] - slab.times[0]) / every
+
+
+def test_nonlinear_run_ends_at_t_end(sg, grid):
+    # t_end is no whole number of requested steps (30 / 0.018 = 1666.7):
+    # the run takes 1667 steps of 30/1667 instead of overshooting to 30.006
+    model, table = sg
+    params = ansatz.make_params(model, table, (0, 1), (0.3,), (0.0,))
+    fwd = evolve.evolve_nonlinear(ansatz.multikink(params, 0.0, grid), model,
+                                  evolve.EvolveConfig(dt=0.018, t_end=30.0, snapshot_every=50))
+    assert fwd.times[0] == 0.0 and fwd.times[-1] == 30.0
+    assert len(fwd) == 1667 // 50 + 2
+    assert _step_of(fwd, 50) == pytest.approx(30.0 / 1667, rel=1e-12)
+    assert _step_of(fwd, 50) <= 0.018
+    back = evolve.evolve_nonlinear(fwd.state(len(fwd) - 1), model,
+                                   evolve.EvolveConfig(dt=-0.018, t_end=0.0, snapshot_every=50))
+    assert back.times[0] == 0.0 and back.times[-1] == 30.0
+    assert abs(back.times[-1] - back.times[-2]) / 50 <= 0.018
+
+
+def test_linearized_run_ends_at_t_end(sg, grid):
+    model, table = sg
+    params = ansatz.make_params(model, table, (0, 1), (0.3,), (0.0,))
+    h0 = random_pair_field(grid, np.random.default_rng(2))
+    fwd = evolve.evolve_linearized(h0, params, grid, 0.0,
+                                   evolve.EvolveConfig(dt=0.018, t_end=30.0, snapshot_every=50))
+    assert fwd.times[0] == 0.0 and fwd.times[-1] == 30.0
+    assert len(fwd) == 1667 // 50 + 2
+    assert _step_of(fwd, 50) <= 0.018
+    back = evolve.evolve_linearized(h0, params, grid, 30.0,
+                                    evolve.EvolveConfig(dt=-0.018, t_end=0.0, snapshot_every=50))
+    assert back.times[0] == 0.0 and back.times[-1] == 30.0
+    assert abs(back.times[-1] - back.times[-2]) / 50 <= 0.018
+
+
+def test_step_plan_matches_solver_plan():
+    # SolverConfig.plan's dt is a whole fraction of the span; the shared
+    # step count recovers that fraction and the same dt bit for bit
+    cfg = SolverConfig(x_min=-34.0, x_max=34.0, dx=0.02)
+    for t_start in np.arange(0.5, 40.0, 0.5):
+        for span in (3.1, 7.3, 10.0, 12.5, 16.0, 32.0, 64.0, 128.0, 256.0):
+            dt, every = cfg.plan(t_start, t_start + span)
+            n, step = evolve.step_plan(t_start - (t_start + span), -dt)
+            assert n == max(2, math.ceil(span / 0.25)) * every
+            assert step == -dt
+
+
+def _old_zero_mode_loop(params, slab, pairings):
+    """The per-kink law as it was written inline in the verify command."""
+    drift = {}
+    for j in range(1, params.K + 1):
+        p0 = pairings[:, j - 1, 0]
+        p1 = pairings[:, j - 1, 1]
+        integral = np.concatenate([[0.0], np.cumsum(
+            0.5 * (p0[1:] + p0[:-1]) * np.diff(slab.times))])
+        law = p1 - p1[0] + integral / params.gammas[j - 1]
+        drift[f"kink_{j}"] = {
+            "psi0_drift": float(np.max(np.abs(p0 - p0[0]))),
+            "psi1_law_residual": float(np.max(np.abs(law))),
+            "psi0_scale": float(np.max(np.abs(p0))),
+        }
+    return drift
+
+
+@pytest.mark.parametrize("K", [1, 2])
+def test_zero_mode_laws_match_inline_loop(sg, sg2_params, K):
+    model, table = sg
+    params = ansatz.make_params(model, table, (0, 1), (0.5,), (0.0,)) if K == 1 else sg2_params
+    grid = np.arange(-30.0, 30.0 + 1e-12, 0.05)
+    h0 = random_pair_field(grid, np.random.default_rng(5))
+    slab, pairings = evolve.zero_mode_drift(params, h0, grid, 12.0,
+                                            evolve.EvolveConfig(dt=0.045, t_end=14.0,
+                                                                snapshot_every=5))
+    laws = evolve.zero_mode_laws(params, slab, pairings)
+    assert laws == _old_zero_mode_loop(params, slab, pairings)
+    assert list(laws) == [f"kink_{j}" for j in range(1, K + 1)]
+    # the trapezoidal form of the acceptance check gives the same residual
+    p0, p1 = pairings[:, 0, 0], pairings[:, 0, 1]
+    resid = p1 - p1[0] + cumulative_trapezoid(p0, slab.times, initial=0.0) / params.gammas[0]
+    assert laws["kink_1"]["psi1_law_residual"] == float(np.max(np.abs(resid)))

@@ -122,3 +122,18 @@ def test_covariance_single_kink(sg):
         params, lorentz.BoostSpec(v=0.2), cfg, window_t=3.0,
         construct_kwargs={"T": 2.0, "delta": 0.5, "t_final": 22.0})
     assert report["discrepancy"] <= 1e-5
+
+
+def test_extend_backward_joins_slab(phi4_slab):
+    # snapshots from t_min on at the plan's cadence, then the stored slab
+    params, slab = phi4_slab
+    cfg = construct.SolverConfig(x_min=-15.0, x_max=15.0, dx=0.02)
+    t_min = -2.3
+    ext = lorentz.extend_backward(slab, params.model, t_min, cfg)
+    dt, every = cfg.plan(t_min, slab.times[0])
+    assert ext.times[0] == t_min
+    assert np.array_equal(ext.times[-len(slab):], slab.times)
+    head = ext.times[:len(ext) - len(slab) + 1]
+    assert np.allclose(np.diff(head), dt * every, rtol=1e-12, atol=0)
+    assert np.array_equal(ext.phis[-len(slab):], slab.phis)
+    assert lorentz.extend_backward(slab, params.model, 0.0, cfg) is slab

@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 
 from multikink.errors import ConfigError, DegenerateVacuumError, InvalidChainError
-from multikink.potential import PotentialModel, eval_potential, find_vacua, validate_chain
+from multikink.potential import PotentialModel, find_vacua, validate_chain
 
 
 def test_builtin_values(phi4, sg):
     phi4_model, _ = phi4
     sg_model, _ = sg
-    assert eval_potential(phi4_model, 1.0, 0) == 0.0
-    assert eval_potential(phi4_model, 0.0, 0) == 1.0
-    assert eval_potential(sg_model, 0.0, 2) == 1.0
+    assert phi4_model(1.0, 0) == 0.0
+    assert phi4_model(0.0, 0) == 1.0
+    assert sg_model(0.0, 2) == 1.0
 
 
 def test_order_validation(phi4):
