@@ -79,6 +79,15 @@ def _snapshot_energy_norms(slab: SpaceTimeSlab) -> np.ndarray:
                      for phi, dot in zip(slab.phis, slab.phi_dots)])
 
 
+def _weighted_sup(times: np.ndarray, norms: np.ndarray, config: WeightedNormConfig):
+    """Per column of norms (one row per time): max over the times >= T of
+    e^{delta t} * norm."""
+    mask = times >= config.T - 1e-9
+    if not np.any(mask):
+        raise ConfigError("slab has no snapshots at or after T")
+    return np.max(np.exp(config.delta * times[mask])[:, None] * norms[mask], axis=0)
+
+
 def weighted_norm(slab: SpaceTimeSlab, config: WeightedNormConfig,
                   kind: str = "energy") -> float:
     """sup over snapshots t >= T of e^{delta t} * norm of (g, g_t)(t).
@@ -86,17 +95,13 @@ def weighted_norm(slab: SpaceTimeSlab, config: WeightedNormConfig,
     kind="energy" uses the H^1 x L^2 norm, kind="l2" the plain L^2 norm of
     the value component.
     """
-    mask = slab.times >= config.T - 1e-9
-    if not np.any(mask):
-        raise ConfigError("slab has no snapshots at or after T")
     if kind == "energy":
-        norms = _snapshot_energy_norms(slab)[mask]
+        norms = _snapshot_energy_norms(slab)
     elif kind == "l2":
-        norms = np.array([math.sqrt(integrate_grid(p**2, slab.dx))
-                          for p in slab.phis[mask]])
+        norms = np.array([math.sqrt(integrate_grid(p**2, slab.dx)) for p in slab.phis])
     else:
         raise ConfigError(f"unknown norm kind {kind!r}")
-    return float(np.max(np.exp(config.delta * slab.times[mask]) * norms))
+    return float(_weighted_sup(slab.times, norms[:, None], config)[0])
 
 
 def level_nonlinearity(level: AnsatzLevel, g) -> np.ndarray:
@@ -145,21 +150,25 @@ def fitted_forcing_rate(params: MultikinkParams, grid: np.ndarray, T: float,
 @dataclass(frozen=True)
 class LevelTerms:
     """Right-hand side of solve_backward computed from the ansatz level the
-    solver evaluates for each step: terms(t, level) returns (b, f), the
-    extra potential (or None) and the forcing."""
+    solver evaluates for each step and the live solution h, one row per
+    lane: terms(t, level, h) returns (b, f), the extra potential (or None)
+    and the forcing, an (n,) array shared by every lane or one row per lane.
+    observe(t, h, h_t), if given, sees every lane at each snapshot."""
 
-    terms: Callable[[float, AnsatzLevel], tuple]
+    terms: Callable[[float, AnsatzLevel, np.ndarray], tuple]
+    lanes: int = 1
+    observe: Callable | None = None
 
 
-def _level_terms(forcing, grid) -> Callable[[float, AnsatzLevel], tuple]:
+def _level_terms(forcing, grid) -> LevelTerms:
     if isinstance(forcing, LevelTerms):
-        return forcing.terms
+        return forcing
     if forcing is None:
         zero = np.zeros_like(grid)
-        return lambda _t, _level: (None, zero)
+        return LevelTerms(lambda _t, _level, _h: (None, zero))
     if isinstance(forcing, SpaceTimeSlab):
-        return lambda t, _level: (None, forcing.phi_at(t))
-    return lambda t, _level: (None, forcing(t))
+        return LevelTerms(lambda t, _level, _h: (None, forcing.phi_at(t)))
+    return LevelTerms(lambda t, _level, _h: (None, forcing(t)))
 
 
 def solve_backward(params: MultikinkParams, forcing, t_start: float, t_final: float,
@@ -172,28 +181,33 @@ def solve_backward(params: MultikinkParams, forcing, t_start: float, t_final: fl
 
     forcing may be None, a callable t -> f, a SpaceTimeSlab (interpolated
     cubically in time) or a LevelTerms giving b and f; b is zero otherwise.
-    The ansatz is evaluated once per time level and shared by V and the
-    LevelTerms.
+    A LevelTerms may run several lanes, solutions of the same operator with
+    forcings that may read each other's live values; the slab returned is
+    the last lane's. The ansatz is evaluated once per time level and shared
+    by V and the LevelTerms of every lane.
     """
     grid = config.grid
     dt, every = config.plan(t_start, t_final)
-    terms = _level_terms(forcing, grid)
+    rhs = _level_terms(forcing, grid)
 
     def source(t, h, out):
         level = evaluate_ansatz(params, t, grid)
-        extra, f = terms(t, level)
+        extra, f = rhs.terms(t, level, h)
         pot = level.V if extra is None else level.V + extra
-        out[1:-1] -= pot[1:-1] * h[1:-1]
-        out[1:-1] += f[1:-1]
+        out[:, 1:-1] -= pot[1:-1] * h[:, 1:-1]
+        out[:, 1:-1] += f[..., 1:-1]
 
-    zero = np.zeros_like(grid)
+    zero = np.zeros((rhs.lanes, len(grid)))
     return _evolve(zero, zero, t_final, grid, config.dx,
                    EvolveConfig(dt=-dt, t_end=t_start, snapshot_every=every,
-                                cfl_limit=config.cfl), source)
+                                cfl_limit=config.cfl), source, rhs.observe)
 
 
 # the forcing N(0) of the zero iterate
-_FREE_FORCING = LevelTerms(lambda _t, level: (None, level_nonlinearity(level, 0.0)))
+_FREE_FORCING = LevelTerms(lambda _t, level, _h: (None, level_nonlinearity(level, 0.0)))
+
+# Picard iterates per backward sweep (pipelined waveform relaxation)
+PICARD_LANES = 3
 
 
 def _zero_slab(grid, times):
@@ -202,8 +216,39 @@ def _zero_slab(grid, times):
     return SpaceTimeSlab(times, grid, z, z)
 
 
-def _diff_slab(a: SpaceTimeSlab, b: SpaceTimeSlab) -> SpaceTimeSlab:
-    return SpaceTimeSlab(a.times, a.grid, a.phis - b.phis, a.phi_dots - b.phi_dots)
+def _picard_terms(g: SpaceTimeSlab, lanes: int, observe=None) -> LevelTerms:
+    """Forcing of the Picard iterates g_1..g_lanes after g_0 = g, one lane
+    each: lane 0 is forced by N(g), g read through g.phi_at, and lane j by N
+    at lane j-1's live value on the same level."""
+    def terms(t, level, h):
+        src = np.empty_like(h)
+        src[0] = g.phi_at(t)
+        src[1:] = h[:-1]
+        return None, level_nonlinearity(level, src)
+
+    return LevelTerms(terms, lanes, observe)
+
+
+def _picard_sweep(params: MultikinkParams, g: SpaceTimeSlab, lanes: int, t_start: float,
+                  t_final: float, config: SolverConfig, norm_cfg: WeightedNormConfig):
+    """The Picard iterates g_1..g_lanes after g in one backward sweep.
+
+    Returns (the last lane's slab, the weighted norm of each lane's
+    increment g_j - g_{j-1}). The increments' energy norms are taken per
+    snapshot while the sweep runs, so only the last lane is stored; g must
+    be stored on the sweep's snapshot lattice.
+    """
+    times, norms = [], []
+
+    def observe(t, h, h_t):
+        i = len(g.times) - 1 - len(times)  # the sweep runs backward
+        dh = np.diff(h, axis=0, prepend=g.phis[i][None])
+        dh_t = np.diff(h_t, axis=0, prepend=g.phi_dots[i][None])
+        times.append(t)
+        norms.append([math.sqrt(energy_norm_sq(d, g.dx)) for d in zip(dh, dh_t)])
+
+    slab = solve_backward(params, _picard_terms(g, lanes, observe), t_start, t_final, config)
+    return slab, [float(n) for n in _weighted_sup(np.array(times), np.array(norms), norm_cfg)]
 
 
 @dataclass
@@ -218,6 +263,7 @@ class ConstructReport:
     final_residual: float = float("nan")
     fitted_decay_rate: float = float("nan")
     decay_fit_r2: float = float("nan")
+    decay_fit_error: str | None = None
     converged: bool = False
     iterations: int = 0
 
@@ -229,6 +275,7 @@ class ConstructReport:
             "final_residual": self.final_residual,
             "fitted_decay_rate": self.fitted_decay_rate,
             "decay_fit_r2": self.decay_fit_r2,
+            "decay_fit_error": self.decay_fit_error,
             "converged": self.converged, "iterations": self.iterations,
         }
 
@@ -321,8 +368,15 @@ def fixed_point(params: MultikinkParams, config: SolverConfig,
                 tol: float = 1e-8, max_iter: int = 25,
                 t_final: float | None = None, g0: SpaceTimeSlab | None = None,
                 fit_span: float = 10.0):
-    """Iterate g <- R N(g) from g = 0 until the weighted increment norm
-    drops below tol; returns (Psi slab, ConstructReport).
+    """Iterate g <- R N(g) from g = 0 (or g0, stored on the solver's
+    snapshot lattice of [T, t_final]) until a weighted increment norm drops
+    below tol; returns (Psi slab, ConstructReport).
+
+    The iterates run PICARD_LANES at a time as the lanes of one backward
+    sweep (_picard_sweep), fewer when max_iter leaves fewer. A sweep runs to
+    its last lane, which is the iterate kept, and every lane counts as an
+    iteration, so the last iterate may lie past the first increment below
+    tol.
 
     T defaults to the first time the free forcing N(0) is small, delta to
     half its fitted decay rate, and the truncation time to the stabilized
@@ -354,37 +408,36 @@ def fixed_point(params: MultikinkParams, config: SolverConfig,
 
     dt, every = config.plan(T, t_final)
     n_snap = step_plan(t_final - T, dt)[0] // every + 1
-    times = np.linspace(T, t_final, n_snap)
-    g = _zero_slab(grid, times) if g0 is None else g0
+    if g0 is not None and g0.phis.shape != (n_snap, len(grid)):
+        raise ConfigError(f"g0 must hold {n_snap} snapshots on the solver grid")
+    g = _zero_slab(grid, np.linspace(T, t_final, n_snap)) if g0 is None else g0
 
     report = ConstructReport(T=T, delta=delta, t_final=t_final)
     ratios = []
     rising = 0
-    for it in range(max_iter):
+    while report.iterations < max_iter and not report.converged:
         if first is not None:
             # R N(0) on [T, t_final]: the truncation search already solved it
-            g_new, first = first, None
+            g_new, dnorms = first, [weighted_norm(first, norm_cfg)]
+            first = None
         else:
-            g_new = solve_backward(params, LevelTerms(
-                lambda t, level: (None, level_nonlinearity(level, g.phi_at(t)))),
-                T, t_final, config)
-        dnorm = weighted_norm(_diff_slab(g_new, g), norm_cfg)
-        report.iterate_norms.append(dnorm)
-        if len(report.iterate_norms) >= 2 and report.iterate_norms[-2] > 0:
-            q = dnorm / report.iterate_norms[-2]
-            ratios.append(q)
-            rising = rising + 1 if q >= 1.0 else 0
-            # increments hovering at the discrete floor are a stall, not a
-            # divergence; only growth well above the floor aborts
-            if rising >= 3 and dnorm > 100.0 * min(report.iterate_norms):
-                raise NoContractionError(
-                    f"increment ratio stayed >= 1 for 3 iterations (last q={q:.3g}); "
-                    "try a larger T")
+            lanes = min(PICARD_LANES, max_iter - report.iterations)
+            g_new, dnorms = _picard_sweep(params, g, lanes, T, t_final, config, norm_cfg)
+        for dnorm in dnorms:
+            report.iterate_norms.append(dnorm)
+            if len(report.iterate_norms) >= 2 and report.iterate_norms[-2] > 0:
+                q = dnorm / report.iterate_norms[-2]
+                ratios.append(q)
+                rising = rising + 1 if q >= 1.0 else 0
+                # increments hovering at the discrete floor are a stall, not
+                # a divergence; only growth well above the floor aborts
+                if rising >= 3 and dnorm > 100.0 * min(report.iterate_norms):
+                    raise NoContractionError(
+                        f"increment ratio stayed >= 1 for 3 iterations (last q={q:.3g}); "
+                        "try a larger T")
+            report.iterations += 1
+            report.converged = report.converged or dnorm < tol
         g = g_new
-        report.iterations = it + 1
-        if dnorm < tol:
-            report.converged = True
-            break
     if ratios:
         # ratios taken once increments reach the discrete noise floor say
         # nothing about the map; keep those above the geometric midpoint
@@ -399,8 +452,8 @@ def fixed_point(params: MultikinkParams, config: SolverConfig,
             rate, r2 = decay_fit(g, T, span=min(fit_span, t_final - T - 2 * config.snapshot_dt))
             report.fitted_decay_rate = rate
             report.decay_fit_r2 = r2
-        except FitError:
-            pass
+        except FitError as err:
+            report.decay_fit_error = str(err)
     return g, report
 
 
@@ -433,7 +486,7 @@ def param_derivative(params: MultikinkParams, psi_slab: SpaceTimeSlab, k: int,
         raise ConfigError(f"kink index {k} outside 1..{params.K}")
     dkink = shift_derivative_of_kink if which == "shift" else velocity_derivative_of_kink
 
-    def terms(t, level):
+    def terms(t, level, _h):
         wpp_full = params.model(level.H + psi_slab.phi_at(t), 2)
         forcing = -(wpp_full - level.kink_wpp[k - 1]) * dkink(level, k)
         return wpp_full - level.V, forcing

@@ -65,7 +65,8 @@ def step_plan(span: float, dt: float) -> tuple[int, float]:
 
 
 def make_laplacian(dx: float, blend: float):
-    """Blended 3/5-point second-difference operator with zeroed boundary rows.
+    """Blended 3/5-point second-difference operator with zeroed boundary rows,
+    applied along the last axis (one row per lane of a (B, n) state).
 
     The outermost interior nodes always use the 3-point formula.
     """
@@ -74,15 +75,15 @@ def make_laplacian(dx: float, blend: float):
     b = blend * inv_dx2 / 12.0
 
     def lap(f, out):
-        three = f[2:] - 2.0 * f[1:-1] + f[:-2]
-        out[1:-1] = a * three
+        three = f[..., 2:] - 2.0 * f[..., 1:-1] + f[..., :-2]
+        out[..., 1:-1] = a * three
         if blend > 0.0:
-            out[2:-2] += b * (-f[:-4] + 16.0 * f[1:-3] - 30.0 * f[2:-2]
-                              + 16.0 * f[3:-1] - f[4:])
-            out[1] += blend * inv_dx2 * three[0]
-            out[-2] += blend * inv_dx2 * three[-1]
-        out[0] = 0.0
-        out[-1] = 0.0
+            out[..., 2:-2] += b * (-f[..., :-4] + 16.0 * f[..., 1:-3] - 30.0 * f[..., 2:-2]
+                                   + 16.0 * f[..., 3:-1] - f[..., 4:])
+            out[..., 1] += blend * inv_dx2 * three[..., 0]
+            out[..., -2] += blend * inv_dx2 * three[..., -1]
+        out[..., 0] = 0.0
+        out[..., -1] = 0.0
         return out
 
     return lap
@@ -239,58 +240,68 @@ class SpaceTimeSlab:
         return SpaceTimeSlab(manifest["times"], grid, phis, dots)
 
 
-def _leapfrog(phi, pd, dt, n_steps, accel, t0, snapshot_every):
-    """Shared leapfrog driver; accel(t, phi, out) fills the acceleration
-    with zero boundary entries. Returns (times, phis, dots), arrays with
-    one row per snapshot: the initial state, every snapshot_every-th step
-    and the last step."""
+def _leapfrog(phi, pd, dt, n_steps, accel, t0, snapshot_every, t_end, observe=None):
+    """Shared leapfrog driver on a (B, n) state, one row per lane;
+    accel(t, phi, out) fills the acceleration of every lane with zero
+    boundary entries. The last level is pinned to t_end, which
+    t0 + n_steps * dt can miss by a rounding. Returns (times, phis, dots)
+    of the last lane, arrays with one row per snapshot: the initial state,
+    every snapshot_every-th step and the last step. observe(t, phi, pd), if
+    given, sees every lane at each snapshot."""
     n_snap = n_steps // snapshot_every + 1 + (n_steps % snapshot_every != 0)
     times = np.empty(n_snap)
-    phis = np.empty((n_snap, len(phi)))
+    phis = np.empty((n_snap, phi.shape[1]))
     dots = np.empty_like(phis)
-    times[0], phis[0], dots[0] = t0, phi, pd
+    times[0], phis[0], dots[0] = t0, phi[-1], pd[-1]
+    if observe is not None:
+        observe(t0, phi, pd)
     j = 1
     a = np.zeros_like(phi)
     accel(t0, phi, a)
     t = t0
     for step in range(1, n_steps + 1):
         pd_half = pd + (0.5 * dt) * a
-        phi[1:-1] += dt * pd_half[1:-1]
-        t = t0 + step * dt
+        phi[:, 1:-1] += dt * pd_half[:, 1:-1]
+        t = t0 + step * dt if step < n_steps else t_end
         accel(t, phi, a)
         pd = pd_half + (0.5 * dt) * a
-        pd[0] = 0.0
-        pd[-1] = 0.0
+        pd[:, 0] = 0.0
+        pd[:, -1] = 0.0
         if step % snapshot_every == 0 or step == n_steps:
             if not np.all(np.isfinite(phi)):
                 raise InstabilityError(f"NaN/Inf detected at t={t}")
-            times[j], phis[j], dots[j] = t, phi, pd
+            times[j], phis[j], dots[j] = t, phi[-1], pd[-1]
+            if observe is not None:
+                observe(t, phi, pd)
             j += 1
     return times, phis, dots
 
 
 def _evolve(phi, pd, t0: float, grid: np.ndarray, dx: float, config: EvolveConfig,
-            source) -> SpaceTimeSlab:
+            source, observe=None) -> SpaceTimeSlab:
     """Leapfrog from (phi, pd) at t0 to config.t_end with the blended
-    Laplacian; source(t, f, out) adds the other terms of the acceleration
-    to out, which holds the Laplacian of f. phi and pd are copied, and the
-    velocity is clamped to zero at both ends. Backward runs (dt < 0) are
-    returned in increasing time."""
+    Laplacian; phi and pd are (n,) for one lane or (B, n) for B lanes.
+    source(t, f, out) adds the other terms of the acceleration to out, which
+    holds the Laplacian of f, for every lane (both (B, n)). phi and pd are
+    copied, and the velocity is clamped to zero at both ends. Returns the
+    last lane's slab; observe(t, phi, pd) sees every lane at each snapshot.
+    Backward runs (dt < 0) are returned in increasing time."""
     config.validate(dx)
     span = config.t_end - t0
     if span * config.dt <= 0:
         raise ConfigError("sign of dt must match t_end - t_start")
     n_steps, dt = step_plan(span, config.dt)
-    phi = np.array(phi, dtype=float)
-    pd = np.array(pd, dtype=float)
-    pd[0] = pd[-1] = 0.0
+    phi = np.array(phi, dtype=float, ndmin=2)
+    pd = np.array(pd, dtype=float, ndmin=2)
+    pd[:, 0] = pd[:, -1] = 0.0
     lap = make_laplacian(dx, config.stencil_blend(dx))
 
     def accel(t, f, out):
         lap(f, out)
         source(t, f, out)
 
-    times, phis, dots = _leapfrog(phi, pd, dt, n_steps, accel, t0, config.snapshot_every)
+    times, phis, dots = _leapfrog(phi, pd, dt, n_steps, accel, t0, config.snapshot_every,
+                                  config.t_end, observe)
     if dt < 0:
         times, phis, dots = times[::-1], phis[::-1], dots[::-1]
     return SpaceTimeSlab(times, grid, phis, dots)
@@ -305,7 +316,7 @@ def evolve_nonlinear(state: FieldState, model: PotentialModel,
     the initial time.
     """
     def source(_t, f, out):
-        out[1:-1] -= model(f[1:-1], 1)
+        out[:, 1:-1] -= model(f[:, 1:-1], 1)
 
     return _evolve(state.phi, state.phi_dot, state.t, state.grid, state.dx, config, source)
 
@@ -322,7 +333,7 @@ def evolve_linearized(h0: np.ndarray, params: MultikinkParams, grid: np.ndarray,
     h[:, 0] = h[:, -1] = 0.0
 
     def source(t, f, out):
-        out[1:-1] -= linearization_potential(params, t, grid)[1:-1] * f[1:-1]
+        out[:, 1:-1] -= linearization_potential(params, t, grid)[1:-1] * f[:, 1:-1]
 
     return _evolve(h[0], h[1], t_start, grid, grid_spacing(grid), config, source)
 

@@ -146,6 +146,99 @@ def test_solve_backward_one_evaluation_per_level(sg2_params, monkeypatch):
     assert len(set(calls)) == n_steps + 1
 
 
+def test_solve_backward_lands_on_t_start(sg2_params):
+    # 39 steps of -3.1/39 from 3.6 sum to 0.49999999999999956; the last
+    # level is pinned to t_start instead
+    cfg = construct.SolverConfig(x_min=-34.0, x_max=34.0, dx=0.1)
+    dt, _ = cfg.plan(0.5, 3.6)
+    n, step = evolve.step_plan(0.5 - 3.6, -dt)
+    assert 3.6 + n * step != 0.5
+    slab = construct.solve_backward(sg2_params, construct._FREE_FORCING, 0.5, 3.6, cfg)
+    assert slab.times[0] == 0.5
+    assert slab.times[-1] == 3.6
+
+
+def _sweep_setup(sg2_params):
+    """A dx = 0.1 grid, the first iterate R N(0) on [16, 24] and its norm."""
+    cfg = construct.SolverConfig(x_min=-34.0, x_max=34.0, dx=0.1)
+    g = construct.solve_backward(sg2_params, construct._FREE_FORCING, 16.0, 24.0, cfg)
+    return cfg, g, construct.WeightedNormConfig(T=16.0, delta=0.31)
+
+
+def _sequential_solve(params, g, cfg):
+    """One Picard iterate on its own: R N(g), g read through g.phi_at."""
+    return construct.solve_backward(params, construct.LevelTerms(
+        lambda t, level, _h: (None, construct.level_nonlinearity(level, g.phi_at(t)))),
+        16.0, 24.0, cfg)
+
+
+def _swept_lanes(params, g, cfg, lanes):
+    """Every lane of one Picard sweep from g, as slabs in increasing time,
+    and the slab the sweep returns."""
+    seen = []
+    last = construct.solve_backward(params, construct._picard_terms(
+        g, lanes, lambda t, h, h_t: seen.append((t, h.copy(), h_t.copy()))), 16.0, 24.0, cfg)
+    times = np.array([t for t, _, _ in seen[::-1]])
+    slabs = [SpaceTimeSlab(times, cfg.grid, np.array([h[j] for _, h, _ in seen[::-1]]),
+                           np.array([h_t[j] for _, _, h_t in seen[::-1]]))
+             for j in range(lanes)]
+    return slabs, last
+
+
+def test_picard_sweep_one_evaluation_per_level(sg2_params, monkeypatch):
+    cfg, g, norm_cfg = _sweep_setup(sg2_params)
+    calls = []
+
+    def counting(params, t, grid):
+        calls.append(t)
+        return ansatz.evaluate_ansatz(params, t, grid)
+
+    monkeypatch.setattr(construct, "evaluate_ansatz", counting)
+    dt, _ = cfg.plan(16.0, 24.0)
+    n_steps = int(round(8.0 / dt))
+    _, norms = construct._picard_sweep(sg2_params, g, 3, 16.0, 24.0, cfg, norm_cfg)
+    assert len(norms) == 3
+    assert len(calls) == n_steps + 1
+    assert len(set(calls)) == n_steps + 1
+
+
+def test_picard_sweep_lane0_is_sequential_solve(sg2_params):
+    cfg, g, norm_cfg = _sweep_setup(sg2_params)
+    seq = _sequential_solve(sg2_params, g, cfg)
+    lanes, last = _swept_lanes(sg2_params, g, cfg, 3)
+    assert np.array_equal(lanes[0].times, seq.times)
+    assert np.array_equal(lanes[0].phis, seq.phis)
+    assert np.array_equal(lanes[0].phi_dots, seq.phi_dots)
+    # the sweep keeps its last lane only
+    assert np.array_equal(last.phis, lanes[2].phis)
+    assert np.array_equal(last.phi_dots, lanes[2].phi_dots)
+    # lane 0's norm is the weighted norm of the stored increment
+    _, norms = construct._picard_sweep(sg2_params, g, 3, 16.0, 24.0, cfg, norm_cfg)
+    diff = SpaceTimeSlab(seq.times, cfg.grid, seq.phis - g.phis, seq.phi_dots - g.phi_dots)
+    assert norms[0] == construct.weighted_norm(diff, norm_cfg)
+
+
+def test_picard_sweep_matches_sequential_iterates(sg2_params):
+    # lanes j >= 1 read lane j-1's live value, where one solve per iterate
+    # read the previous slab cubically in time between snapshots. Measured
+    # here: both lanes off by 3.2e-10 of max |phi| and 2.9e-9 of max
+    # |phi_t|, the norms by 1.4% and 0.2%
+    cfg, g, norm_cfg = _sweep_setup(sg2_params)
+    ref = [g]
+    for _ in range(3):
+        ref.append(_sequential_solve(sg2_params, ref[-1], cfg))
+    lanes, _ = _swept_lanes(sg2_params, g, cfg, 3)
+    _, norms = construct._picard_sweep(sg2_params, g, 3, 16.0, 24.0, cfg, norm_cfg)
+    for j in (1, 2):
+        gap = np.max(np.abs(lanes[j].phis - ref[j + 1].phis))
+        assert gap <= 1e-9 * np.max(np.abs(ref[j + 1].phis))
+        gap = np.max(np.abs(lanes[j].phi_dots - ref[j + 1].phi_dots))
+        assert gap <= 1e-8 * np.max(np.abs(ref[j + 1].phi_dots))
+        step = SpaceTimeSlab(g.times, cfg.grid, ref[j + 1].phis - ref[j].phis,
+                             ref[j + 1].phi_dots - ref[j].phi_dots)
+        assert norms[j] == pytest.approx(construct.weighted_norm(step, norm_cfg), rel=0.05)
+
+
 def _count_solves(monkeypatch):
     """Counts of all backward solves and of those in the truncation search."""
     counts = {"solves": 0, "probes": 0}
@@ -171,17 +264,37 @@ def test_fixed_point_reuses_truncation_slab(sg2_params, monkeypatch):
     cfg = construct.SolverConfig(x_min=-34.0, x_max=34.0, dx=0.1)
     kw = dict(T=16.0, delta=0.31, tol=1e-7, max_iter=4)
     counts = _count_solves(monkeypatch)
+    accepted, swept = [], []
+    choose, sweep = construct.choose_final_time, construct._picard_sweep
+
+    def recording_choose(*args, **kwargs):
+        out = choose(*args, **kwargs)
+        accepted.append(out[1])
+        return out
+
+    def recording_sweep(params, g, *args):
+        swept.append(g)
+        return sweep(params, g, *args)
+
+    monkeypatch.setattr(construct, "choose_final_time", recording_choose)
+    monkeypatch.setattr(construct, "_picard_sweep", recording_sweep)
     psi, rep = construct.fixed_point(sg2_params, cfg, **kw)
+    # the accepted slab is the first iterate, not solved again; the other
+    # three iterates are the lanes of one sweep from it
     assert counts["probes"] >= 2
-    assert counts["solves"] == counts["probes"] + rep.iterations - 1
-    # the same construction with t_final given solves its first iterate
+    assert rep.iterations == 4
+    assert counts["solves"] == counts["probes"] + 1
+    assert len(swept) == 1 and swept[0] is accepted[0]
+    norm_cfg = construct.WeightedNormConfig(T=16.0, delta=0.31)
+    assert rep.iterate_norms[0] == construct.weighted_norm(accepted[0], norm_cfg)
+    # the same construction with t_final given solves its first iterate as
+    # lane 0 of its first sweep, to the same norm
     counts.update(solves=0, probes=0)
     psi2, rep2 = construct.fixed_point(sg2_params, cfg, t_final=rep.t_final, **kw)
-    assert counts == {"solves": rep2.iterations, "probes": 0}
+    sweeps = -(-rep2.iterations // construct.PICARD_LANES)
+    assert counts == {"solves": sweeps, "probes": 0}
+    assert rep2.iterate_norms[0] == rep.iterate_norms[0]
     assert np.array_equal(psi.times, psi2.times)
-    assert np.array_equal(psi.phis, psi2.phis)
-    assert np.array_equal(psi.phi_dots, psi2.phi_dots)
-    assert rep.iterate_norms == rep2.iterate_norms
 
 
 def _sampled_gap(prev, nxt, probe):
@@ -365,6 +478,7 @@ def test_decay_fit_catches_only_fit_errors(sg, small_cfg, monkeypatch):
     monkeypatch.setattr(construct, "decay_fit", no_fit)
     _, rep = _single_kink_construction(sg, small_cfg)
     assert math.isnan(rep.fitted_decay_rate) and math.isnan(rep.decay_fit_r2)
+    assert rep.decay_fit_error == "log-linear fit requires positive values"
 
     def broken(*_args, **_kwargs):
         raise ValueError("not a fit failure")
@@ -372,6 +486,19 @@ def test_decay_fit_catches_only_fit_errors(sg, small_cfg, monkeypatch):
     monkeypatch.setattr(construct, "decay_fit", broken)
     with pytest.raises(ValueError, match="not a fit failure"):
         _single_kink_construction(sg, small_cfg)
+
+
+def test_decay_fit_error_is_reported(sg2_params):
+    # a 0.1 fit span holds one snapshot: the fit fails and says why
+    cfg = construct.SolverConfig(x_min=-34.0, x_max=34.0, dx=0.1)
+    kw = dict(T=16.0, delta=0.31, t_final=24.0, max_iter=1)
+    _, rep = construct.fixed_point(sg2_params, cfg, fit_span=0.1, **kw)
+    assert math.isnan(rep.fitted_decay_rate) and math.isnan(rep.decay_fit_r2)
+    assert rep.decay_fit_error == "need at least 3 samples for a log-linear fit"
+    assert rep.to_dict()["decay_fit_error"] == rep.decay_fit_error
+    _, rep = construct.fixed_point(sg2_params, cfg, **kw)
+    assert rep.fitted_decay_rate > 0.0
+    assert rep.decay_fit_error is None and rep.to_dict()["decay_fit_error"] is None
 
 
 def test_ansatz_pieces_match_public_potential(sg2_params):
@@ -446,6 +573,15 @@ def test_fixed_point_matches_two_soliton(sg2_params, sg2_construction):
     assert worst <= 1e-3
 
 
+def test_fixed_point_rejects_g0_off_the_lattice(sg2_params):
+    cfg = construct.SolverConfig(x_min=-34.0, x_max=34.0, dx=0.1)
+    times = np.linspace(16.0, 24.0, 5)
+    g0 = SpaceTimeSlab(times, cfg.grid, np.zeros((5, len(cfg.grid))),
+                       np.zeros((5, len(cfg.grid))))
+    with pytest.raises(ConfigError, match="snapshots"):
+        construct.fixed_point(sg2_params, cfg, T=16.0, delta=0.31, t_final=24.0, g0=g0)
+
+
 def test_fixed_point_zero_iterations(sg2_params):
     cfg = construct.SolverConfig(x_min=-34.0, x_max=34.0, dx=0.05)
     psi, rep = construct.fixed_point(sg2_params, cfg, T=16.0, delta=0.3,
@@ -457,24 +593,22 @@ def test_fixed_point_zero_iterations(sg2_params):
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
 def test_no_contraction_detected(sg2_params, monkeypatch):
-    # unit test of the divergence detector: make each backward solve return a
-    # strictly growing iterate so the increment ratio stays at 2
+    # unit test of the divergence detector: make every lane of every sweep
+    # report an increment twice the last, so the increment ratio stays at 2
     cfg = construct.SolverConfig(x_min=-34.0, x_max=34.0, dx=0.05)
-    calls = {"n": 0}
-    bump = np.exp(-0.5 * cfg.grid**2)
+    norms = []
 
-    def fake(params, forcing, t0, t1, config):
-        calls["n"] += 1
-        dt, every = config.plan(t0, t1)
-        times = np.arange(t0, t1 + 1e-9, dt * every)
-        amp = 2.0 ** calls["n"]
-        phis = np.array([amp * math.exp(-0.3 * t) * bump for t in times])
-        return SpaceTimeSlab(times, config.grid, phis, np.zeros_like(phis))
+    def fake(params, g, lanes, t_start, t_final, config, norm_cfg):
+        for _ in range(lanes):
+            norms.append(2.0 ** len(norms))
+        return g, norms[-lanes:]
 
-    monkeypatch.setattr(construct, "solve_backward", fake)
+    monkeypatch.setattr(construct, "_picard_sweep", fake)
     with pytest.raises(NoContractionError):
         construct.fixed_point(sg2_params, cfg, T=4.0, delta=0.3, t_final=30.0,
                               tol=1e-14, max_iter=12)
+    # it fires at the 8th increment, the first above 100x the smallest
+    assert len(norms) == 9
 
 
 @pytest.mark.slow

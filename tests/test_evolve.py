@@ -163,8 +163,8 @@ def test_leapfrog_snapshot_schedule(n_steps, every, steps):
     def accel(_t, _f, out):
         out[:] = 0.0
 
-    times, phis, dots = evolve._leapfrog(phi0.copy(), pd0.copy(), 0.1, n_steps, accel,
-                                         5.0, every)
+    times, phis, dots = evolve._leapfrog(phi0[None].copy(), pd0[None].copy(), 0.1, n_steps,
+                                         accel, 5.0, every, 5.0 + n_steps * 0.1)
     steps = np.array(steps)
     assert np.array_equal(times, 5.0 + steps * 0.1)
     assert phis.shape == dots.shape == (len(steps), 9)
@@ -172,6 +172,38 @@ def test_leapfrog_snapshot_schedule(n_steps, every, steps):
     assert np.allclose(phis[:, 1:-1], phi0[1:-1] + 0.2 * steps[:, None], rtol=0, atol=1e-12)
     assert np.array_equal(phis[:, [0, -1]], np.tile(phi0[[0, -1]], (len(steps), 1)))
     assert np.array_equal(dots, np.tile(pd0, (len(steps), 1)))
+
+
+@pytest.mark.parametrize("dt", [0.05, -0.05])
+def test_lanes_match_single_lane_runs(sg, dt):
+    # three lanes, each with its own initial data and forcing amplitude;
+    # every lane is the single-lane run bit for bit
+    model, _ = sg
+    grid = np.arange(-20.0, 20.0 + 1e-9, 0.1)
+    rng = np.random.default_rng(5)
+    phi0 = np.stack([gaussian_bumps(grid, rng) for _ in range(3)])
+    pd0 = np.stack([gaussian_bumps(grid, rng) for _ in range(3)])
+    amps = np.array([0.3, -1.0, 2.0])
+    bump = np.exp(-grid**2)
+    cfg = evolve.EvolveConfig(dt=dt, t_end=1.0 + 3.0 * np.sign(dt), snapshot_every=7)
+
+    def run(lanes, observe=None):
+        def source(t, f, out):
+            out[:, 1:-1] -= model(f[:, 1:-1], 1)
+            out[:, 1:-1] += amps[lanes, None] * math.cos(t) * bump[1:-1]
+        return evolve._evolve(phi0[lanes], pd0[lanes], 1.0, grid, 0.1, cfg, source, observe)
+
+    seen = []
+    last = run(slice(0, 3), lambda t, f, fd: seen.append((t, f.copy(), fd.copy())))
+    order = slice(None) if dt > 0 else slice(None, None, -1)
+    times = np.array([t for t, _, _ in seen])[order]
+    for j in range(3):
+        single = run(slice(j, j + 1))
+        assert np.array_equal(single.times, times)
+        assert np.array_equal(single.phis, np.array([f[j] for _, f, _ in seen])[order])
+        assert np.array_equal(single.phi_dots, np.array([fd[j] for _, _, fd in seen])[order])
+    assert np.array_equal(last.phis, single.phis)
+    assert np.array_equal(last.phi_dots, single.phi_dots)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
