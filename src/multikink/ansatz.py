@@ -325,6 +325,8 @@ def coercivity_sample(params: MultikinkParams, t: float, grid: np.ndarray,
     random pair fields, each drawn from rng in turn and projected off the
     2K duals psi_j^0, psi_j^1 at time t. q is quad_form_single for K = 1,
     quad_form_multi otherwise."""
+    if n_samples < 1:
+        raise ConfigError("coercivity needs at least one sample")
     grid = np.asarray(grid, dtype=float)
     dx = grid_spacing(grid)
     duals = []

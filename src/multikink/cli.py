@@ -169,6 +169,8 @@ def cmd_spectrum(cfg: ExperimentConfig, out: Path, seed: int) -> None:
     x_half = cfg.get_float("spectrum", "x_half", default=15.0)
     dx = cfg.get_float("spectrum", "dx", default=0.01)
     k = cfg.get_int("spectrum", "k", default=4)
+    if dx <= 0 or x_half <= 0:
+        raise ConfigError("[spectrum] dx and x_half must be positive")
     grid = np.arange(-x_half, x_half + 1e-9, dx)
     disc = spectral.build_operator(model, table, n, n_prime, grid)
     vals, vecs = spectral.low_spectrum(disc, k)

@@ -8,18 +8,22 @@ every JSON output for reproducibility.
 from __future__ import annotations
 
 import configparser
+import math
 from pathlib import Path
 
 from .errors import ConfigError
 from .potential import PotentialModel, find_vacua
 
 
-def _floats(text: str) -> list[float]:
-    items = [s.strip() for s in text.split(",") if s.strip()]
+def _number(section: str, key: str, text: str) -> float:
+    """text as a finite float; a ConfigError naming [section] key otherwise."""
     try:
-        return [float(s) for s in items]
+        value = float(text)
     except ValueError as exc:
-        raise ConfigError(f"expected a comma-separated list of numbers, got {text!r}") from exc
+        raise ConfigError(f"[{section}] {key}: expected a number, got {text!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key}: expected a finite number, got {text!r}")
+    return value
 
 
 def _ints(text: str) -> list[int]:
@@ -70,10 +74,7 @@ class ExperimentConfig:
         raw = self._raw(section, key, required)
         if raw is None:
             return self._record(section, key, default)
-        try:
-            return self._record(section, key, float(raw))
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {key}: expected a number, got {raw!r}") from exc
+        return self._record(section, key, _number(section, key, raw))
 
     def get_auto_float(self, section, key, default=None):
         """A float or the word 'auto' (returned as None)."""
@@ -81,10 +82,7 @@ class ExperimentConfig:
         if raw is None or raw.strip().lower() == "auto":
             self._record(section, key, "auto" if raw is not None else default)
             return default
-        try:
-            return self._record(section, key, float(raw))
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {key}: expected a number or 'auto'") from exc
+        return self._record(section, key, _number(section, key, raw))
 
     def get_int(self, section, key, default=None, required=False):
         raw = self._raw(section, key, required)
@@ -110,7 +108,8 @@ class ExperimentConfig:
         raw = self._raw(section, key, required)
         if raw is None:
             return self._record(section, key, default)
-        return self._record(section, key, _floats(raw))
+        items = [s.strip() for s in raw.split(",") if s.strip()]
+        return self._record(section, key, [_number(section, key, s) for s in items])
 
     def get_ints(self, section, key, default=None, required=False):
         raw = self._raw(section, key, required)

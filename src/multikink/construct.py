@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -88,20 +87,10 @@ def _weighted_sup(times: np.ndarray, norms: np.ndarray, config: WeightedNormConf
     return np.max(np.exp(config.delta * times[mask])[:, None] * norms[mask], axis=0)
 
 
-def weighted_norm(slab: SpaceTimeSlab, config: WeightedNormConfig,
-                  kind: str = "energy") -> float:
-    """sup over snapshots t >= T of e^{delta t} * norm of (g, g_t)(t).
-
-    kind="energy" uses the H^1 x L^2 norm, kind="l2" the plain L^2 norm of
-    the value component.
-    """
-    if kind == "energy":
-        norms = _snapshot_energy_norms(slab)
-    elif kind == "l2":
-        norms = np.array([math.sqrt(integrate_grid(p**2, slab.dx)) for p in slab.phis])
-    else:
-        raise ConfigError(f"unknown norm kind {kind!r}")
-    return float(_weighted_sup(slab.times, norms[:, None], config)[0])
+def weighted_norm(slab: SpaceTimeSlab, config: WeightedNormConfig) -> float:
+    """sup over snapshots t >= T of e^{delta t} * |(g, g_t)(t)|, the H^1 x
+    L^2 norm."""
+    return float(_weighted_sup(slab.times, _snapshot_energy_norms(slab)[:, None], config)[0])
 
 
 def level_nonlinearity(level: AnsatzLevel, g) -> np.ndarray:
@@ -147,64 +136,42 @@ def fitted_forcing_rate(params: MultikinkParams, grid: np.ndarray, T: float,
     return -slope
 
 
-@dataclass(frozen=True)
-class LevelTerms:
-    """Right-hand side of solve_backward computed from the ansatz level the
-    solver evaluates for each step and the live solution h, one row per
-    lane: terms(t, level, h) returns (b, f), the extra potential (or None)
-    and the forcing, an (n,) array shared by every lane or one row per lane.
-    observe(t, h, h_t), if given, sees every lane at each snapshot."""
-
-    terms: Callable[[float, AnsatzLevel, np.ndarray], tuple]
-    lanes: int = 1
-    observe: Callable | None = None
-
-
-def _level_terms(forcing, grid) -> LevelTerms:
-    if isinstance(forcing, LevelTerms):
-        return forcing
-    if forcing is None:
-        zero = np.zeros_like(grid)
-        return LevelTerms(lambda _t, _level, _h: (None, zero))
-    if isinstance(forcing, SpaceTimeSlab):
-        return LevelTerms(lambda t, _level, _h: (None, forcing.phi_at(t)))
-    return LevelTerms(lambda t, _level, _h: (None, forcing(t)))
-
-
-def solve_backward(params: MultikinkParams, forcing, t_start: float, t_final: float,
-                   config: SolverConfig) -> SpaceTimeSlab:
+def solve_backward(params: MultikinkParams, terms, t_start: float, t_final: float,
+                   config: SolverConfig, lanes: int = 1, observe=None) -> SpaceTimeSlab:
     """Solve d_t^2 h - d_x^2 h + (V + b) h = f backward from zero data.
 
     Integrates from (h, d_t h)(t_final) = (0, 0) down to t_start with the
     leapfrog stepper; this realizes the decaying solution once t_final is
     large enough that the forcing is negligible beyond it.
 
-    forcing may be None, a callable t -> f, a SpaceTimeSlab (interpolated
-    cubically in time) or a LevelTerms giving b and f; b is zero otherwise.
-    A LevelTerms may run several lanes, solutions of the same operator with
-    forcings that may read each other's live values; the slab returned is
-    the last lane's. The ansatz is evaluated once per time level and shared
-    by V and the LevelTerms of every lane.
+    The ansatz level is evaluated once per time level and shared by V and
+    terms(t, level, h), which sees the live solution h, one row per lane,
+    and returns (b, f): the extra potential (or None) and the forcing, an
+    (n,) array shared by every lane or one row per lane. The lanes are
+    solutions of the same operator whose forcings may read each other's
+    live values; the slab returned is the last lane's. observe(t, h, h_t),
+    if given, sees every lane at each snapshot.
     """
     grid = config.grid
     dt, every = config.plan(t_start, t_final)
-    rhs = _level_terms(forcing, grid)
 
     def source(t, h, out):
         level = evaluate_ansatz(params, t, grid)
-        extra, f = rhs.terms(t, level, h)
+        extra, f = terms(t, level, h)
         pot = level.V if extra is None else level.V + extra
         out[:, 1:-1] -= pot[1:-1] * h[:, 1:-1]
         out[:, 1:-1] += f[..., 1:-1]
 
-    zero = np.zeros((rhs.lanes, len(grid)))
+    zero = np.zeros((lanes, len(grid)))
     return _evolve(zero, zero, t_final, grid, config.dx,
                    EvolveConfig(dt=-dt, t_end=t_start, snapshot_every=every,
-                                cfl_limit=config.cfl), source, rhs.observe)
+                                cfl_limit=config.cfl), source, observe)
 
 
-# the forcing N(0) of the zero iterate
-_FREE_FORCING = LevelTerms(lambda _t, level, _h: (None, level_nonlinearity(level, 0.0)))
+def _free_forcing(_t, level, _h):
+    """The terms of the zero iterate: the forcing N(0)."""
+    return None, level_nonlinearity(level, 0.0)
+
 
 # Picard iterates per backward sweep (pipelined waveform relaxation)
 PICARD_LANES = 3
@@ -216,17 +183,17 @@ def _zero_slab(grid, times):
     return SpaceTimeSlab(times, grid, z, z)
 
 
-def _picard_terms(g: SpaceTimeSlab, lanes: int, observe=None) -> LevelTerms:
-    """Forcing of the Picard iterates g_1..g_lanes after g_0 = g, one lane
-    each: lane 0 is forced by N(g), g read through g.phi_at, and lane j by N
-    at lane j-1's live value on the same level."""
+def _picard_terms(g: SpaceTimeSlab):
+    """The terms of the Picard iterates after g_0 = g, one lane each: lane 0
+    is forced by N(g), g read through g.phi_at, and lane j by N at lane
+    j-1's live value on the same level."""
     def terms(t, level, h):
         src = np.empty_like(h)
         src[0] = g.phi_at(t)
         src[1:] = h[:-1]
         return None, level_nonlinearity(level, src)
 
-    return LevelTerms(terms, lanes, observe)
+    return terms
 
 
 def _picard_sweep(params: MultikinkParams, g: SpaceTimeSlab, lanes: int, t_start: float,
@@ -247,7 +214,7 @@ def _picard_sweep(params: MultikinkParams, g: SpaceTimeSlab, lanes: int, t_start
         times.append(t)
         norms.append([math.sqrt(energy_norm_sq(d, g.dx)) for d in zip(dh, dh_t)])
 
-    slab = solve_backward(params, _picard_terms(g, lanes, observe), t_start, t_final, config)
+    slab = solve_backward(params, _picard_terms(g), t_start, t_final, config, lanes, observe)
     return slab, [float(n) for n in _weighted_sup(np.array(times), np.array(norms), norm_cfg)]
 
 
@@ -311,14 +278,14 @@ def choose_final_time(params: MultikinkParams, config: SolverConfig, T: float,
     [T, t_final], which is the first fixed-point iterate.
     """
     span = max(16.0, 4.0 / delta)
-    h_prev = solve_backward(params, _FREE_FORCING, T, T + span, config)
+    h_prev = solve_backward(params, _free_forcing, T, T + span, config)
     probe = np.linspace(T, T + span, 41)
     while True:
         new_span = 2.0 * span
         if new_span > max_span:
             warnings.warn("truncation time hit its cap before stabilizing")
             return T + span, h_prev
-        h_next = solve_backward(params, _FREE_FORCING, T, T + new_span, config)
+        h_next = solve_backward(params, _free_forcing, T, T + new_span, config)
         diff, scale = _probe_gap(h_prev, h_next, probe)
         if diff <= rtol * max(1.0, scale):
             return T + span, h_prev
@@ -491,7 +458,7 @@ def param_derivative(params: MultikinkParams, psi_slab: SpaceTimeSlab, k: int,
         forcing = -(wpp_full - level.kink_wpp[k - 1]) * dkink(level, k)
         return wpp_full - level.V, forcing
 
-    return solve_backward(params, LevelTerms(terms), float(psi_slab.times[0]),
+    return solve_backward(params, terms, float(psi_slab.times[0]),
                           float(psi_slab.times[-1]), config)
 
 

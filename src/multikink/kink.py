@@ -60,8 +60,14 @@ def bogomolny_bound(model: PotentialModel, phi_a: float, phi_b: float) -> float:
     return float(val)
 
 
+def _check_labels(table: VacuumTable, n: int, n_prime: int):
+    if not (0 <= n < len(table) and 0 <= n_prime < len(table)):
+        raise ConfigError(f"vacuum labels ({n}, {n_prime}) outside 0..{len(table) - 1}")
+
+
 def kink_energy(model: PotentialModel, table: VacuumTable, n: int, n_prime: int) -> float:
     """Rest energy of the kink/antikink between adjacent vacua n and n_prime."""
+    _check_labels(table, n, n_prime)
     if abs(n - n_prime) != 1:
         raise ConfigError("kink energy requires adjacent vacua")
     lo, hi = sorted((table.vacuum(n), table.vacuum(n_prime)))
@@ -194,6 +200,7 @@ def kink_profile(model: PotentialModel, table: VacuumTable, n: int, n_prime: int
     Kinks are integrated from the midpoint value at x = 0 in both
     directions; antikinks are produced by exact reflection of the kink.
     """
+    _check_labels(table, n, n_prime)
     if abs(n - n_prime) != 1:
         raise ConfigError("kink profiles exist only between adjacent vacua")
     if dx <= 0:

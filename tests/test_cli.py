@@ -179,3 +179,28 @@ def test_bad_grid_step_exit_2(tmp_path, capsys, dx):
     assert main(["multikink", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, old, new", [
+    ("kink", "n = 0\nn_prime = 1", "n = 5\nn_prime = 6"),
+    ("kink", "n = 0\nn_prime = 1", "n = -1\nn_prime = 0"),
+    ("multikink", "shifts = 0.0", "shifts = 0.0\nprofile_dx = nan"),
+    ("evolve", "t_end = 8", "t_end = nan"),
+    ("kink", "kind = sine_gordon", "kind = sine_gordon\nvacuum_tol = nan"),
+    ("spectrum", "[output]", "[spectrum]\ndx = 0\n\n[output]"),
+    ("spectrum", "[output]", "[spectrum]\nx_half = 0\n\n[output]"),
+    ("verify", "window_t = 3.0", "window_t = 3.0\ncoercivity_samples = 0\n"
+                                 "energy_drift = false\nzero_modes = false"),
+], ids=["kink-n5", "kink-n-1", "profile_dx-nan", "t_end-nan", "vacuum_tol-nan", "spectrum-dx0",
+        "spectrum-x_half0", "coercivity_samples0"])
+def test_invalid_input_exit_2(tmp_path, capsys, command, old, new):
+    # vacuum labels outside the table, non-finite numbers, a zero spectrum
+    # step or half width and no coercivity samples are config errors
+    path = tmp_path / "bad.cfg"
+    assert old in SG_SINGLE
+    path.write_text(SG_SINGLE.replace(old, new))
+    out = tmp_path / "o"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+    assert not (out / "verification.json").exists()

@@ -64,10 +64,18 @@ def test_weighted_norm_divergence_with_range(small_cfg):
     assert n_long > 10.0 * n_short
 
 
+def _weighted_l2(slab, norm_cfg):
+    """sup over snapshots t >= T of e^{delta t} * |phi(t)|_{L2}."""
+    norms = np.array([[math.sqrt(integrate_grid(p**2, slab.dx))] for p in slab.phis])
+    return float(construct._weighted_sup(slab.times, norms, norm_cfg)[0])
+
+
 def test_solve_backward_zero_forcing(sg, small_cfg):
     model, table = sg
     params = ansatz.make_params(model, table, (0, 1), (0.2,), (0.0,))
-    slab = construct.solve_backward(params, None, 2.0, 12.0, small_cfg)
+    zero = np.zeros_like(small_cfg.grid)
+    slab = construct.solve_backward(params, lambda _t, _level, _h: (None, zero), 2.0, 12.0,
+                                    small_cfg)
     assert np.max(np.abs(slab.phis)) == 0.0
     assert slab.times[0] == pytest.approx(2.0)
     assert slab.times[-1] == pytest.approx(12.0)
@@ -81,24 +89,19 @@ def test_solve_backward_apriori_bound(phi4):
     for dx in (0.1, 0.05):
         cfg = construct.SolverConfig(x_min=-25.0, x_max=25.0, dx=dx)
         bump = np.exp(-0.5 * (cfg.grid - 1.0) ** 2)
-        h = construct.solve_backward(params, lambda t: math.exp(-t) * bump, 1.0, 25.0, cfg)
+        h = construct.solve_backward(
+            params, lambda t, _level, _h: (None, math.exp(-t) * bump), 1.0, 25.0, cfg)
         f_slab = SpaceTimeSlab(h.times, cfg.grid,
                                np.array([math.exp(-t) * bump for t in h.times]),
                                np.zeros((len(h.times), len(cfg.grid))))
-        c = construct.weighted_norm(h, norm_cfg) / construct.weighted_norm(
-            f_slab, norm_cfg, kind="l2")
-        consts.append(c)
+        consts.append(construct.weighted_norm(h, norm_cfg) / _weighted_l2(f_slab, norm_cfg))
     assert consts[0] == pytest.approx(consts[1], rel=0.05)
 
 
 def test_solve_backward_truncation_insensitive(sg2_params):
     cfg = construct.SolverConfig(x_min=-34.0, x_max=34.0, dx=0.05)
-
-    def forcing(t):
-        return construct.nonlinearity(sg2_params, 0.0, t, cfg.grid)
-
-    h1 = construct.solve_backward(sg2_params, forcing, 16.0, 48.0, cfg)
-    h2 = construct.solve_backward(sg2_params, forcing, 16.0, 80.0, cfg)
+    h1 = construct.solve_backward(sg2_params, construct._free_forcing, 16.0, 48.0, cfg)
+    h2 = construct.solve_backward(sg2_params, construct._free_forcing, 16.0, 80.0, cfg)
     worst = 0.0
     for t in np.linspace(16.0, 46.0, 31):
         pa, _ = h1.sample(t)
@@ -120,12 +123,12 @@ def test_stability_constant_across_parameters(sg):
         def forcing(t, v=v, a=a):
             return math.exp(-t) * np.exp(-0.5 * (cfg.grid - v * t - a - 1.0) ** 2)
 
-        h = construct.solve_backward(params, forcing, 1.0, 25.0, cfg)
+        h = construct.solve_backward(params, lambda t, _level, _h: (None, forcing(t)),
+                                     1.0, 25.0, cfg)
         f_slab = SpaceTimeSlab(h.times, cfg.grid,
                                np.array([forcing(t) for t in h.times]),
                                np.zeros((len(h.times), len(cfg.grid))))
-        consts.append(construct.weighted_norm(h, norm_cfg)
-                      / construct.weighted_norm(f_slab, norm_cfg, kind="l2"))
+        consts.append(construct.weighted_norm(h, norm_cfg) / _weighted_l2(f_slab, norm_cfg))
     assert max(consts) <= 1.2 * min(consts)
 
 
@@ -141,7 +144,7 @@ def test_solve_backward_one_evaluation_per_level(sg2_params, monkeypatch):
     dt, _ = cfg.plan(16.0, 24.0)
     n_steps = int(round(8.0 / dt))
     # the forcing N(0) and the potential share each step's level
-    construct.solve_backward(sg2_params, construct._FREE_FORCING, 16.0, 24.0, cfg)
+    construct.solve_backward(sg2_params, construct._free_forcing, 16.0, 24.0, cfg)
     assert len(calls) == n_steps + 1
     assert len(set(calls)) == n_steps + 1
 
@@ -153,7 +156,7 @@ def test_solve_backward_lands_on_t_start(sg2_params):
     dt, _ = cfg.plan(0.5, 3.6)
     n, step = evolve.step_plan(0.5 - 3.6, -dt)
     assert 3.6 + n * step != 0.5
-    slab = construct.solve_backward(sg2_params, construct._FREE_FORCING, 0.5, 3.6, cfg)
+    slab = construct.solve_backward(sg2_params, construct._free_forcing, 0.5, 3.6, cfg)
     assert slab.times[0] == 0.5
     assert slab.times[-1] == 3.6
 
@@ -161,14 +164,14 @@ def test_solve_backward_lands_on_t_start(sg2_params):
 def _sweep_setup(sg2_params):
     """A dx = 0.1 grid, the first iterate R N(0) on [16, 24] and its norm."""
     cfg = construct.SolverConfig(x_min=-34.0, x_max=34.0, dx=0.1)
-    g = construct.solve_backward(sg2_params, construct._FREE_FORCING, 16.0, 24.0, cfg)
+    g = construct.solve_backward(sg2_params, construct._free_forcing, 16.0, 24.0, cfg)
     return cfg, g, construct.WeightedNormConfig(T=16.0, delta=0.31)
 
 
 def _sequential_solve(params, g, cfg):
     """One Picard iterate on its own: R N(g), g read through g.phi_at."""
-    return construct.solve_backward(params, construct.LevelTerms(
-        lambda t, level, _h: (None, construct.level_nonlinearity(level, g.phi_at(t)))),
+    return construct.solve_backward(
+        params, lambda t, level, _h: (None, construct.level_nonlinearity(level, g.phi_at(t))),
         16.0, 24.0, cfg)
 
 
@@ -176,8 +179,9 @@ def _swept_lanes(params, g, cfg, lanes):
     """Every lane of one Picard sweep from g, as slabs in increasing time,
     and the slab the sweep returns."""
     seen = []
-    last = construct.solve_backward(params, construct._picard_terms(
-        g, lanes, lambda t, h, h_t: seen.append((t, h.copy(), h_t.copy()))), 16.0, 24.0, cfg)
+    last = construct.solve_backward(
+        params, construct._picard_terms(g), 16.0, 24.0, cfg, lanes,
+        lambda t, h, h_t: seen.append((t, h.copy(), h_t.copy())))
     times = np.array([t for t, _, _ in seen[::-1]])
     slabs = [SpaceTimeSlab(times, cfg.grid, np.array([h[j] for _, h, _ in seen[::-1]]),
                            np.array([h_t[j] for _, _, h_t in seen[::-1]]))
@@ -355,14 +359,17 @@ def test_truncation_search_memory(sg2_params, monkeypatch):
 
 
 def test_solve_backward_slab_forcing_matches_spline(sg2_params, small_cfg):
-    # a slab forcing is the cubic spline in time of its phis, bit for bit
+    # a forcing read through SpaceTimeSlab.phi_at is the cubic spline in
+    # time of its phis, bit for bit
     rng = np.random.default_rng(4)
     times = np.linspace(15.5, 20.5, 23)
     phis = gaussian_bumps(small_cfg.grid, rng) * np.exp(-0.5 * times)[:, None]
     slab = SpaceTimeSlab(times, small_cfg.grid, phis, np.zeros_like(phis))
     spline = CubicSpline(times, phis, axis=0)
-    a = construct.solve_backward(sg2_params, slab, 16.0, 20.0, small_cfg)
-    b = construct.solve_backward(sg2_params, spline, 16.0, 20.0, small_cfg)
+    a = construct.solve_backward(sg2_params, lambda t, _level, _h: (None, slab.phi_at(t)),
+                                 16.0, 20.0, small_cfg)
+    b = construct.solve_backward(sg2_params, lambda t, _level, _h: (None, spline(t)),
+                                 16.0, 20.0, small_cfg)
     assert np.array_equal(a.phis, b.phis)
     assert np.array_equal(a.phi_dots, b.phi_dots)
 

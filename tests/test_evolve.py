@@ -155,23 +155,25 @@ def test_detect_sector(phi4, sg, sg2_params, grid):
                                                    (10, 4, [0, 4, 8, 10]),
                                                    (3, 4, [0, 3])])
 def test_leapfrog_snapshot_schedule(n_steps, every, steps):
-    # zero acceleration: the interior moves at the constant initial speed
+    # zero acceleration: the interior moves at the constant initial speed;
+    # steps of 0.125 keep every time exact
     phi0 = np.linspace(0.0, 1.0, 9)
     pd0 = np.zeros(9)
     pd0[1:-1] = 2.0
 
-    def accel(_t, _f, out):
+    def source(_t, _f, out):
         out[:] = 0.0
 
-    times, phis, dots = evolve._leapfrog(phi0[None].copy(), pd0[None].copy(), 0.1, n_steps,
-                                         accel, 5.0, every, 5.0 + n_steps * 0.1)
+    slab = evolve._evolve(phi0, pd0, 5.0, np.arange(9.0), 1.0,
+                          evolve.EvolveConfig(dt=0.125, t_end=5.0 + n_steps * 0.125,
+                                              snapshot_every=every), source)
     steps = np.array(steps)
-    assert np.array_equal(times, 5.0 + steps * 0.1)
-    assert phis.shape == dots.shape == (len(steps), 9)
-    assert np.array_equal(phis[0], phi0)
-    assert np.allclose(phis[:, 1:-1], phi0[1:-1] + 0.2 * steps[:, None], rtol=0, atol=1e-12)
-    assert np.array_equal(phis[:, [0, -1]], np.tile(phi0[[0, -1]], (len(steps), 1)))
-    assert np.array_equal(dots, np.tile(pd0, (len(steps), 1)))
+    assert np.array_equal(slab.times, 5.0 + steps * 0.125)
+    assert slab.phis.shape == slab.phi_dots.shape == (len(steps), 9)
+    assert np.array_equal(slab.phis[0], phi0)
+    assert np.allclose(slab.phis[:, 1:-1], phi0[1:-1] + 0.25 * steps[:, None], rtol=0, atol=1e-12)
+    assert np.array_equal(slab.phis[:, [0, -1]], np.tile(phi0[[0, -1]], (len(steps), 1)))
+    assert np.array_equal(slab.phi_dots, np.tile(pd0, (len(steps), 1)))
 
 
 @pytest.mark.parametrize("dt", [0.05, -0.05])
