@@ -177,5 +177,9 @@ class ExperimentConfig:
 
     def seed(self, override=None) -> int:
         if override is not None:
-            return self._record("run", "seed", int(override))
-        return self.get_int("run", "seed", default=0)
+            seed = self._record("run", "seed", int(override))
+        else:
+            seed = self.get_int("run", "seed", default=0)
+        if seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {seed}")
+        return seed

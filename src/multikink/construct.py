@@ -18,12 +18,11 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .ansatz import AnsatzLevel, MultikinkParams, energy_norm_sq, evaluate_ansatz, multikink
 from .errors import ConfigError, FitError, NoContractionError
-from .evolve import SPLINE_BLOCK, EvolveConfig, SpaceTimeSlab, _evolve, step_plan
-from .numerics import derivative2, fit_log_linear, integrate_grid
+from .evolve import EvolveConfig, SpaceTimeSlab, _evolve, step_plan
+from .numerics import derivative2, fit_log_linear, grid_spacing, integrate_grid
 
 
 @dataclass
@@ -50,12 +49,13 @@ class SolverConfig:
 
     def plan(self, t_start: float, t_final: float):
         """(dt, snapshot_every) landing exactly on both endpoints with a
-        uniform snapshot cadence."""
+        uniform snapshot cadence. The 1e-9 slack keeps a span that is a
+        whole number of snapshot_dt up to rounding at that number."""
         span = t_final - t_start
         if span <= 0:
             raise ConfigError("t_final must exceed t_start")
         every = max(1, math.ceil(self.snapshot_dt / (self.cfl * self.dx)))
-        n_snap = max(2, math.ceil(span / self.snapshot_dt))
+        n_snap = max(2, math.ceil(span / self.snapshot_dt - 1e-9))
         dt = span / (n_snap * every)
         return dt, every
 
@@ -137,7 +137,7 @@ def fitted_forcing_rate(params: MultikinkParams, grid: np.ndarray, T: float,
 
 
 def solve_backward(params: MultikinkParams, terms, t_start: float, t_final: float,
-                   config: SolverConfig, lanes: int = 1, observe=None) -> SpaceTimeSlab:
+                   config: SolverConfig, lanes=1, observe=None) -> SpaceTimeSlab:
     """Solve d_t^2 h - d_x^2 h + (V + b) h = f backward from zero data.
 
     Integrates from (h, d_t h)(t_final) = (0, 0) down to t_start with the
@@ -145,15 +145,20 @@ def solve_backward(params: MultikinkParams, terms, t_start: float, t_final: floa
     large enough that the forcing is negligible beyond it.
 
     The ansatz level is evaluated once per time level and shared by V and
-    terms(t, level, h), which sees the live solution h, one row per lane,
-    and returns (b, f): the extra potential (or None) and the forcing, an
-    (n,) array shared by every lane or one row per lane. The lanes are
+    terms(t, level, h), which sees the live solution h, one row per active
+    lane, and returns (b, f): the extra potential (or None) and the forcing,
+    an (n,) array shared by every lane or one row per lane. The lanes are
     solutions of the same operator whose forcings may read each other's
-    live values; the slab returned is the last lane's. observe(t, h, h_t),
-    if given, sees every lane at each snapshot.
+    live values. lanes is their number, all starting at t_final, or each
+    lane's top, nonincreasing from t_final and on snapshot levels: a lane is
+    inactive above its top and starts there from zero data, so it equals
+    the solve from its top on the same plan. The slab returned is the last
+    lane's; observe(t, h, h_t), if given, sees every active lane at each
+    snapshot.
     """
     grid = config.grid
     dt, every = config.plan(t_start, t_final)
+    tops = None if isinstance(lanes, int) else list(lanes)
 
     def source(t, h, out):
         level = evaluate_ansatz(params, t, grid)
@@ -162,15 +167,10 @@ def solve_backward(params: MultikinkParams, terms, t_start: float, t_final: floa
         out[:, 1:-1] -= pot[1:-1] * h[:, 1:-1]
         out[:, 1:-1] += f[..., 1:-1]
 
-    zero = np.zeros((lanes, len(grid)))
+    zero = np.zeros((lanes if tops is None else len(tops), len(grid)))
     return _evolve(zero, zero, t_final, grid, config.dx,
                    EvolveConfig(dt=-dt, t_end=t_start, snapshot_every=every,
-                                cfl_limit=config.cfl), source, observe)
-
-
-def _free_forcing(_t, level, _h):
-    """The terms of the zero iterate: the forcing N(0)."""
-    return None, level_nonlinearity(level, 0.0)
+                                cfl_limit=config.cfl), source, observe, tops)
 
 
 # Picard iterates per backward sweep (pipelined waveform relaxation)
@@ -196,6 +196,14 @@ def _picard_terms(g: SpaceTimeSlab):
     return terms
 
 
+def _increment_norms(h, h_t, base, base_t, dx: float) -> list[float]:
+    """Energy norms of the increments along a chain of lanes at one
+    snapshot: lane 0 against (base, base_t), lane j against lane j-1."""
+    dh = np.diff(h, axis=0, prepend=base)
+    dh_t = np.diff(h_t, axis=0, prepend=base_t)
+    return [math.sqrt(energy_norm_sq(d, dx)) for d in zip(dh, dh_t)]
+
+
 def _picard_sweep(params: MultikinkParams, g: SpaceTimeSlab, lanes: int, t_start: float,
                   t_final: float, config: SolverConfig, norm_cfg: WeightedNormConfig):
     """The Picard iterates g_1..g_lanes after g in one backward sweep.
@@ -209,10 +217,8 @@ def _picard_sweep(params: MultikinkParams, g: SpaceTimeSlab, lanes: int, t_start
 
     def observe(t, h, h_t):
         i = len(g.times) - 1 - len(times)  # the sweep runs backward
-        dh = np.diff(h, axis=0, prepend=g.phis[i][None])
-        dh_t = np.diff(h_t, axis=0, prepend=g.phi_dots[i][None])
         times.append(t)
-        norms.append([math.sqrt(energy_norm_sq(d, g.dx)) for d in zip(dh, dh_t)])
+        norms.append(_increment_norms(h, h_t, g.phis[i][None], g.phi_dots[i][None], g.dx))
 
     slab = solve_backward(params, _picard_terms(g), t_start, t_final, config, lanes, observe)
     return slab, [float(n) for n in _weighted_sup(np.array(times), np.array(norms), norm_cfg)]
@@ -233,6 +239,10 @@ class ConstructReport:
     decay_fit_error: str | None = None
     converged: bool = False
     iterations: int = 0
+    # the truncation search's tests as [span, gap, scale], and whether the
+    # span cap stopped its doubling (empty and False with t_final given)
+    truncation: list[list[float]] = field(default_factory=list)
+    truncation_capped: bool = False
 
     def to_dict(self) -> dict:
         return {
@@ -244,54 +254,120 @@ class ConstructReport:
             "decay_fit_r2": self.decay_fit_r2,
             "decay_fit_error": self.decay_fit_error,
             "converged": self.converged, "iterations": self.iterations,
+            "truncation": self.truncation, "truncation_capped": self.truncation_capped,
         }
 
 
-def _probe_gap(prev: SpaceTimeSlab, nxt: SpaceTimeSlab, probe: np.ndarray):
-    """(diff, scale) of two truncation probes at the probe times: diff is the
-    largest |phi| or |phi_t| difference, scale the largest |phi| of nxt.
+@dataclass
+class Truncation:
+    """The truncation search's outcome: t_final, the accepted candidate's
+    last iterate with the weighted norms of its increments, each test as
+    [span, gap, scale] and whether the span cap stopped the doubling."""
 
-    The cubic splines in time treat each grid column on its own, so building
-    them on blocks of columns gives the full-slab values bit for bit while
-    holding only one block's coefficients at a time.
+    t_final: float
+    iterate: SpaceTimeSlab
+    increments: list[float]
+    tests: list[list[float]]
+    capped: bool
+
+
+def _truncation_window(params: MultikinkParams, config: SolverConfig, T: float, spans,
+                       n_cand: int, lanes: int, norm_cfg: WeightedNormConfig):
+    """The probes R N(0) on [T, T + span] for the increasing spans, run as
+    the lanes of one backward sweep from T + spans[-1], each joining at its
+    own top, with `lanes` Picard iterates chained live on each of the first
+    n_cand probes: chain lane j is forced by N at lane j-1's live value, and
+    the probes share one N(0) row per level.
+
+    Returns (gaps, candidates). gaps holds (gap, scale) of each probe against
+    the next longer one over their common snapshots: gap is the largest
+    |phi| or |phi_t| difference, scale the largest |phi| of the longer
+    probe. candidates holds, per candidate, its chain's last lane as a slab
+    and the weighted norms of its increments (the probe's first), taken per
+    snapshot, so no probe slab is stored.
     """
-    diff = 0.0
-    scale = 1e-300
-    for lo in range(0, len(prev.grid), SPLINE_BLOCK):
-        cols = slice(lo, lo + SPLINE_BLOCK)
-        pa = CubicSpline(prev.times, prev.phis[:, cols], axis=0)(probe)
-        pb = CubicSpline(nxt.times, nxt.phis[:, cols], axis=0)(probe)
-        da = CubicSpline(prev.times, prev.phi_dots[:, cols], axis=0)(probe)
-        db = CubicSpline(nxt.times, nxt.phi_dots[:, cols], axis=0)(probe)
-        diff = max(diff, float(np.max(np.abs(pa - pb))), float(np.max(np.abs(da - db))))
-        scale = max(scale, float(np.max(np.abs(pb))))
-    return diff, scale
+    probe, tops = {}, []
+    for k in reversed(range(len(spans))):  # rows ordered by top, highest first
+        probe[k] = len(tops)
+        tops += [T + spans[k]] * (1 + lanes * (k < n_cand))
+    probes = np.array(list(probe.values()))
+    chains = np.setdiff1d(np.arange(len(tops)), probes)
+
+    def terms(_t, level, h):
+        f = np.empty_like(h)
+        f[probes[probes < len(h)]] = level_nonlinearity(level, 0.0)
+        live = chains[chains < len(h)]
+        f[live] = level_nonlinearity(level, h[live - 1])
+        return None, f
+
+    dx = grid_spacing(config.grid)
+    gaps = [[0.0, 1e-300] for _ in spans[1:]]
+    seen = [([], [], [], []) for _ in range(n_cand)]  # times, norms, phis, dots
+
+    def observe(t, h, h_t):
+        for k, p in probe.items():
+            if p >= len(h):
+                continue
+            if k + 1 < len(spans):
+                q = probe[k + 1]
+                gap = gaps[k]
+                gap[0] = max(gap[0], float(np.max(np.abs(h[p] - h[q]))),
+                             float(np.max(np.abs(h_t[p] - h_t[q]))))
+                gap[1] = max(gap[1], float(np.max(np.abs(h[q]))))
+            if k < n_cand:
+                times, norms, phis, dots = seen[k]
+                rows = slice(p, p + lanes + 1)
+                times.append(t)
+                norms.append(_increment_norms(h[rows], h_t[rows], 0.0, 0.0, dx))
+                if k:  # the shortest candidate's last lane is the sweep's slab
+                    phis.append(h[p + lanes].copy())
+                    dots.append(h_t[p + lanes].copy())
+
+    last = solve_backward(params, terms, T, T + spans[-1], config, tops, observe)
+    candidates = []
+    for k, (times, norms, phis, dots) in enumerate(seen):
+        slab = SpaceTimeSlab(times[::-1], config.grid, phis[::-1], dots[::-1]) if k else last
+        sups = _weighted_sup(np.array(times), np.array(norms), norm_cfg)
+        candidates.append((slab, [float(n) for n in sups]))
+    return [tuple(gap) for gap in gaps], candidates
 
 
 def choose_final_time(params: MultikinkParams, config: SolverConfig, T: float,
-                      delta: float, rtol: float = 1e-8, max_span: float = 400.0):
+                      delta: float, rtol: float = 1e-8, max_span: float = 400.0,
+                      lanes: int = 0) -> Truncation:
     """Double the truncation time until the zero-iterate response on the
     kept window stops changing (mirrors the limiting construction of the
     backward solver).
 
-    Returns (t_final, slab): slab is the accepted response R N(0) on
-    [T, t_final], which is the first fixed-point iterate.
+    The first span s is max(16, 4/delta), rounded up to a whole number of
+    snapshot_dt so that every probe lies on one lattice of levels. Each
+    window is one sweep (_truncation_window) of the probes at spans s, 2s
+    and 4s, none past max_span; the test of span s passes when its gap to
+    the probe at 2s is at most rtol * max(1, scale), and the first test
+    that passes gives t_final = T + s. If none passes, the next window
+    starts at 4s; when max_span stops the doubling, the longest probe is
+    accepted with a warning. The accepted probe is R N(0) on [T, t_final],
+    the first fixed-point iterate, and the `lanes` iterates chained on it
+    are the next ones.
     """
-    span = max(16.0, 4.0 / delta)
-    h_prev = solve_backward(params, _free_forcing, T, T + span, config)
-    probe = np.linspace(T, T + span, 41)
+    norm_cfg = WeightedNormConfig(T=T, delta=delta)
+    step = config.snapshot_dt
+    span = step * math.ceil(max(16.0, 4.0 / delta) / step - 1e-9)
+    tests = []
     while True:
-        new_span = 2.0 * span
-        if new_span > max_span:
+        spans = [k * span for k in (1, 2, 4) if k == 1 or k * span <= max_span]
+        capped = 2.0 * spans[-1] > max_span
+        n_cand = len(spans) if capped else len(spans) - 1
+        gaps, candidates = _truncation_window(params, config, T, spans, n_cand, lanes,
+                                              norm_cfg)
+        for k, (gap, scale) in enumerate(gaps):
+            tests.append([spans[k], gap, scale])
+            if gap <= rtol * max(1.0, scale):
+                return Truncation(T + spans[k], *candidates[k], tests, False)
+        if capped:
             warnings.warn("truncation time hit its cap before stabilizing")
-            return T + span, h_prev
-        h_next = solve_backward(params, _free_forcing, T, T + new_span, config)
-        diff, scale = _probe_gap(h_prev, h_next, probe)
-        if diff <= rtol * max(1.0, scale):
-            return T + span, h_prev
-        span = new_span
-        h_prev = h_next
-        probe = np.linspace(T, T + span, 41)
+            return Truncation(T + spans[-1], *candidates[-1], tests, True)
+        span = spans[-1]
 
 
 def measure_residual(params: MultikinkParams, psi_slab: SpaceTimeSlab,
@@ -347,8 +423,10 @@ def fixed_point(params: MultikinkParams, config: SolverConfig,
 
     T defaults to the first time the free forcing N(0) is small, delta to
     half its fitted decay rate, and the truncation time to the stabilized
-    doubling of choose_final_time, whose accepted slab R N(0) then serves
-    as the first iterate when the iteration starts from g = 0.
+    doubling of choose_final_time. From g = 0 its windows carry the first
+    iterates too: the accepted probe R N(0) and the iterates chained live on
+    it, min(PICARD_LANES, max_iter - 1) of them, after which the sweeps go
+    on from the last.
     """
     grid = config.grid
     if T is None:
@@ -364,11 +442,13 @@ def fixed_point(params: MultikinkParams, config: SolverConfig,
             raise NoContractionError("free forcing does not decay; increase T")
         delta = 0.5 * eta
     norm_cfg = WeightedNormConfig(T=T, delta=delta)
-    first = None
+    search = first = None
     if t_final is None:
-        t_final, first = choose_final_time(params, config, T, delta)
-        if g0 is not None:
-            first = None  # the first iterate is R N(g0), not R N(0)
+        chained = 0 if g0 is not None else max(0, min(PICARD_LANES, max_iter - 1))
+        search = choose_final_time(params, config, T, delta, lanes=chained)
+        t_final = search.t_final
+        if g0 is None:
+            first = search.iterate, search.increments
     start_norm = _forcing_norm(params, T, grid, config.dx)
     if start_norm > 0.1:
         warnings.warn(f"|N(0)(T)| = {start_norm:.3g} is large; T may be too small")
@@ -380,12 +460,14 @@ def fixed_point(params: MultikinkParams, config: SolverConfig,
     g = _zero_slab(grid, np.linspace(T, t_final, n_snap)) if g0 is None else g0
 
     report = ConstructReport(T=T, delta=delta, t_final=t_final)
+    if search is not None:
+        report.truncation, report.truncation_capped = search.tests, search.capped
     ratios = []
     rising = 0
     while report.iterations < max_iter and not report.converged:
         if first is not None:
-            # R N(0) on [T, t_final]: the truncation search already solved it
-            g_new, dnorms = first, [weighted_norm(first, norm_cfg)]
+            # the truncation search's window already swept these iterates
+            g_new, dnorms = first
             first = None
         else:
             lanes = min(PICARD_LANES, max_iter - report.iterations)

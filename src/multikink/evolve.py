@@ -211,14 +211,16 @@ class SpaceTimeSlab:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         names = []
-        xs = [f"{x:.17g}," for x in self.grid.tolist()]
+        # one template per save, filled with one % per file
+        template = "x,phi,phi_dot\n" + "".join(
+            f"{x:.17g},%.17g,%.17g\n" for x in self.grid.tolist())
+        row = np.empty(2 * len(self.grid))
         for i in range(len(self.times)):
             name = f"snapshot_{i:05d}.csv"
             names.append(name)
-            rows = ["%s%.17g,%.17g\n" % row for row in
-                    zip(xs, self.phis[i].tolist(), self.phi_dots[i].tolist())]
+            row[0::2], row[1::2] = self.phis[i], self.phi_dots[i]
             with open(directory / name, "w") as fh:
-                fh.write("x,phi,phi_dot\n" + "".join(rows))
+                fh.write(template % tuple(row.tolist()))
         manifest = {"times": [float(t) for t in self.times], "files": names,
                     "n_grid": len(self.grid),
                     "x_min": float(self.grid[0]), "x_max": float(self.grid[-1])}
@@ -241,16 +243,27 @@ class SpaceTimeSlab:
 
 
 def _evolve(phi, pd, t0: float, grid: np.ndarray, dx: float, config: EvolveConfig,
-            source, observe=None) -> SpaceTimeSlab:
+            source, observe=None, starts=None) -> SpaceTimeSlab:
     """Leapfrog from (phi, pd) at t0 to config.t_end with the blended
     Laplacian; phi and pd are (n,) for one lane or (B, n) for B lanes.
     source(t, f, out) adds the other terms of the acceleration to out, which
-    holds the Laplacian of f, for every lane (both (B, n)). phi and pd are
-    copied, and the velocity is clamped to zero at both ends. The last
-    level is pinned to t_end, which t0 + n_steps * dt can miss by a
-    rounding. Returns the last lane's slab of the initial state, every
+    holds the Laplacian of f, for every active lane (both (b, n)). phi and
+    pd are copied, and the velocity is clamped to zero at both ends.
+
+    Forward runs take their levels at t0 + step * dt. Backward runs
+    (dt < 0) count them from their lower end, t_end + m * |dt|, so backward
+    runs with one step share their levels whatever their top. Both ends
+    are pinned, which the sums can miss by a rounding.
+
+    starts, if given, holds each lane's start time: the first lane's is
+    t0, the others follow in the run's order on snapshot levels. A lane is
+    inactive before its start, so the active lanes are a prefix of the rows,
+    and at its start it joins from its rows of phi and pd with no arrival
+    half-kick; in a backward run it then equals the run from its start.
+
+    Returns the last lane's slab from its start: its state at every
     snapshot_every-th step and the last step; observe(t, phi, pd) sees
-    every lane at each snapshot. Backward runs (dt < 0) are returned in
+    every active lane at each snapshot. Backward runs are returned in
     increasing time."""
     config.validate(dx)
     span = config.t_end - t0
@@ -263,33 +276,70 @@ def _evolve(phi, pd, t0: float, grid: np.ndarray, dx: float, config: EvolveConfi
     pd[:, 0] = pd[:, -1] = 0.0
     lap = make_laplacian(dx, config.stencil_blend(dx))
 
-    n_snap = n_steps // every + 1 + (n_steps % every != 0)
+    if dt > 0:
+        levels = t0 + dt * np.arange(n_steps + 1)
+    else:
+        levels = config.t_end - dt * np.arange(n_steps, -1, -1)
+    levels[0], levels[-1] = t0, config.t_end
+    joins = [0] * len(phi)
+    if starts is not None and len(starts) != len(phi):
+        raise ConfigError("need one start per lane")
+    for lane, start in enumerate(starts or ()):
+        step = int(round((start - t0) / dt))
+        if not 0 <= step <= n_steps or abs(levels[step] - start) > 1e-6 * abs(dt):
+            raise ConfigError(f"lane start {start} is not a level of the run")
+        if step % every or step < joins[max(lane - 1, 0)] or (lane == 0 and step):
+            raise ConfigError("the first lane starts at t0, the others on snapshot "
+                              "levels in the run's order")
+        joins[lane] = step
+        levels[step] = start
+    levels = levels.tolist()
+
+    first = joins[-1]  # the stored lane's first level
+    n_snap = (n_steps - first) // every + 1 + ((n_steps - first) % every != 0)
     times = np.empty(n_snap)
     phis = np.empty((n_snap, phi.shape[1]))
     dots = np.empty_like(phis)
-    times[0], phis[0], dots[0] = t0, phi[-1], pd[-1]
-    if observe is not None:
-        observe(t0, phi, pd)
-    j = 1
-    a = np.zeros_like(phi)
-    lap(phi, a)
-    source(t0, phi, a)
-    for step in range(1, n_steps + 1):
-        pd_half = pd + (0.5 * dt) * a
-        phi[:, 1:-1] += dt * pd_half[:, 1:-1]
-        t = t0 + step * dt if step < n_steps else config.t_end
-        lap(phi, a)
-        source(t, phi, a)
-        pd = pd_half + (0.5 * dt) * a
-        pd[:, 0] = 0.0
-        pd[:, -1] = 0.0
-        if step % every == 0 or step == n_steps:
-            if not np.all(np.isfinite(phi)):
-                raise InstabilityError(f"NaN/Inf detected at t={t}")
-            times[j], phis[j], dots[j] = t, phi[-1], pd[-1]
-            if observe is not None:
-                observe(t, phi, pd)
+    j = 0
+
+    def snapshot(t, f, v):
+        nonlocal j
+        if len(f) == len(phi):
+            times[j], phis[j], dots[j] = t, f[-1], v[-1]
             j += 1
+        if observe is not None:
+            observe(t, f, v)
+
+    b = joins.count(0)
+    ph, v, a = phi[:b], pd[:b], np.zeros_like(phi)
+    ac = a[:b]
+    lap(ph, ac)
+    source(t0, ph, ac)
+    snapshot(t0, ph, v)
+    join = joins[b] if b < len(joins) else -1
+    for step in range(1, n_steps + 1):
+        pd_half = v + (0.5 * dt) * ac
+        ph[:, 1:-1] += dt * pd_half[:, 1:-1]
+        t = levels[step]
+        if step == join:
+            # the lanes starting here join with their initial data; the
+            # kick below is the others' arrival half-kick only
+            b0, b = b, b + joins.count(step)
+            ph, ac = phi[:b], a[:b]
+            lap(ph, ac)
+            source(t, ph, ac)
+            v = np.concatenate([pd_half + (0.5 * dt) * ac[:b0], pd[b0:b]])
+            join = joins[b] if b < len(joins) else -1
+        else:
+            lap(ph, ac)
+            source(t, ph, ac)
+            v = pd_half + (0.5 * dt) * ac
+        v[:, 0] = 0.0
+        v[:, -1] = 0.0
+        if step % every == 0 or step == n_steps:
+            if not np.all(np.isfinite(ph)):
+                raise InstabilityError(f"NaN/Inf detected at t={t}")
+            snapshot(t, ph, v)
     if dt < 0:
         times, phis, dots = times[::-1], phis[::-1], dots[::-1]
     return SpaceTimeSlab(times, grid, phis, dots)

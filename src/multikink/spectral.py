@@ -67,8 +67,8 @@ def build_operator(model: PotentialModel, table: VacuumTable, n: int, n_prime: i
 
 def low_spectrum(disc: OperatorDiscretization, k: int = 2):
     """The k smallest eigenpairs (ascending), eigenvectors L2-normalized."""
-    if k < 1:
-        raise ConfigError("need at least one eigenpair")
+    if not 1 <= k <= len(disc.grid):
+        raise ConfigError(f"k = {k} eigenpairs requested; the grid has {len(disc.grid)} points")
     vals, vecs = eigh_tridiagonal(disc.diagonal, disc.off_diagonal,
                                   select="i", select_range=(0, k - 1))
     return vals, vecs

@@ -181,26 +181,31 @@ def test_bad_grid_step_exit_2(tmp_path, capsys, dx):
     assert "config error" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("command, old, new", [
-    ("kink", "n = 0\nn_prime = 1", "n = 5\nn_prime = 6"),
-    ("kink", "n = 0\nn_prime = 1", "n = -1\nn_prime = 0"),
-    ("multikink", "shifts = 0.0", "shifts = 0.0\nprofile_dx = nan"),
-    ("evolve", "t_end = 8", "t_end = nan"),
-    ("kink", "kind = sine_gordon", "kind = sine_gordon\nvacuum_tol = nan"),
-    ("spectrum", "[output]", "[spectrum]\ndx = 0\n\n[output]"),
-    ("spectrum", "[output]", "[spectrum]\nx_half = 0\n\n[output]"),
+@pytest.mark.parametrize("command, old, new, args", [
+    ("kink", "n = 0\nn_prime = 1", "n = 5\nn_prime = 6", []),
+    ("kink", "n = 0\nn_prime = 1", "n = -1\nn_prime = 0", []),
+    ("multikink", "shifts = 0.0", "shifts = 0.0\nprofile_dx = nan", []),
+    ("evolve", "t_end = 8", "t_end = nan", []),
+    ("kink", "kind = sine_gordon", "kind = sine_gordon\nvacuum_tol = nan", []),
+    ("spectrum", "[output]", "[spectrum]\ndx = 0\n\n[output]", []),
+    ("spectrum", "[output]", "[spectrum]\nx_half = 0\n\n[output]", []),
+    ("spectrum", "[output]", "[spectrum]\nk = 100000\nx_half = 1\n\n[output]", []),
     ("verify", "window_t = 3.0", "window_t = 3.0\ncoercivity_samples = 0\n"
-                                 "energy_drift = false\nzero_modes = false"),
+                                 "energy_drift = false\nzero_modes = false", []),
+    ("verify", "seed = 42", "seed = -3", []),
+    ("verify", "seed = 42", "seed = 42", ["--seed", "-3"]),
 ], ids=["kink-n5", "kink-n-1", "profile_dx-nan", "t_end-nan", "vacuum_tol-nan", "spectrum-dx0",
-        "spectrum-x_half0", "coercivity_samples0"])
-def test_invalid_input_exit_2(tmp_path, capsys, command, old, new):
+        "spectrum-x_half0", "spectrum-k-above-grid", "coercivity_samples0", "seed-negative",
+        "seed-override-negative"])
+def test_invalid_input_exit_2(tmp_path, capsys, command, old, new, args):
     # vacuum labels outside the table, non-finite numbers, a zero spectrum
-    # step or half width and no coercivity samples are config errors
+    # step or half width, more eigenpairs than grid points, no coercivity
+    # samples and a negative seed are config errors
     path = tmp_path / "bad.cfg"
     assert old in SG_SINGLE
     path.write_text(SG_SINGLE.replace(old, new))
     out = tmp_path / "o"
-    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    assert main([command, "--config", str(path), "--out", str(out), *args]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err
     assert not (out / "verification.json").exists()

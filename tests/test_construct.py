@@ -1,11 +1,13 @@
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
 from multikink import ansatz, construct, evolve
+from multikink.config import ExperimentConfig
 from multikink.errors import ConfigError, FitError, NoContractionError
 from multikink.evolve import SpaceTimeSlab
 from multikink.numerics import derivative2, gaussian_bumps, integrate_grid
@@ -15,6 +17,11 @@ from conftest import two_soliton_oracle
 @pytest.fixture(scope="module")
 def small_cfg():
     return construct.SolverConfig(x_min=-25.0, x_max=25.0, dx=0.05)
+
+
+def _free_forcing(_t, level, _h):
+    """The terms of the zero iterate R N(0): the forcing N(0)."""
+    return None, construct.level_nonlinearity(level, 0.0)
 
 
 def _bump_slab(grid, times, delta0):
@@ -100,8 +107,8 @@ def test_solve_backward_apriori_bound(phi4):
 
 def test_solve_backward_truncation_insensitive(sg2_params):
     cfg = construct.SolverConfig(x_min=-34.0, x_max=34.0, dx=0.05)
-    h1 = construct.solve_backward(sg2_params, construct._free_forcing, 16.0, 48.0, cfg)
-    h2 = construct.solve_backward(sg2_params, construct._free_forcing, 16.0, 80.0, cfg)
+    h1 = construct.solve_backward(sg2_params, _free_forcing, 16.0, 48.0, cfg)
+    h2 = construct.solve_backward(sg2_params, _free_forcing, 16.0, 80.0, cfg)
     worst = 0.0
     for t in np.linspace(16.0, 46.0, 31):
         pa, _ = h1.sample(t)
@@ -144,19 +151,19 @@ def test_solve_backward_one_evaluation_per_level(sg2_params, monkeypatch):
     dt, _ = cfg.plan(16.0, 24.0)
     n_steps = int(round(8.0 / dt))
     # the forcing N(0) and the potential share each step's level
-    construct.solve_backward(sg2_params, construct._free_forcing, 16.0, 24.0, cfg)
+    construct.solve_backward(sg2_params, _free_forcing, 16.0, 24.0, cfg)
     assert len(calls) == n_steps + 1
     assert len(set(calls)) == n_steps + 1
 
 
 def test_solve_backward_lands_on_t_start(sg2_params):
-    # 39 steps of -3.1/39 from 3.6 sum to 0.49999999999999956; the last
-    # level is pinned to t_start instead
+    # 39 steps of -3.1/39 from 3.6 sum to 0.49999999999999956; backward
+    # levels count from t_start instead, and the top is pinned to t_final
     cfg = construct.SolverConfig(x_min=-34.0, x_max=34.0, dx=0.1)
     dt, _ = cfg.plan(0.5, 3.6)
     n, step = evolve.step_plan(0.5 - 3.6, -dt)
     assert 3.6 + n * step != 0.5
-    slab = construct.solve_backward(sg2_params, construct._free_forcing, 0.5, 3.6, cfg)
+    slab = construct.solve_backward(sg2_params, _free_forcing, 0.5, 3.6, cfg)
     assert slab.times[0] == 0.5
     assert slab.times[-1] == 3.6
 
@@ -164,7 +171,7 @@ def test_solve_backward_lands_on_t_start(sg2_params):
 def _sweep_setup(sg2_params):
     """A dx = 0.1 grid, the first iterate R N(0) on [16, 24] and its norm."""
     cfg = construct.SolverConfig(x_min=-34.0, x_max=34.0, dx=0.1)
-    g = construct.solve_backward(sg2_params, construct._free_forcing, 16.0, 24.0, cfg)
+    g = construct.solve_backward(sg2_params, _free_forcing, 16.0, 24.0, cfg)
     return cfg, g, construct.WeightedNormConfig(T=16.0, delta=0.31)
 
 
@@ -175,12 +182,12 @@ def _sequential_solve(params, g, cfg):
         16.0, 24.0, cfg)
 
 
-def _swept_lanes(params, g, cfg, lanes):
-    """Every lane of one Picard sweep from g, as slabs in increasing time,
-    and the slab the sweep returns."""
+def _swept_lanes(params, g, cfg, lanes, t_final=24.0):
+    """Every lane of one Picard sweep from g on [16, t_final], as slabs in
+    increasing time, and the slab the sweep returns."""
     seen = []
     last = construct.solve_backward(
-        params, construct._picard_terms(g), 16.0, 24.0, cfg, lanes,
+        params, construct._picard_terms(g), 16.0, t_final, cfg, lanes,
         lambda t, h, h_t: seen.append((t, h.copy(), h_t.copy())))
     times = np.array([t for t, _, _ in seen[::-1]])
     slabs = [SpaceTimeSlab(times, cfg.grid, np.array([h[j] for _, h, _ in seen[::-1]]),
@@ -263,99 +270,185 @@ def _count_solves(monkeypatch):
     return counts
 
 
+def _recording(monkeypatch, name):
+    """Patch construct.<name> to record each call's result."""
+    calls = []
+    real = getattr(construct, name)
+
+    def recording(*args, **kwargs):
+        calls.append(real(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(construct, name, recording)
+    return calls
+
+
 @pytest.mark.slow
 def test_fixed_point_reuses_truncation_slab(sg2_params, monkeypatch):
     cfg = construct.SolverConfig(x_min=-34.0, x_max=34.0, dx=0.1)
     kw = dict(T=16.0, delta=0.31, tol=1e-7, max_iter=4)
     counts = _count_solves(monkeypatch)
-    accepted, swept = [], []
-    choose, sweep = construct.choose_final_time, construct._picard_sweep
-
-    def recording_choose(*args, **kwargs):
-        out = choose(*args, **kwargs)
-        accepted.append(out[1])
-        return out
-
-    def recording_sweep(params, g, *args):
-        swept.append(g)
-        return sweep(params, g, *args)
-
-    monkeypatch.setattr(construct, "choose_final_time", recording_choose)
-    monkeypatch.setattr(construct, "_picard_sweep", recording_sweep)
+    searches = _recording(monkeypatch, "choose_final_time")
+    sweeps = _recording(monkeypatch, "_picard_sweep")
     psi, rep = construct.fixed_point(sg2_params, cfg, **kw)
-    # the accepted slab is the first iterate, not solved again; the other
-    # three iterates are the lanes of one sweep from it
-    assert counts["probes"] >= 2
-    assert rep.iterations == 4
-    assert counts["solves"] == counts["probes"] + 1
-    assert len(swept) == 1 and swept[0] is accepted[0]
-    norm_cfg = construct.WeightedNormConfig(T=16.0, delta=0.31)
-    assert rep.iterate_norms[0] == construct.weighted_norm(accepted[0], norm_cfg)
+    # one window sweeps the probes and the four iterates chained on the
+    # accepted one; no Picard sweep follows
+    assert counts == {"solves": 1, "probes": 1}
+    assert rep.iterations == 4 and sweeps == []
+    assert psi is searches[0].iterate
+    assert rep.iterate_norms == searches[0].increments
     # the same construction with t_final given solves its first iterate as
-    # lane 0 of its first sweep, to the same norm
+    # lane 0 of its first sweep, to the same norm bit for bit
     counts.update(solves=0, probes=0)
     psi2, rep2 = construct.fixed_point(sg2_params, cfg, t_final=rep.t_final, **kw)
-    sweeps = -(-rep2.iterations // construct.PICARD_LANES)
-    assert counts == {"solves": sweeps, "probes": 0}
+    assert counts == {"solves": len(sweeps), "probes": 0}
     assert rep2.iterate_norms[0] == rep.iterate_norms[0]
     assert np.array_equal(psi.times, psi2.times)
 
 
-def _sampled_gap(prev, nxt, probe):
-    """The truncation search's per-time comparison through SpaceTimeSlab.sample."""
-    diff = 0.0
-    scale = 1e-300
-    for t in probe:
-        pa, da = prev.sample(t)
-        pb, db = nxt.sample(t)
-        diff = max(diff, float(np.max(np.abs(pa - pb))), float(np.max(np.abs(da - db))))
-        scale = max(scale, float(np.max(np.abs(pb))))
-    return diff, scale
+@pytest.mark.slow
+def test_reference_construction_sweeps_each_level_once(monkeypatch):
+    # configs/sg2_construct.cfg: the one window of [16, 80] evaluates each
+    # of its 3,585 levels once and carries all four iterates
+    cfg = ExperimentConfig(Path(__file__).resolve().parent.parent / "configs"
+                           / "sg2_construct.cfg")
+    model = cfg.build_model()
+    params = cfg.build_params(model, cfg.build_table(model))
+    sconf = cfg.build_solver_config()
+    counts = _count_solves(monkeypatch)
+    sweeps = _recording(monkeypatch, "_picard_sweep")
+    levels, solving = [], [False]
+    solve, evaluate = construct.solve_backward, construct.evaluate_ansatz
+
+    def counting_solve(*args, **kwargs):
+        solving[0] = True
+        try:
+            return solve(*args, **kwargs)
+        finally:
+            solving[0] = False
+
+    def counting(params, t, grid):
+        if solving[0]:
+            levels.append(t)
+        return evaluate(params, t, grid)
+
+    monkeypatch.setattr(construct, "solve_backward", counting_solve)
+    monkeypatch.setattr(construct, "evaluate_ansatz", counting)
+    _, rep = construct.fixed_point(params, sconf, tol=cfg.get_float("construct", "tol"),
+                                   max_iter=cfg.get_int("construct", "max_iter"))
+    assert counts == {"solves": 1, "probes": 1} and sweeps == []
+    assert len(levels) == len(set(levels)) == 3585
+    assert (rep.T, rep.t_final, rep.iterations) == (16.0, 48.0, 4)
+
+
+def _window_setup(sg2_params, n_grid):
+    """A grid of n_grid points on [-34, 34] and one truncation window of
+    spans 1, 2 and 4 from T = 16, two chain lanes on each candidate."""
+    cfg = construct.SolverConfig(x_min=-34.0, x_max=34.0, dx=68.0 / (n_grid - 1))
+    norm_cfg = construct.WeightedNormConfig(T=16.0, delta=0.31)
+    gaps, cands = construct._truncation_window(sg2_params, cfg, 16.0, [1.0, 2.0, 4.0], 2, 2,
+                                               norm_cfg)
+    return cfg, norm_cfg, gaps, cands
 
 
 @pytest.mark.parametrize("n_grid", [3401, 300, 40])
-def test_probe_gap_matches_per_time_sampling(n_grid):
-    # 3401 columns leave a ragged last block, 40 are narrower than one block;
-    # the rows are reversed views, as backward solves return them
-    rng = np.random.default_rng(n_grid)
-    grid = np.linspace(-34.0, 34.0, n_grid)
+def test_probe_gap_matches_per_time_sampling(sg2_params, n_grid):
+    # the window's live gaps are those of standalone probes, sampled at
+    # every common snapshot time
+    cfg, _, gaps, _ = _window_setup(sg2_params, n_grid)
+    probes = [construct.solve_backward(sg2_params, _free_forcing, 16.0, 16.0 + span,
+                                       cfg) for span in (1.0, 2.0, 4.0)]
+    for (gap, scale), short, long_ in zip(gaps, probes, probes[1:]):
+        n = len(short)
+        assert np.array_equal(short.times, long_.times[:n])
+        want = max(float(np.max(np.abs(short.phis - long_.phis[:n]))),
+                   float(np.max(np.abs(short.phi_dots - long_.phi_dots[:n]))))
+        assert gap == want > 0.0
+        assert scale == float(np.max(np.abs(long_.phis[:n])))
 
-    def probe_slab(n_snap):
-        times = np.linspace(16.0, 16.0 + 0.25 * (n_snap - 1), n_snap)
-        phis, dots = rng.standard_normal((2, n_snap, n_grid))
-        return SpaceTimeSlab(times, grid, phis[::-1], dots[::-1])
 
-    prev, nxt = probe_slab(65), probe_slab(129)
-    probe = np.linspace(16.0, 32.0, 41)
-    assert construct._probe_gap(prev, nxt, probe) == _sampled_gap(prev, nxt, probe)
-    # both maxima in one column, at either edge of a block
-    for hot in {0, 255, 256, n_grid - 1} & set(range(n_grid)):
-        loud = SpaceTimeSlab(nxt.times, grid, nxt.phis.copy(), nxt.phi_dots.copy())
-        loud.phis[:, hot] *= 100.0
-        loud.phi_dots[:, hot] *= 100.0
-        assert construct._probe_gap(prev, loud, probe) == _sampled_gap(prev, loud, probe)
+def test_window_lanes_match_standalone_solves(sg2_params, monkeypatch):
+    # every probe and chain lane of a window, joined below the window's
+    # top, is its standalone sweep from its own top on the same plan
+    seen = {}
+    solve = construct.solve_backward
+
+    def recording(*args):
+        *head, observe = args
+
+        def both(t, h, h_t):
+            seen[t] = h.copy(), h_t.copy()
+            observe(t, h, h_t)
+
+        return solve(*head, both)
+
+    monkeypatch.setattr(construct, "solve_backward", recording)
+    cfg, norm_cfg, _, cands = _window_setup(sg2_params, 300)
+    monkeypatch.undo()
+    zero = construct._zero_slab(cfg.grid, [16.0, 17.0])
+    row = 0
+    for span, chain in ((4.0, 0), (2.0, 2), (1.0, 2)):  # the rows, highest top first
+        lanes, last = _swept_lanes(sg2_params, zero, cfg, 1 + chain, 16.0 + span)
+        for j, lane in enumerate(lanes):
+            assert np.array_equal(np.array([seen[t][0][row + j] for t in lane.times]), lane.phis)
+            assert np.array_equal(np.array([seen[t][1][row + j] for t in lane.times]),
+                                  lane.phi_dots)
+        row += 1 + chain
+        if chain:
+            # each candidate keeps its chain's last lane and its increments
+            slab, norms = cands[int(span) - 1]
+            assert np.array_equal(slab.times, last.times)
+            assert np.array_equal(slab.phis, last.phis)
+            assert np.array_equal(slab.phi_dots, last.phi_dots)
+            steps = [lanes[0]] + [SpaceTimeSlab(a.times, cfg.grid, b.phis - a.phis,
+                                                b.phi_dots - a.phi_dots)
+                                  for a, b in zip(lanes, lanes[1:])]
+            assert norms == [construct.weighted_norm(d, norm_cfg) for d in steps]
 
 
 def test_truncation_search_memory(sg2_params, monkeypatch):
-    # the search holds two probes; comparing them must not add full-slab splines
+    # one window; no probe slab is stored, only the candidates' iterates
     cfg = construct.SolverConfig(x_min=-34.0, x_max=34.0, dx=0.05)
-    probe_bytes = []
-    solve = construct.solve_backward
-
-    def recording(*args, **kwargs):
-        slab = solve(*args, **kwargs)
-        probe_bytes.append(slab.phis.nbytes + slab.phi_dots.nbytes)
-        return slab
-
-    monkeypatch.setattr(construct, "solve_backward", recording)
+    counts = _count_solves(monkeypatch)
     tracemalloc.start()
     try:
-        construct.choose_final_time(sg2_params, cfg, T=16.0, delta=0.31)
+        out = construct.choose_final_time(sg2_params, cfg, T=16.0, delta=0.31)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(probe_bytes) >= 2
-    assert peak < 3 * max(probe_bytes)
+    assert counts == {"solves": 1, "probes": 1}
+    assert out.t_final == 48.0
+    # measured: 7.1 MB against 2.8 MB for the accepted slab; two probe
+    # slabs compared on column blocks peaked at 10.0 MB
+    assert peak < 3 * (out.iterate.phis.nbytes + out.iterate.phi_dots.nbytes)
+
+
+def test_truncation_report(sg2_params):
+    # the first test (16 against 32) fails, the second (32 against 64)
+    # passes, and both land in the report
+    cfg = construct.SolverConfig(x_min=-34.0, x_max=34.0, dx=0.1)
+    _, rep = construct.fixed_point(sg2_params, cfg, T=16.0, delta=0.31, max_iter=1)
+    assert rep.t_final == 48.0 and not rep.truncation_capped
+    assert [span for span, _, _ in rep.truncation] == [16.0, 32.0]
+    (_, gap1, scale1), (_, gap2, scale2) = rep.truncation
+    assert gap1 > 1e-8 * max(1.0, scale1) and gap2 <= 1e-8 * max(1.0, scale2)
+    assert rep.to_dict()["truncation"] == rep.truncation
+    assert rep.to_dict()["truncation_capped"] is False
+    _, rep = construct.fixed_point(sg2_params, cfg, T=16.0, delta=0.31, t_final=48.0,
+                                   max_iter=1)
+    assert rep.truncation == [] and not rep.truncation_capped
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_truncation_cap(sg2_params):
+    # 16 and 32 fit under a cap of 40, 64 does not: one window of two
+    # probes whose failing test leaves the longer one, with a warning
+    cfg = construct.SolverConfig(x_min=-34.0, x_max=34.0, dx=0.1)
+    with pytest.warns(UserWarning, match="cap"):
+        out = construct.choose_final_time(sg2_params, cfg, T=16.0, delta=0.31, max_span=40.0)
+    assert out.t_final == 48.0 and out.capped
+    assert [span for span, _, _ in out.tests] == [16.0]
+    assert len(out.iterate) == 129
 
 
 def test_solve_backward_slab_forcing_matches_spline(sg2_params, small_cfg):

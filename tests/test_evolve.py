@@ -1,7 +1,11 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.integrate import cumulative_trapezoid
 from scipy.interpolate import CubicSpline
 
@@ -208,6 +212,44 @@ def test_lanes_match_single_lane_runs(sg, dt):
     assert np.array_equal(last.phi_dots, single.phi_dots)
 
 
+def test_joined_lanes_match_runs_from_their_start(sg):
+    # a backward run from 1 to -2 in which lanes 1 and 2 join at 0 and -1
+    # from their own data; with levels counted from the lower end each lane
+    # is the run from its start bit for bit, although the forcing reads t
+    model, _ = sg
+    grid = np.arange(-20.0, 20.0 + 1e-9, 0.1)
+    rng = np.random.default_rng(6)
+    phi0 = np.stack([gaussian_bumps(grid, rng) for _ in range(3)])
+    pd0 = np.stack([gaussian_bumps(grid, rng) for _ in range(3)])
+    amps = np.array([0.3, -1.0, 2.0])
+    bump = np.exp(-grid**2)
+    cfg = evolve.EvolveConfig(dt=-0.0625, t_end=-2.0, snapshot_every=8)
+
+    def run(lanes, t0, observe=None, starts=None):
+        def source(t, f, out):
+            out[:, 1:-1] -= model(f[:, 1:-1], 1)
+            out[:, 1:-1] += amps[lanes][:len(f), None] * math.cos(t) * bump[1:-1]
+        return evolve._evolve(phi0[lanes], pd0[lanes], t0, grid, 0.1, cfg, source, observe,
+                              starts)
+
+    seen = {}
+    last = run(slice(0, 3), 1.0, lambda t, f, fd: seen.setdefault(t, (f.copy(), fd.copy())),
+               [1.0, 0.0, -1.0])
+    assert [len(f) for f, _ in seen.values()] == [1, 1, 2, 2, 3, 3, 3]
+    for j, t0 in enumerate((1.0, 0.0, -1.0)):
+        single = run(slice(j, j + 1), t0)
+        lane = [seen[t] for t in single.times]
+        assert np.array_equal(single.phis, np.array([f[j] for f, _ in lane]))
+        assert np.array_equal(single.phi_dots, np.array([fd[j] for _, fd in lane]))
+    assert np.array_equal(last.times, single.times)
+    assert np.array_equal(last.phis, single.phis)
+    assert np.array_equal(last.phi_dots, single.phi_dots)
+    # starts off the levels, off the snapshots or out of order are refused
+    for starts in ([1.0, 0.03, -1.0], [1.0, 0.0625, -1.0], [1.0, -1.0, 0.0], [0.0, 0.0, -1.0]):
+        with pytest.raises(ConfigError):
+            run(slice(0, 3), 1.0, starts=starts)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_instability_detection(phi4, grid):
     model, _ = phi4
@@ -311,6 +353,40 @@ def test_slab_save_bytes_match_row_writer(tmp_path):
                                       for x, p, d in zip(grid, phis[i], dots[i])]
         written = (tmp_path / "slab" / f"snapshot_{i:05d}.csv").read_bytes()
         assert written == "".join(rows).encode()
+
+
+def _row_writer_bytes(slab, i):
+    """Snapshot i as the row writer first wrote it: one %-format per row."""
+    xs = [f"{x:.17g}," for x in slab.grid.tolist()]
+    rows = ["%s%.17g,%.17g\n" % row for row in
+            zip(xs, slab.phis[i].tolist(), slab.phi_dots[i].tolist())]
+    return ("x,phi,phi_dot\n" + "".join(rows)).encode()
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(2, 9),
+       st.floats(-100.0, 100.0), st.floats(1e-3, 10.0), st.data())
+def test_slab_save_load_property(n_times, n_grid, x_min, dx, data):
+    # finite floats of any size, -0.0 and subnormals included: the bytes
+    # are the row writer's and the reload is bit-exact
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    phis = data.draw(arrays(np.float64, (n_times, n_grid), elements=finite))
+    dots = data.draw(arrays(np.float64, (n_times, n_grid), elements=finite))
+    grid = x_min + dx * np.arange(n_grid)
+    slab = evolve.SpaceTimeSlab(0.25 * np.arange(n_times), grid, phis, dots)
+    with tempfile.TemporaryDirectory() as tmp:
+        slab.save(Path(tmp) / "slab")
+        for i in range(n_times):
+            written = (Path(tmp) / "slab" / f"snapshot_{i:05d}.csv").read_bytes()
+            assert written == _row_writer_bytes(slab, i)
+        loaded = evolve.SpaceTimeSlab.load(Path(tmp) / "slab")
+    for a, b in ((loaded.times, slab.times), (loaded.grid, grid),
+                 (loaded.phis, phis), (loaded.phi_dots, dots)):
+        assert np.array_equal(_bits(a), _bits(b))
 
 
 def _knot_queries(times):
