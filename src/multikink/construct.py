@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -49,15 +49,18 @@ class SolverConfig:
 
     def plan(self, t_start: float, t_final: float):
         """(dt, snapshot_every) landing exactly on both endpoints with a
-        uniform snapshot cadence. The 1e-9 slack keeps a span that is a
-        whole number of snapshot_dt up to rounding at that number."""
+        uniform snapshot cadence. A span that is a whole number of
+        snapshot_dt, up to a 1e-9 slack, keeps that number and steps
+        snapshot_dt / every, so all such plans share one step length."""
         span = t_final - t_start
         if span <= 0:
             raise ConfigError("t_final must exceed t_start")
         every = max(1, math.ceil(self.snapshot_dt / (self.cfl * self.dx)))
-        n_snap = max(2, math.ceil(span / self.snapshot_dt - 1e-9))
-        dt = span / (n_snap * every)
-        return dt, every
+        intervals = span / self.snapshot_dt
+        n_snap = max(2, math.ceil(intervals - 1e-9))
+        if abs(intervals - n_snap) <= 1e-9:
+            return self.snapshot_dt / every, every
+        return span / (n_snap * every), every
 
 
 @dataclass
@@ -183,45 +186,12 @@ def _zero_slab(grid, times):
     return SpaceTimeSlab(times, grid, z, z)
 
 
-def _picard_terms(g: SpaceTimeSlab):
-    """The terms of the Picard iterates after g_0 = g, one lane each: lane 0
-    is forced by N(g), g read through g.phi_at, and lane j by N at lane
-    j-1's live value on the same level."""
-    def terms(t, level, h):
-        src = np.empty_like(h)
-        src[0] = g.phi_at(t)
-        src[1:] = h[:-1]
-        return None, level_nonlinearity(level, src)
-
-    return terms
-
-
 def _increment_norms(h, h_t, base, base_t, dx: float) -> list[float]:
     """Energy norms of the increments along a chain of lanes at one
     snapshot: lane 0 against (base, base_t), lane j against lane j-1."""
     dh = np.diff(h, axis=0, prepend=base)
     dh_t = np.diff(h_t, axis=0, prepend=base_t)
     return [math.sqrt(energy_norm_sq(d, dx)) for d in zip(dh, dh_t)]
-
-
-def _picard_sweep(params: MultikinkParams, g: SpaceTimeSlab, lanes: int, t_start: float,
-                  t_final: float, config: SolverConfig, norm_cfg: WeightedNormConfig):
-    """The Picard iterates g_1..g_lanes after g in one backward sweep.
-
-    Returns (the last lane's slab, the weighted norm of each lane's
-    increment g_j - g_{j-1}). The increments' energy norms are taken per
-    snapshot while the sweep runs, so only the last lane is stored; g must
-    be stored on the sweep's snapshot lattice.
-    """
-    times, norms = [], []
-
-    def observe(t, h, h_t):
-        i = len(g.times) - 1 - len(times)  # the sweep runs backward
-        times.append(t)
-        norms.append(_increment_norms(h, h_t, g.phis[i][None], g.phi_dots[i][None], g.dx))
-
-    slab = solve_backward(params, _picard_terms(g), t_start, t_final, config, lanes, observe)
-    return slab, [float(n) for n in _weighted_sup(np.array(times), np.array(norms), norm_cfg)]
 
 
 @dataclass
@@ -245,17 +215,7 @@ class ConstructReport:
     truncation_capped: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "T": self.T, "delta": self.delta, "t_final": self.t_final,
-            "iterate_norms": self.iterate_norms,
-            "contraction_ratio": self.contraction_ratio,
-            "final_residual": self.final_residual,
-            "fitted_decay_rate": self.fitted_decay_rate,
-            "decay_fit_r2": self.decay_fit_r2,
-            "decay_fit_error": self.decay_fit_error,
-            "converged": self.converged, "iterations": self.iterations,
-            "truncation": self.truncation, "truncation_capped": self.truncation_capped,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -271,59 +231,64 @@ class Truncation:
     capped: bool
 
 
-def _truncation_window(params: MultikinkParams, config: SolverConfig, T: float, spans,
-                       n_cand: int, lanes: int, norm_cfg: WeightedNormConfig):
-    """The probes R N(0) on [T, T + span] for the increasing spans, run as
-    the lanes of one backward sweep from T + spans[-1], each joining at its
-    own top, with `lanes` Picard iterates chained live on each of the first
-    n_cand probes: chain lane j is forced by N at lane j-1's live value, and
-    the probes share one N(0) row per level.
+def _sweep(params: MultikinkParams, config: SolverConfig, T: float, tops, n_cand: int,
+           lanes: int, norm_cfg: WeightedNormConfig, g: SpaceTimeSlab | None = None):
+    """Picard iterates from g on [T, top] for the increasing tops, run as the
+    lanes of one backward sweep from tops[-1], each joining at its own top.
 
-    Returns (gaps, candidates). gaps holds (gap, scale) of each probe against
+    Each top has a seed lane R N(g), g read through g.phi_at (N(0) when g is
+    None), and the first n_cand seeds carry `lanes` further iterates
+    chained live: chain lane j is forced by N at lane j-1's live value. The
+    seeds share one N(g) row per level; g, if given, is stored on the
+    snapshot lattice of [T, top] of every candidate.
+
+    Returns (gaps, candidates). gaps holds (gap, scale) of each seed against
     the next longer one over their common snapshots: gap is the largest
     |phi| or |phi_t| difference, scale the largest |phi| of the longer
-    probe. candidates holds, per candidate, its chain's last lane as a slab
-    and the weighted norms of its increments (the probe's first), taken per
-    snapshot, so no probe slab is stored.
+    seed. candidates holds, per candidate, its chain's last lane as a slab
+    and the weighted norms of its increments, the seed's against g (or 0),
+    taken per snapshot, so no seed slab is stored.
     """
-    probe, tops = {}, []
-    for k in reversed(range(len(spans))):  # rows ordered by top, highest first
-        probe[k] = len(tops)
-        tops += [T + spans[k]] * (1 + lanes * (k < n_cand))
-    probes = np.array(list(probe.values()))
-    chains = np.setdiff1d(np.arange(len(tops)), probes)
+    seed, rows = {}, []
+    for k in reversed(range(len(tops))):  # rows ordered by top, highest first
+        seed[k] = len(rows)
+        rows += [tops[k]] * (1 + lanes * (k < n_cand))
+    seeds = np.array(list(seed.values()))
+    chains = np.setdiff1d(np.arange(len(rows)), seeds)
 
-    def terms(_t, level, h):
+    def terms(t, level, h):
         f = np.empty_like(h)
-        f[probes[probes < len(h)]] = level_nonlinearity(level, 0.0)
+        f[seeds[seeds < len(h)]] = level_nonlinearity(level, 0.0 if g is None else g.phi_at(t))
         live = chains[chains < len(h)]
         f[live] = level_nonlinearity(level, h[live - 1])
         return None, f
 
     dx = grid_spacing(config.grid)
-    gaps = [[0.0, 1e-300] for _ in spans[1:]]
+    gaps = [[0.0, 1e-300] for _ in tops[1:]]
     seen = [([], [], [], []) for _ in range(n_cand)]  # times, norms, phis, dots
 
     def observe(t, h, h_t):
-        for k, p in probe.items():
+        for k, p in seed.items():
             if p >= len(h):
                 continue
-            if k + 1 < len(spans):
-                q = probe[k + 1]
+            if k + 1 < len(tops):
+                q = seed[k + 1]
                 gap = gaps[k]
                 gap[0] = max(gap[0], float(np.max(np.abs(h[p] - h[q]))),
                              float(np.max(np.abs(h_t[p] - h_t[q]))))
                 gap[1] = max(gap[1], float(np.max(np.abs(h[q]))))
             if k < n_cand:
                 times, norms, phis, dots = seen[k]
-                rows = slice(p, p + lanes + 1)
+                chain = slice(p, p + lanes + 1)
+                i = -1 - len(times)  # g's snapshot at t: the sweep runs backward
+                base = (0.0, 0.0) if g is None else (g.phis[i][None], g.phi_dots[i][None])
                 times.append(t)
-                norms.append(_increment_norms(h[rows], h_t[rows], 0.0, 0.0, dx))
+                norms.append(_increment_norms(h[chain], h_t[chain], *base, dx))
                 if k:  # the shortest candidate's last lane is the sweep's slab
                     phis.append(h[p + lanes].copy())
                     dots.append(h_t[p + lanes].copy())
 
-    last = solve_backward(params, terms, T, T + spans[-1], config, tops, observe)
+    last = solve_backward(params, terms, T, tops[-1], config, rows, observe)
     candidates = []
     for k, (times, norms, phis, dots) in enumerate(seen):
         slab = SpaceTimeSlab(times[::-1], config.grid, phis[::-1], dots[::-1]) if k else last
@@ -341,7 +306,7 @@ def choose_final_time(params: MultikinkParams, config: SolverConfig, T: float,
 
     The first span s is max(16, 4/delta), rounded up to a whole number of
     snapshot_dt so that every probe lies on one lattice of levels. Each
-    window is one sweep (_truncation_window) of the probes at spans s, 2s
+    window is one sweep (_sweep, from g = 0) of the probes at spans s, 2s
     and 4s, none past max_span; the test of span s passes when its gap to
     the probe at 2s is at most rtol * max(1, scale), and the first test
     that passes gives t_final = T + s. If none passes, the next window
@@ -358,15 +323,15 @@ def choose_final_time(params: MultikinkParams, config: SolverConfig, T: float,
         spans = [k * span for k in (1, 2, 4) if k == 1 or k * span <= max_span]
         capped = 2.0 * spans[-1] > max_span
         n_cand = len(spans) if capped else len(spans) - 1
-        gaps, candidates = _truncation_window(params, config, T, spans, n_cand, lanes,
-                                              norm_cfg)
+        tops = [T + s for s in spans]
+        gaps, candidates = _sweep(params, config, T, tops, n_cand, lanes, norm_cfg)
         for k, (gap, scale) in enumerate(gaps):
             tests.append([spans[k], gap, scale])
             if gap <= rtol * max(1.0, scale):
-                return Truncation(T + spans[k], *candidates[k], tests, False)
+                return Truncation(tops[k], *candidates[k], tests, False)
         if capped:
             warnings.warn("truncation time hit its cap before stabilizing")
-            return Truncation(T + spans[-1], *candidates[-1], tests, True)
+            return Truncation(tops[-1], *candidates[-1], tests, True)
         span = spans[-1]
 
 
@@ -416,10 +381,10 @@ def fixed_point(params: MultikinkParams, config: SolverConfig,
     below tol; returns (Psi slab, ConstructReport).
 
     The iterates run PICARD_LANES at a time as the lanes of one backward
-    sweep (_picard_sweep), fewer when max_iter leaves fewer. A sweep runs to
-    its last lane, which is the iterate kept, and every lane counts as an
-    iteration, so the last iterate may lie past the first increment below
-    tol.
+    sweep (_sweep with the one top t_final), fewer when max_iter leaves
+    fewer. A sweep runs to its last lane, which is the iterate kept, and
+    every lane counts as an iteration, so the last iterate may lie past the
+    first increment below tol.
 
     T defaults to the first time the free forcing N(0) is small, delta to
     half its fitted decay rate, and the truncation time to the stabilized
@@ -457,7 +422,7 @@ def fixed_point(params: MultikinkParams, config: SolverConfig,
     n_snap = step_plan(t_final - T, dt)[0] // every + 1
     if g0 is not None and g0.phis.shape != (n_snap, len(grid)):
         raise ConfigError(f"g0 must hold {n_snap} snapshots on the solver grid")
-    g = _zero_slab(grid, np.linspace(T, t_final, n_snap)) if g0 is None else g0
+    g = g0
 
     report = ConstructReport(T=T, delta=delta, t_final=t_final)
     if search is not None:
@@ -471,7 +436,8 @@ def fixed_point(params: MultikinkParams, config: SolverConfig,
             first = None
         else:
             lanes = min(PICARD_LANES, max_iter - report.iterations)
-            g_new, dnorms = _picard_sweep(params, g, lanes, T, t_final, config, norm_cfg)
+            _, [(g_new, dnorms)] = _sweep(params, config, T, [t_final], 1, lanes - 1,
+                                          norm_cfg, g)
         for dnorm in dnorms:
             report.iterate_norms.append(dnorm)
             if len(report.iterate_norms) >= 2 and report.iterate_norms[-2] > 0:
@@ -487,6 +453,8 @@ def fixed_point(params: MultikinkParams, config: SolverConfig,
             report.iterations += 1
             report.converged = report.converged or dnorm < tol
         g = g_new
+    if g is None:  # max_iter = 0 from zero
+        g = _zero_slab(grid, np.linspace(T, t_final, n_snap))
     if ratios:
         # ratios taken once increments reach the discrete noise floor say
         # nothing about the map; keep those above the geometric midpoint

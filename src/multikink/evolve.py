@@ -28,7 +28,8 @@ from .potential import PotentialModel, VacuumTable
 @dataclass
 class EvolveConfig:
     """Leapfrog run parameters; dt must satisfy dt <= cfl_limit * dx. A run
-    takes the fewest steps of at most |dt| that land on t_end (step_plan)."""
+    takes the fewest steps of at most |dt| that land on t_end (step_plan);
+    a backward run whose dt tiles its span steps exactly dt."""
 
     dt: float
     t_end: float
@@ -157,7 +158,6 @@ class SpaceTimeSlab:
         self._value_spline = None
         self._tderiv_spline = None
         self._phi_interp = None
-        self._dot_interp = None
 
     def __len__(self):
         return len(self.times)
@@ -173,16 +173,6 @@ class SpaceTimeSlab:
         if self._phi_interp is None:
             self._phi_interp = TimeInterpolant(self.times, self.phis)
         return self._phi_interp(t)
-
-    def sample(self, t: float):
-        """(phi, phi_dot) at time t via cubic interpolation in time.
-
-        The first call caches a TimeInterpolant per component; together
-        they take about the bytes of phis and phi_dots.
-        """
-        if self._dot_interp is None:
-            self._dot_interp = TimeInterpolant(self.times, self.phi_dots)
-        return self.phi_at(t), self._dot_interp(t)
 
     def value_spline(self) -> RectBivariateSpline:
         if self._value_spline is None:
@@ -229,16 +219,27 @@ class SpaceTimeSlab:
 
     @staticmethod
     def load(directory) -> "SpaceTimeSlab":
+        """Read a slab written by save into preallocated arrays; the x
+        column is parsed from the first file only."""
         directory = Path(directory)
         manifest = json.loads((directory / "manifest.json").read_text())
+        names, n_grid = manifest["files"], manifest["n_grid"]
+        phis = np.empty((len(names), n_grid))
+        dots = np.empty_like(phis)
         grid = None
-        phis, dots = [], []
-        for name in manifest["files"]:
-            data = np.loadtxt(directory / name, delimiter=",", skiprows=1)
-            if grid is None:
+        for i, name in enumerate(names):
+            path = directory / name
+            try:
+                data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2,
+                                  usecols=(1, 2) if i else (0, 1, 2))
+            except ValueError as err:
+                raise ConfigError(f"{path}: {err}") from err
+            if len(data) != n_grid:
+                raise ConfigError(f"{path} holds {len(data)} rows; the manifest says "
+                                  f"n_grid = {n_grid}")
+            if not i:
                 grid = data[:, 0]
-            phis.append(data[:, 1])
-            dots.append(data[:, 2])
+            phis[i], dots[i] = data[:, -2], data[:, -1]
         return SpaceTimeSlab(manifest["times"], grid, phis, dots)
 
 
@@ -251,9 +252,10 @@ def _evolve(phi, pd, t0: float, grid: np.ndarray, dx: float, config: EvolveConfi
     pd are copied, and the velocity is clamped to zero at both ends.
 
     Forward runs take their levels at t0 + step * dt. Backward runs
-    (dt < 0) count them from their lower end, t_end + m * |dt|, so backward
-    runs with one step share their levels whatever their top. Both ends
-    are pinned, which the sums can miss by a rounding.
+    (dt < 0) count them from their lower end, t_end + m * |dt|, and step
+    exactly config.dt when it tiles the span up to step_plan's slack, so
+    backward runs with one dt share their levels whatever their top. Both
+    ends are pinned, which the sums can miss by a rounding.
 
     starts, if given, holds each lane's start time: the first lane's is
     t0, the others follow in the run's order on snapshot levels. A lane is
@@ -270,6 +272,8 @@ def _evolve(phi, pd, t0: float, grid: np.ndarray, dx: float, config: EvolveConfi
     if span * config.dt <= 0:
         raise ConfigError("sign of dt must match t_end - t_start")
     n_steps, dt = step_plan(span, config.dt)
+    if dt < 0 and abs(span / config.dt - n_steps) <= 1e-9:
+        dt = config.dt
     every = config.snapshot_every
     phi = np.array(phi, dtype=float, ndmin=2)
     pd = np.array(pd, dtype=float, ndmin=2)

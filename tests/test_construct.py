@@ -111,9 +111,7 @@ def test_solve_backward_truncation_insensitive(sg2_params):
     h2 = construct.solve_backward(sg2_params, _free_forcing, 16.0, 80.0, cfg)
     worst = 0.0
     for t in np.linspace(16.0, 46.0, 31):
-        pa, _ = h1.sample(t)
-        pb, _ = h2.sample(t)
-        worst = max(worst, float(np.max(np.abs(pa - pb))))
+        worst = max(worst, float(np.max(np.abs(h1.phi_at(t) - h2.phi_at(t)))))
     assert worst <= 1e-8
 
 
@@ -182,13 +180,33 @@ def _sequential_solve(params, g, cfg):
         16.0, 24.0, cfg)
 
 
+def _observed(call, record):
+    """call() while every backward solve also hands each snapshot's lanes,
+    copied, to record(t, h, h_t)."""
+    solve = construct.solve_backward
+
+    def recording(*args):
+        *head, observe = args
+
+        def both(t, h, h_t):
+            record(t, h.copy(), h_t.copy())
+            observe(t, h, h_t)
+
+        return solve(*head, both)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(construct, "solve_backward", recording)
+        return call()
+
+
 def _swept_lanes(params, g, cfg, lanes, t_final=24.0):
-    """Every lane of one Picard sweep from g on [16, t_final], as slabs in
-    increasing time, and the slab the sweep returns."""
+    """Every lane of one Picard sweep from g (None for 0) on [16, t_final],
+    as slabs in increasing time, and the slab the sweep returns."""
     seen = []
-    last = construct.solve_backward(
-        params, construct._picard_terms(g), 16.0, t_final, cfg, lanes,
-        lambda t, h, h_t: seen.append((t, h.copy(), h_t.copy())))
+    norm_cfg = construct.WeightedNormConfig(T=16.0, delta=0.31)
+    _, [(last, _)] = _observed(
+        lambda: construct._sweep(params, cfg, 16.0, [t_final], 1, lanes - 1, norm_cfg, g),
+        lambda *snapshot: seen.append(snapshot))
     times = np.array([t for t, _, _ in seen[::-1]])
     slabs = [SpaceTimeSlab(times, cfg.grid, np.array([h[j] for _, h, _ in seen[::-1]]),
                            np.array([h_t[j] for _, _, h_t in seen[::-1]]))
@@ -207,7 +225,7 @@ def test_picard_sweep_one_evaluation_per_level(sg2_params, monkeypatch):
     monkeypatch.setattr(construct, "evaluate_ansatz", counting)
     dt, _ = cfg.plan(16.0, 24.0)
     n_steps = int(round(8.0 / dt))
-    _, norms = construct._picard_sweep(sg2_params, g, 3, 16.0, 24.0, cfg, norm_cfg)
+    _, [(_, norms)] = construct._sweep(sg2_params, cfg, 16.0, [24.0], 1, 2, norm_cfg, g)
     assert len(norms) == 3
     assert len(calls) == n_steps + 1
     assert len(set(calls)) == n_steps + 1
@@ -224,7 +242,7 @@ def test_picard_sweep_lane0_is_sequential_solve(sg2_params):
     assert np.array_equal(last.phis, lanes[2].phis)
     assert np.array_equal(last.phi_dots, lanes[2].phi_dots)
     # lane 0's norm is the weighted norm of the stored increment
-    _, norms = construct._picard_sweep(sg2_params, g, 3, 16.0, 24.0, cfg, norm_cfg)
+    _, [(_, norms)] = construct._sweep(sg2_params, cfg, 16.0, [24.0], 1, 2, norm_cfg, g)
     diff = SpaceTimeSlab(seq.times, cfg.grid, seq.phis - g.phis, seq.phi_dots - g.phi_dots)
     assert norms[0] == construct.weighted_norm(diff, norm_cfg)
 
@@ -239,7 +257,7 @@ def test_picard_sweep_matches_sequential_iterates(sg2_params):
     for _ in range(3):
         ref.append(_sequential_solve(sg2_params, ref[-1], cfg))
     lanes, _ = _swept_lanes(sg2_params, g, cfg, 3)
-    _, norms = construct._picard_sweep(sg2_params, g, 3, 16.0, 24.0, cfg, norm_cfg)
+    _, [(_, norms)] = construct._sweep(sg2_params, cfg, 16.0, [24.0], 1, 2, norm_cfg, g)
     for j in (1, 2):
         gap = np.max(np.abs(lanes[j].phis - ref[j + 1].phis))
         assert gap <= 1e-9 * np.max(np.abs(ref[j + 1].phis))
@@ -289,17 +307,18 @@ def test_fixed_point_reuses_truncation_slab(sg2_params, monkeypatch):
     kw = dict(T=16.0, delta=0.31, tol=1e-7, max_iter=4)
     counts = _count_solves(monkeypatch)
     searches = _recording(monkeypatch, "choose_final_time")
-    sweeps = _recording(monkeypatch, "_picard_sweep")
+    sweeps = _recording(monkeypatch, "_sweep")
     psi, rep = construct.fixed_point(sg2_params, cfg, **kw)
     # one window sweeps the probes and the four iterates chained on the
-    # accepted one; no Picard sweep follows
+    # accepted one; no continuation sweep follows
     assert counts == {"solves": 1, "probes": 1}
-    assert rep.iterations == 4 and sweeps == []
+    assert rep.iterations == 4 and len(sweeps) == 1
     assert psi is searches[0].iterate
     assert rep.iterate_norms == searches[0].increments
     # the same construction with t_final given solves its first iterate as
     # lane 0 of its first sweep, to the same norm bit for bit
     counts.update(solves=0, probes=0)
+    sweeps.clear()
     psi2, rep2 = construct.fixed_point(sg2_params, cfg, t_final=rep.t_final, **kw)
     assert counts == {"solves": len(sweeps), "probes": 0}
     assert rep2.iterate_norms[0] == rep.iterate_norms[0]
@@ -316,7 +335,7 @@ def test_reference_construction_sweeps_each_level_once(monkeypatch):
     params = cfg.build_params(model, cfg.build_table(model))
     sconf = cfg.build_solver_config()
     counts = _count_solves(monkeypatch)
-    sweeps = _recording(monkeypatch, "_picard_sweep")
+    sweeps = _recording(monkeypatch, "_sweep")
     levels, solving = [], [False]
     solve, evaluate = construct.solve_backward, construct.evaluate_ansatz
 
@@ -336,7 +355,7 @@ def test_reference_construction_sweeps_each_level_once(monkeypatch):
     monkeypatch.setattr(construct, "evaluate_ansatz", counting)
     _, rep = construct.fixed_point(params, sconf, tol=cfg.get_float("construct", "tol"),
                                    max_iter=cfg.get_int("construct", "max_iter"))
-    assert counts == {"solves": 1, "probes": 1} and sweeps == []
+    assert counts == {"solves": 1, "probes": 1} and len(sweeps) == 1
     assert len(levels) == len(set(levels)) == 3585
     assert (rep.T, rep.t_final, rep.iterations) == (16.0, 48.0, 4)
 
@@ -346,8 +365,7 @@ def _window_setup(sg2_params, n_grid):
     spans 1, 2 and 4 from T = 16, two chain lanes on each candidate."""
     cfg = construct.SolverConfig(x_min=-34.0, x_max=34.0, dx=68.0 / (n_grid - 1))
     norm_cfg = construct.WeightedNormConfig(T=16.0, delta=0.31)
-    gaps, cands = construct._truncation_window(sg2_params, cfg, 16.0, [1.0, 2.0, 4.0], 2, 2,
-                                               norm_cfg)
+    gaps, cands = construct._sweep(sg2_params, cfg, 16.0, [17.0, 18.0, 20.0], 2, 2, norm_cfg)
     return cfg, norm_cfg, gaps, cands
 
 
@@ -367,28 +385,18 @@ def test_probe_gap_matches_per_time_sampling(sg2_params, n_grid):
         assert scale == float(np.max(np.abs(long_.phis[:n])))
 
 
-def test_window_lanes_match_standalone_solves(sg2_params, monkeypatch):
+def test_window_lanes_match_standalone_solves(sg2_params):
     # every probe and chain lane of a window, joined below the window's
     # top, is its standalone sweep from its own top on the same plan
     seen = {}
-    solve = construct.solve_backward
 
-    def recording(*args):
-        *head, observe = args
+    def record(t, h, h_t):
+        seen[t] = h, h_t
 
-        def both(t, h, h_t):
-            seen[t] = h.copy(), h_t.copy()
-            observe(t, h, h_t)
-
-        return solve(*head, both)
-
-    monkeypatch.setattr(construct, "solve_backward", recording)
-    cfg, norm_cfg, _, cands = _window_setup(sg2_params, 300)
-    monkeypatch.undo()
-    zero = construct._zero_slab(cfg.grid, [16.0, 17.0])
+    cfg, norm_cfg, _, cands = _observed(lambda: _window_setup(sg2_params, 300), record)
     row = 0
     for span, chain in ((4.0, 0), (2.0, 2), (1.0, 2)):  # the rows, highest top first
-        lanes, last = _swept_lanes(sg2_params, zero, cfg, 1 + chain, 16.0 + span)
+        lanes, last = _swept_lanes(sg2_params, None, cfg, 1 + chain, 16.0 + span)
         for j, lane in enumerate(lanes):
             assert np.array_equal(np.array([seen[t][0][row + j] for t in lane.times]), lane.phis)
             assert np.array_equal(np.array([seen[t][1][row + j] for t in lane.times]),
@@ -449,6 +457,20 @@ def test_truncation_cap(sg2_params):
     assert out.t_final == 48.0 and out.capped
     assert [span for span, _, _ in out.tests] == [16.0]
     assert len(out.iterate) == 129
+
+
+@pytest.mark.parametrize("T", [10.1, 16.3])
+def test_truncation_search_shares_the_given_t_final_lattice(sg2_params, T):
+    # with snapshot_dt 0.1, span / (n * every) of the window [T, T + 4s] and
+    # of [T, t_final] can differ by a rounding; every whole-interval plan
+    # steps snapshot_dt / every instead, so the first increment of the
+    # automatic-t_final run is that of the run given its t_final, bit for bit
+    cfg = construct.SolverConfig(x_min=-34.0, x_max=34.0, dx=0.1, snapshot_dt=0.1)
+    kw = dict(T=T, delta=0.31, tol=1e-9, max_iter=6)
+    _, auto = construct.fixed_point(sg2_params, cfg, **kw)
+    _, given = construct.fixed_point(sg2_params, cfg, t_final=auto.t_final, **kw)
+    assert cfg.plan(T, auto.t_final) == cfg.plan(T, T + 64.0)
+    assert given.iterate_norms[0] == auto.iterate_norms[0]
 
 
 def test_solve_backward_slab_forcing_matches_spline(sg2_params, small_cfg):
@@ -698,12 +720,12 @@ def test_no_contraction_detected(sg2_params, monkeypatch):
     cfg = construct.SolverConfig(x_min=-34.0, x_max=34.0, dx=0.05)
     norms = []
 
-    def fake(params, g, lanes, t_start, t_final, config, norm_cfg):
-        for _ in range(lanes):
+    def fake(params, config, T, tops, n_cand, lanes, norm_cfg, g=None):
+        for _ in range(1 + lanes):
             norms.append(2.0 ** len(norms))
-        return g, norms[-lanes:]
+        return [], [(g, norms[-1 - lanes:])]
 
-    monkeypatch.setattr(construct, "_picard_sweep", fake)
+    monkeypatch.setattr(construct, "_sweep", fake)
     with pytest.raises(NoContractionError):
         construct.fixed_point(sg2_params, cfg, T=4.0, delta=0.3, t_final=30.0,
                               tol=1e-14, max_iter=12)
