@@ -94,12 +94,17 @@ def cmd_multikink(cfg: ExperimentConfig, out: Path, seed: int) -> None:
     }, cfg, seed)
 
 
+def _time_step(cfg: ExperimentConfig, grid) -> float:
+    """[grid] cfl * dx, the step of every forward run."""
+    return cfg.get_float("grid", "cfl", default=0.9) * float(grid[1] - grid[0])
+
+
 def _evolve_from_config(cfg: ExperimentConfig, params, grid, t_start: float,
                         t_end: float):
     """Evolve the ansatz from t_start to t_end with steps of at most
     [grid] cfl * dx: the slab and (E, E_p, E_k) per snapshot."""
     econf = evolve.EvolveConfig(
-        dt=cfg.get_float("grid", "cfl", default=0.9) * float(grid[1] - grid[0]), t_end=t_end,
+        dt=_time_step(cfg, grid), t_end=t_end,
         snapshot_every=cfg.get_int("grid", "snapshot_every", default=25))
     slab = evolve.evolve_nonlinear(ansatz.multikink(params, t_start, grid), params.model, econf)
     energies = np.array([evolve.energy(slab.state(i), params.model) for i in range(len(slab))])
@@ -210,7 +215,7 @@ def cmd_verify(cfg: ExperimentConfig, out: Path, seed: int) -> None:
             # the pairing laws hold once the kinks are well separated; start
             # where the free forcing has become small
             t0 = max(t0, construct.default_start_time(params, grid))
-        econf = evolve.EvolveConfig(dt=0.9 * float(grid[1] - grid[0]), t_end=t0 + 10.0,
+        econf = evolve.EvolveConfig(dt=_time_step(cfg, grid), t_end=t0 + 10.0,
                                     snapshot_every=10)
         h0 = random_pair_field(grid, rng)
         result["zero_modes"] = evolve.zero_mode_laws(
@@ -264,6 +269,9 @@ def main(argv=None) -> int:
         cfg = ExperimentConfig(args.config)
         seed = cfg.seed(args.seed)
         out = Path(args.out) if args.out else Path(cfg.get_str("output", "directory", default="out"))
+        existing = next(p for p in (out, *out.parents) if p.exists())
+        if not existing.is_dir():
+            raise ConfigError(f"output directory {out}: {existing} is not a directory")
         _COMMANDS[args.command](cfg, out, seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

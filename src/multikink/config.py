@@ -43,8 +43,8 @@ class ExperimentConfig:
             raise ConfigError(f"config file not found: {path}")
         parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
         try:
-            parser.read(path)
-        except configparser.Error as exc:
+            parser.read(path, encoding="utf-8")
+        except (configparser.Error, UnicodeDecodeError) as exc:
             raise ConfigError(f"config parse error: {exc}") from exc
         self._parser = parser
         self.path = str(path)
@@ -122,6 +122,8 @@ class ExperimentConfig:
     def build_model(self) -> PotentialModel:
         kind = self.get_str("potential", "kind", required=True)
         interval = self.get_floats("potential", "search_interval")
+        if interval is not None and len(interval) != 2:
+            raise ConfigError(f"[potential] search_interval needs two values, got {len(interval)}")
         if kind in ("phi4", "phi6", "sine_gordon"):
             model = PotentialModel.builtin(kind)
             if interval is not None:
@@ -131,6 +133,8 @@ class ExperimentConfig:
         if kind == "custom":
             form = self.get_str("potential", "form", default="poly")
             coeffs = self.get_floats("potential", "coeffs", required=True)
+            if not coeffs:
+                raise ConfigError("[potential] coeffs needs at least one value")
             si = tuple(interval) if interval is not None else (-2.0, 2.0)
             if form == "poly":
                 return PotentialModel.custom_poly(coeffs, search_interval=si)

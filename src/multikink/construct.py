@@ -236,9 +236,10 @@ def _sweep(params: MultikinkParams, config: SolverConfig, T: float, tops, n_cand
     """Picard iterates from g on [T, top] for the increasing tops, run as the
     lanes of one backward sweep from tops[-1], each joining at its own top.
 
-    Each top has a seed lane R N(g), g read through g.phi_at (N(0) when g is
-    None), and the first n_cand seeds carry `lanes` further iterates
-    chained live: chain lane j is forced by N at lane j-1's live value. The
+    Each top has a seed lane R N(g), g read between its snapshots through
+    g.phi_at, cubic Hermite in its phi and phi_t (N(0) when g is None), and
+    the first n_cand seeds carry `lanes` further iterates chained live:
+    chain lane j is forced by N at lane j-1's live value. The
     seeds share one N(g) row per level; g, if given, is stored on the
     snapshot lattice of [T, top] of every candidate.
 
@@ -494,8 +495,8 @@ def param_derivative(params: MultikinkParams, psi_slab: SpaceTimeSlab, k: int,
 
     The equation carries the potential W''(H + Psi) and the right-hand side
     -(W''(H + Psi) - W''(H_k)) dH_k; both are evaluated along the stored
-    Psi slab (cubic interpolation in time, psi_slab.phi_at, whose
-    interpolant is built once per slab and shared by all four derivatives).
+    Psi slab, read between its snapshots through psi_slab.phi_at, the cubic
+    Hermite interpolant of its phi and phi_t, which keeps no state.
     """
     if which not in ("shift", "velocity"):
         raise ConfigError("which must be 'shift' or 'velocity'")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import CubicSpline, RectBivariateSpline
+from scipy.interpolate import RectBivariateSpline
 
 from .ansatz import FieldState, MultikinkParams, inner_product, linearization_potential, zero_modes
 from .errors import ConfigError, InstabilityError, SectorError
@@ -90,58 +90,6 @@ def make_laplacian(dx: float, blend: float):
     return lap
 
 
-# grid columns per block when cubic splines in time are built
-SPLINE_BLOCK = 64
-
-
-class TimeInterpolant:
-    """Cubic interpolation in time of one slab component: t -> values(t).
-
-    The values equal scipy's not-a-knot CubicSpline(times, values, axis=0)
-    bit for bit, but only the knot slopes are kept, about the bytes of
-    values, instead of four coefficient rows per interval. The spline is
-    built on blocks of SPLINE_BLOCK grid columns (each column is a spline
-    of its own); each block yields the slopes at knots 0..n-2 and the whole
-    last interval. When a call lands in another interval, that interval's
-    coefficients are re-formed with CubicHermiteSpline's formulas and then
-    summed in PPoly's order.
-    """
-
-    def __init__(self, times: np.ndarray, values: np.ndarray):
-        self.times = times
-        self.values = values
-        self.slopes = np.empty((len(times) - 1, values.shape[1]))
-        self.last = np.empty((4, values.shape[1]))
-        for lo in range(0, values.shape[1], SPLINE_BLOCK):
-            cols = slice(lo, lo + SPLINE_BLOCK)
-            c = CubicSpline(times, values[:, cols], axis=0).c
-            self.slopes[:, cols] = c[2]
-            self.last[:, cols] = c[:, -1]
-        self._interval = -1
-        self._coeffs = None
-
-    def _coefficients(self, i: int):
-        if i != self._interval:
-            if i == len(self.times) - 2:
-                self._coeffs = self.last
-            else:
-                dx = self.times[i + 1] - self.times[i]
-                y, s0, s1 = self.values[i], self.slopes[i], self.slopes[i + 1]
-                slope = (self.values[i + 1] - y) / dx
-                t = (s0 + s1 - 2 * slope) / dx
-                self._coeffs = (t / dx, (slope - s0) / dx - t, s0, y)
-            self._interval = i
-        return self._coeffs
-
-    def __call__(self, t: float) -> np.ndarray:
-        # x[i] <= t < x[i+1], the last interval closed, clipped at both ends
-        i = int(np.searchsorted(self.times, t, side="right")) - 1
-        i = min(max(i, 0), len(self.times) - 2)
-        c0, c1, c2, c3 = self._coefficients(i)
-        s = t - self.times[i]
-        return c3 + c2 * s + c1 * (s * s) + c0 * (s * s * s)
-
-
 class SpaceTimeSlab:
     """Time-ordered snapshots of (phi, d_t phi) on a common uniform grid."""
 
@@ -157,7 +105,6 @@ class SpaceTimeSlab:
         self.dx = grid_spacing(self.grid)
         self._value_spline = None
         self._tderiv_spline = None
-        self._phi_interp = None
 
     def __len__(self):
         return len(self.times)
@@ -167,12 +114,17 @@ class SpaceTimeSlab:
                           phi=self.phis[i].copy(), phi_dot=self.phi_dots[i].copy())
 
     def phi_at(self, t: float) -> np.ndarray:
-        """phi at time t, interpolated cubically in time (scipy's not-a-knot
-        CubicSpline values); the first call builds and caches the
-        TimeInterpolant, about the bytes of phis."""
-        if self._phi_interp is None:
-            self._phi_interp = TimeInterpolant(self.times, self.phis)
-        return self._phi_interp(t)
+        """phi at time t: the cubic Hermite interpolant of the stored (phi,
+        phi_t) on the interval holding t, extended from the end intervals
+        outside [times[0], times[-1]]. Knots are returned exactly."""
+        # times[i] <= t < times[i+1], the last interval closed
+        i = int(np.searchsorted(self.times, t, side="right")) - 1
+        i = min(max(i, 0), len(self.times) - 2)
+        step = self.times[i + 1] - self.times[i]
+        u = (t - self.times[i]) / step
+        w = 1.0 - u
+        return ((1.0 + 2.0 * u) * w * w * self.phis[i] + u * u * (3.0 - 2.0 * u) * self.phis[i + 1]
+                + step * (u * w * w * self.phi_dots[i] - u * u * w * self.phi_dots[i + 1]))
 
     def value_spline(self) -> RectBivariateSpline:
         if self._value_spline is None:

@@ -80,7 +80,6 @@ class TailFit:
     fitted_rate: float
     expected_rate: float
     fit_residual: float
-    coefficient: float
 
     def __post_init__(self):
         if self.fitted_rate <= 0:
@@ -260,9 +259,9 @@ def fit_tails(profile: KinkProfile, window: tuple[float, float] | None = None):
             raise FitError(f"{side} tail window contains fewer than 3 samples")
         if np.any(resid < 5e-15):
             raise FitError(f"{side} tail underflows in the requested window")
-        slope, intercept, _r2, rms = fit_log_linear(xs, resid)
+        slope, _intercept, _r2, rms = fit_log_linear(xs, resid)
         fits.append(TailFit(side=side, fitted_rate=abs(slope), expected_rate=expected,
-                            fit_residual=rms, coefficient=float(np.exp(intercept))))
+                            fit_residual=rms))
     return tuple(fits)
 
 

@@ -5,16 +5,17 @@ from __future__ import annotations
 import numpy as np
 from scipy.integrate import simpson
 
-from .errors import FitError
+from .errors import ConfigError, FitError
 
 
 def grid_spacing(x: np.ndarray) -> float:
-    """Spacing of a uniform grid; raises if the grid is not uniform."""
+    """Spacing of a uniform grid; ConfigError if it has fewer than two points
+    or is not uniform."""
     dx = np.diff(x)
     if dx.size == 0:
-        raise ValueError("grid needs at least two points")
+        raise ConfigError("grid needs at least two points")
     if not np.allclose(dx, dx[0], rtol=1e-10, atol=1e-12):
-        raise ValueError("grid is not uniform")
+        raise ConfigError("grid is not uniform")
     return float(dx[0])
 
 

@@ -31,12 +31,6 @@ class OperatorDiscretization:
     def off_diagonal(self) -> np.ndarray:
         return np.full(len(self.grid) - 1, -1.0 / self.dx**2)
 
-    def dense(self) -> np.ndarray:
-        m = np.diag(self.diagonal)
-        off = self.off_diagonal
-        m += np.diag(off, 1) + np.diag(off, -1)
-        return m
-
     def matvec(self, g: np.ndarray) -> np.ndarray:
         out = self.diagonal * g
         out[:-1] += self.off_diagonal * g[1:]

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -194,18 +195,42 @@ def test_bad_grid_step_exit_2(tmp_path, capsys, dx):
                                  "energy_drift = false\nzero_modes = false", []),
     ("verify", "seed = 42", "seed = -3", []),
     ("verify", "seed = 42", "seed = 42", ["--seed", "-3"]),
+    ("spectrum", "[output]", "[spectrum]\nx_half = 0.001\n\n[output]", []),
+    ("kink", "kind = sine_gordon", "kind = sine_gordon\nsearch_interval = 1", []),
+    ("kink", "kind = sine_gordon", "kind = custom\ncoeffs =", []),
+    ("kink", "[run]", "; caf\u00e9\n[run]", []),
+    ("kink", "seed = 42", "seed = 42", ["--out", "file"]),
+    ("kink", "seed = 42", "seed = 42", ["--out", "file/sub"]),
 ], ids=["kink-n5", "kink-n-1", "profile_dx-nan", "t_end-nan", "vacuum_tol-nan", "spectrum-dx0",
         "spectrum-x_half0", "spectrum-k-above-grid", "coercivity_samples0", "seed-negative",
-        "seed-override-negative"])
-def test_invalid_input_exit_2(tmp_path, capsys, command, old, new, args):
+        "seed-override-negative", "spectrum-one-point-grid", "search_interval-one-value",
+        "custom-no-coeffs", "config-not-utf8", "out-is-a-file", "out-under-a-file"])
+def test_invalid_input_exit_2(tmp_path, capsys, monkeypatch, command, old, new, args):
     # vacuum labels outside the table, non-finite numbers, a zero spectrum
-    # step or half width, more eigenpairs than grid points, no coercivity
-    # samples and a negative seed are config errors
+    # step or half width, a one-point spectrum grid, more eigenpairs than
+    # grid points, a search interval or coefficient list of the wrong
+    # length, no coercivity samples, a negative seed, a config file that is
+    # not UTF-8 and an --out naming or under a regular file are config errors
+    monkeypatch.chdir(tmp_path)
+    Path("file").write_text("")
     path = tmp_path / "bad.cfg"
     assert old in SG_SINGLE
-    path.write_text(SG_SINGLE.replace(old, new))
+    path.write_bytes(SG_SINGLE.replace(old, new).encode("latin-1"))
     out = tmp_path / "o"
     assert main([command, "--config", str(path), "--out", str(out), *args]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err
     assert not (out / "verification.json").exists()
+    assert Path("file").read_text() == ""
+
+
+def test_verify_zero_modes_read_cfl(tmp_path):
+    # the zero-mode run steps [grid] cfl * dx, as the energy-drift run does
+    laws = {}
+    for cfl in ("0.5", "0.9"):
+        path = tmp_path / f"cfl{cfl}.cfg"
+        path.write_text(SG_SINGLE.replace("dx = 0.05", f"dx = 0.05\ncfl = {cfl}").replace(
+            "window_t = 3.0", "energy_drift = false\ncoercivity = false\ncovariance = false"))
+        assert main(["verify", "--config", str(path), "--out", str(tmp_path / cfl)]) == 0
+        laws[cfl] = json.loads((tmp_path / cfl / "verification.json").read_text())["zero_modes"]
+    assert laws["0.5"] != laws["0.9"]

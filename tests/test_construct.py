@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicHermiteSpline
 
 from multikink import ansatz, construct, evolve
 from multikink.config import ExperimentConfig
@@ -474,37 +474,29 @@ def test_truncation_search_shares_the_given_t_final_lattice(sg2_params, T):
 
 
 def test_solve_backward_slab_forcing_matches_spline(sg2_params, small_cfg):
-    # a forcing read through SpaceTimeSlab.phi_at is the cubic spline in
-    # time of its phis, bit for bit
+    # a forcing read through SpaceTimeSlab.phi_at is the cubic Hermite
+    # spline in time of its phis and phi_dots
     rng = np.random.default_rng(4)
     times = np.linspace(15.5, 20.5, 23)
     phis = gaussian_bumps(small_cfg.grid, rng) * np.exp(-0.5 * times)[:, None]
-    slab = SpaceTimeSlab(times, small_cfg.grid, phis, np.zeros_like(phis))
-    spline = CubicSpline(times, phis, axis=0)
+    slab = SpaceTimeSlab(times, small_cfg.grid, phis, -0.5 * phis)
+    spline = CubicHermiteSpline(times, phis, -0.5 * phis, axis=0)
     a = construct.solve_backward(sg2_params, lambda t, _level, _h: (None, slab.phi_at(t)),
                                  16.0, 20.0, small_cfg)
     b = construct.solve_backward(sg2_params, lambda t, _level, _h: (None, spline(t)),
                                  16.0, 20.0, small_cfg)
-    assert np.array_equal(a.phis, b.phis)
-    assert np.array_equal(a.phi_dots, b.phi_dots)
+    for x, y in ((a.phis, b.phis), (a.phi_dots, b.phi_dots)):
+        assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(y))
 
 
-def test_param_derivative_memory(sg2_params, monkeypatch):
-    # the Psi interpolant holds about one phis' bytes, built once per slab;
-    # a full-slab CubicSpline alone took about 11x. The dense snapshots keep
-    # the solver's per-level arrays small beside the slab at few steps.
+def test_param_derivative_memory(sg2_params):
+    # reading Psi between snapshots builds nothing slab-sized; the dense
+    # snapshots keep the solver's per-level arrays small beside the slab at
+    # few steps
     cfg = construct.SolverConfig(x_min=-34.0, x_max=34.0, dx=0.02, snapshot_dt=0.025)
     dt, every = cfg.plan(16.0, 20.0)
     times = np.linspace(16.0, 20.0, int(round(4.0 / dt)) // every + 1)
     psi = _bump_slab(cfg.grid, times, 0.3)
-    builds = []
-
-    class Counting(evolve.TimeInterpolant):
-        def __init__(self, *args):
-            builds.append(args)
-            super().__init__(*args)
-
-    monkeypatch.setattr(evolve, "TimeInterpolant", Counting)
     tracemalloc.start()
     try:
         out = construct.param_derivative(sg2_params, psi, 1, "shift", cfg)
@@ -512,9 +504,7 @@ def test_param_derivative_memory(sg2_params, monkeypatch):
     finally:
         tracemalloc.stop()
     returned = out.times.nbytes + out.phis.nbytes + out.phi_dots.nbytes
-    assert peak - returned < 2 * psi.phis.nbytes
-    construct.param_derivative(sg2_params, psi, 2, "velocity", cfg)
-    assert len(builds) == 1
+    assert peak - returned < 0.5 * psi.phis.nbytes
 
 
 def _old_residual(params, psi_slab, boundary_margin=5.0):

@@ -1,13 +1,14 @@
 import math
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.integrate import cumulative_trapezoid
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicHermiteSpline
 
 from multikink import ansatz, evolve
 from multikink.construct import SolverConfig
@@ -411,17 +412,28 @@ def _knot_queries(times):
     return [*times, *mids, times[0] - 0.1, times[-1] + 0.1]
 
 
+def _assert_hermite(slab, queries):
+    """phi_at returns the knots exactly and agrees with scipy's
+    CubicHermiteSpline of (phis, phi_dots) within 1e-14 relative."""
+    spline = CubicHermiteSpline(slab.times, slab.phis, slab.phi_dots, axis=0)
+    for t in queries:
+        got = evolve.SpaceTimeSlab.phi_at(slab, t)
+        knot = np.flatnonzero(slab.times == t)
+        if knot.size:
+            assert np.array_equal(got, slab.phis[knot[0]]), t
+        want = spline(t)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), t
+
+
 @pytest.mark.parametrize("n_times, n_cols", [(2, 70), (3, 70), (5, 1), (33, 65), (129, 3401)])
 def test_time_interpolant_matches_cubic_spline(n_times, n_cols):
-    # the rows are reversed views, as backward solves return them; 65 and
-    # 3401 columns leave a ragged last block
+    # the rows are reversed views, as backward solves return them; phi_at
+    # reads only times, phis and phi_dots, so one column needs no grid
     rng = np.random.default_rng(n_times * n_cols)
     times = 16.0 + 0.25 * np.arange(n_times)
-    values = rng.standard_normal((n_times, n_cols))[::-1]
-    spline = CubicSpline(times, values, axis=0)
-    interp = evolve.TimeInterpolant(times, values)
-    for t in _knot_queries(times):
-        assert np.array_equal(interp(t), spline(t)), t
+    phis, dots = rng.standard_normal((2, n_times, n_cols))
+    slab = SimpleNamespace(times=times, phis=phis[::-1], phi_dots=dots[::-1])
+    _assert_hermite(slab, _knot_queries(times))
 
 
 def test_time_interpolant_on_solver_levels(sg2_params):
@@ -430,12 +442,10 @@ def test_time_interpolant_on_solver_levels(sg2_params):
     dt, every = cfg.plan(16.0, 24.0)
     n_steps = int(round(8.0 / dt))
     times = np.linspace(16.0, 24.0, n_steps // every + 1)
-    values = np.array([ansatz.multikink(sg2_params, t, cfg.grid).phi for t in times])
-    spline = CubicSpline(times, values, axis=0)
-    interp = evolve.TimeInterpolant(times, values)
-    for step in range(n_steps + 1):
-        t = 24.0 + step * -dt
-        assert np.array_equal(interp(t), spline(t)), t
+    states = [ansatz.multikink(sg2_params, t, cfg.grid) for t in times]
+    slab = evolve.SpaceTimeSlab(times, cfg.grid, [s.phi for s in states],
+                                [s.phi_dot for s in states])
+    _assert_hermite(slab, [24.0 + step * -dt for step in range(n_steps + 1)])
 
 
 def test_slab_sample_on_merged_slab():
@@ -449,12 +459,7 @@ def test_slab_sample_on_merged_slab():
 
     merged = slab(np.linspace(0.0, 4.0, 9)).merged(slab(np.linspace(0.3, 6.3, 7)))
     assert np.ptp(np.diff(merged.times)) > 0.1
-    phi_spline = CubicSpline(merged.times, merged.phis, axis=0)
-    dot_spline = CubicSpline(merged.times, merged.phi_dots, axis=0)
-    dot_interp = evolve.TimeInterpolant(merged.times, merged.phi_dots)
-    for t in _knot_queries(merged.times):
-        assert np.array_equal(merged.phi_at(t), phi_spline(t)), t
-        assert np.array_equal(dot_interp(t), dot_spline(t)), t
+    _assert_hermite(merged, _knot_queries(merged.times))
 
 
 def _step_of(slab, every):
