@@ -21,7 +21,7 @@ from .evolve import (  # noqa: F401
     evolve_nonlinear, zero_mode_drift, zero_mode_laws,
 )
 from .construct import (  # noqa: F401
-    ConstructReport, SolverConfig, WeightedNormConfig, fixed_point, nonlinearity,
+    ConstructReport, SolverConfig, fixed_point, nonlinearity,
     param_derivative, solve_backward, weighted_norm,
 )
 from .lorentz import BoostSpec, boost_field, boost_params, verify_covariance  # noqa: F401

@@ -287,16 +287,15 @@ def quad_form_single(params: MultikinkParams, t: float, h: np.ndarray,
 
 
 def quad_form_multi(params: MultikinkParams, t: float, h: np.ndarray,
-                    grid: np.ndarray, rho: float | None = None) -> float:
+                    grid: np.ndarray) -> float:
     """Quadratic form around the multikink with cutoff-localized cross terms:
-    1/2 int (h_dot^2 + h_x^2 + 2 sum_j chi_j v_j h_dot h_x + V h^2)."""
+    1/2 int (h_dot^2 + h_x^2 + 2 sum_j chi_j v_j h_dot h_x + V h^2), the
+    cutoffs chi_j at half-speed default_rho(params)."""
     dx = grid_spacing(grid)
     hx = central_diff(h[0], dx)
-    if rho is None:
-        rho = default_rho(params)
     cross = np.zeros_like(hx)
     for j in range(1, params.K + 1):
-        cross += kink_cutoff(params, j, t, grid, rho) * params.velocities[j - 1]
+        cross += kink_cutoff(params, j, t, grid, default_rho(params)) * params.velocities[j - 1]
     pot = linearization_potential(params, t, grid)
     integrand = h[1] ** 2 + hx**2 + 2.0 * cross * h[1] * hx + pot * h[0] ** 2
     return 0.5 * integrate_grid(integrand, dx)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -22,14 +23,24 @@ from .errors import ConfigError, MultikinkError, NumericsError
 from .numerics import random_pair_field
 
 
+def _finite(value):
+    """value with every non-finite float, however nested, replaced by None."""
+    if isinstance(value, dict):
+        return {k: _finite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _write_json(path: Path, payload: dict, cfg: ExperimentConfig, seed: int):
+    """Strict JSON: a non-finite float (an unmeasured report value) is null."""
     doc = dict(payload)
     doc["artifact_version"] = __version__
     doc["config"] = cfg.resolved
     doc["seed"] = seed
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
+        json.dump(_finite(doc), fh, sort_keys=True, indent=1, allow_nan=False)
         fh.write("\n")
 
 
@@ -64,13 +75,9 @@ def cmd_kink(cfg: ExperimentConfig, out: Path, seed: int) -> None:
     profile = kink.kink_profile(model, table, n, n_prime, half_width=half_width, dx=dx)
     out.mkdir(parents=True, exist_ok=True)
     profile.to_csv(out / "profile.csv")
-    left, right = kink.fit_tails(profile)
     _write_json(out / "tails.json", {
-        "left": {"fitted_rate": left.fitted_rate, "expected_rate": left.expected_rate,
-                 "fit_residual": left.fit_residual},
-        "right": {"fitted_rate": right.fitted_rate, "expected_rate": right.expected_rate,
-                  "fit_residual": right.fit_residual},
-    }, cfg, seed)
+        fit.side: {k: getattr(fit, k) for k in ("fitted_rate", "expected_rate", "fit_residual")}
+        for fit in kink.fit_tails(profile)}, cfg, seed)
     e_bogomolny = kink.kink_energy(model, table, n, n_prime)
     e_grid = kink.potential_energy_of_profile(profile)
     _write_json(out / "energy.json", {
@@ -127,21 +134,14 @@ def cmd_evolve(cfg: ExperimentConfig, out: Path, seed: int) -> None:
     }, cfg, seed)
 
 
-def _construct_from_config(cfg: ExperimentConfig, params):
-    sconf = cfg.build_solver_config()
+def cmd_construct(cfg: ExperimentConfig, out: Path, seed: int) -> None:
     psi, rep = construct.fixed_point(
-        params, sconf,
+        _params_from_config(cfg), cfg.build_solver_config(),
         T=cfg.get_auto_float("construct", "T"),
         delta=cfg.get_auto_float("construct", "delta"),
         tol=cfg.get_float("construct", "tol", default=1e-8),
         max_iter=cfg.get_int("construct", "max_iter", default=25),
         t_final=cfg.get_auto_float("construct", "t_final"))
-    return sconf, psi, rep
-
-
-def cmd_construct(cfg: ExperimentConfig, out: Path, seed: int) -> None:
-    params = _params_from_config(cfg)
-    sconf, psi, rep = _construct_from_config(cfg, params)
     psi.save(out / "psi_slab")
     _write_json(out / "report.json", {"report": rep.to_dict()}, cfg, seed)
     norms = construct._snapshot_energy_norms(psi)

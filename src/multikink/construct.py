@@ -21,8 +21,15 @@ import numpy as np
 
 from .ansatz import AnsatzLevel, MultikinkParams, energy_norm_sq, evaluate_ansatz, multikink
 from .errors import ConfigError, FitError, NoContractionError
-from .evolve import EvolveConfig, SpaceTimeSlab, _evolve, step_plan
+from .evolve import MAX_COURANT, EvolveConfig, SpaceTimeSlab, _evolve, step_plan
 from .numerics import derivative2, fit_log_linear, grid_spacing, integrate_grid
+
+START_THRESHOLD = 1e-3  # T is the first scanned time with |N(0)(T)|_{L2} <= this
+FIT_SPAN = 10.0  # both exponential fits, of |N(0)| and of |Psi|, span [T, T + FIT_SPAN]
+TRUNCATION_RTOL = 1e-8  # a probe is stable when its gap is <= this * max(1, scale)
+TRUNCATION_MAX_SPAN = 400.0  # no truncation probe runs past T + this
+RESIDUAL_MARGIN = 5.0  # the residual skips this width at either end of the grid
+TAIL_MARGIN = 18.0  # suggest_domain pads the kink paths by this / min(mass)
 
 
 @dataclass
@@ -40,8 +47,8 @@ class SolverConfig:
             raise ConfigError("x_min, x_max, dx and snapshot_dt must be finite")
         if self.x_max <= self.x_min:
             raise ConfigError("x_max must exceed x_min")
-        if self.dx <= 0 or not 0 < self.cfl <= 1 or self.snapshot_dt <= 0:
-            raise ConfigError("dx and snapshot_dt must be positive and cfl in (0, 1]")
+        if self.dx <= 0 or not 0 < self.cfl <= MAX_COURANT or self.snapshot_dt <= 0:
+            raise ConfigError(f"dx, snapshot_dt must be positive, cfl in (0, {MAX_COURANT:.4g}]")
         n = int(round((self.x_max - self.x_min) / self.dx))
         if n < 8:
             raise ConfigError("domain too narrow for the stencil")
@@ -63,37 +70,31 @@ class SolverConfig:
         return span / (n_snap * every), every
 
 
-@dataclass
-class WeightedNormConfig:
-    """Exponential weight e^{delta t} applied for snapshot times above T."""
-
-    T: float
-    delta: float
-
-    def __post_init__(self):
-        if self.delta <= 0:
-            raise ConfigError("delta must be positive")
-
-
 def _snapshot_energy_norms(slab: SpaceTimeSlab) -> np.ndarray:
     """Energy norm of (g, g_t) per snapshot (sqrt of ansatz.energy_norm_sq)."""
     return np.array([math.sqrt(energy_norm_sq((phi, dot), slab.dx))
                      for phi, dot in zip(slab.phis, slab.phi_dots)])
 
 
-def _weighted_sup(times: np.ndarray, norms: np.ndarray, config: WeightedNormConfig):
+def _check_delta(delta: float):
+    if not delta > 0:
+        raise ConfigError(f"delta must be positive, got {delta}")
+
+
+def _weighted_sup(times: np.ndarray, norms: np.ndarray, T: float, delta: float):
     """Per column of norms (one row per time): max over the times >= T of
     e^{delta t} * norm."""
-    mask = times >= config.T - 1e-9
+    _check_delta(delta)
+    mask = times >= T - 1e-9
     if not np.any(mask):
         raise ConfigError("slab has no snapshots at or after T")
-    return np.max(np.exp(config.delta * times[mask])[:, None] * norms[mask], axis=0)
+    return np.max(np.exp(delta * times[mask])[:, None] * norms[mask], axis=0)
 
 
-def weighted_norm(slab: SpaceTimeSlab, config: WeightedNormConfig) -> float:
+def weighted_norm(slab: SpaceTimeSlab, T: float, delta: float) -> float:
     """sup over snapshots t >= T of e^{delta t} * |(g, g_t)(t)|, the H^1 x
     L^2 norm."""
-    return float(_weighted_sup(slab.times, _snapshot_energy_norms(slab)[:, None], config)[0])
+    return float(_weighted_sup(slab.times, _snapshot_energy_norms(slab)[:, None], T, delta)[0])
 
 
 def level_nonlinearity(level: AnsatzLevel, g) -> np.ndarray:
@@ -112,27 +113,25 @@ def _forcing_norm(params: MultikinkParams, t: float, grid: np.ndarray, dx: float
     return math.sqrt(integrate_grid(nonlinearity(params, 0.0, t, grid) ** 2, dx))
 
 
-def default_start_time(params: MultikinkParams, grid: np.ndarray,
-                       threshold: float = 1e-3) -> float:
+def default_start_time(params: MultikinkParams, grid: np.ndarray) -> float:
     """First time of the scan 0.5, 1.0, ..., 200 with |N(0)(t)|_{L2} <=
-    threshold; the scan stops there. If no time qualifies, warns and
+    START_THRESHOLD; the scan stops there. If no time qualifies, warns and
     returns the scanned time of the smallest norm."""
     times = np.arange(0.5, 200.0 + 1e-9, 0.5)
     dx = grid[1] - grid[0]
     norms = []
     for t in times:
         norms.append(_forcing_norm(params, t, grid, dx))
-        if norms[-1] <= threshold:
+        if norms[-1] <= START_THRESHOLD:
             return float(t)
     warnings.warn("forcing never drops below threshold in the scanned range; "
                   "using the time of its minimum")
     return float(times[np.argmin(norms)])
 
 
-def fitted_forcing_rate(params: MultikinkParams, grid: np.ndarray, T: float,
-                        span: float = 10.0) -> float:
-    """Exponential decay rate eta of |N(0)(t)| over [T, T + span]."""
-    times = np.linspace(T, T + span, 21)
+def fitted_forcing_rate(params: MultikinkParams, grid: np.ndarray, T: float) -> float:
+    """Exponential decay rate eta of |N(0)(t)| over [T, T + FIT_SPAN]."""
+    times = np.linspace(T, T + FIT_SPAN, 21)
     dx = grid[1] - grid[0]
     norms = np.array([_forcing_norm(params, t, grid, dx) for t in times])
     slope, _, _, _ = fit_log_linear(times, norms)
@@ -172,18 +171,12 @@ def solve_backward(params: MultikinkParams, terms, t_start: float, t_final: floa
 
     zero = np.zeros((lanes if tops is None else len(tops), len(grid)))
     return _evolve(zero, zero, t_final, grid, config.dx,
-                   EvolveConfig(dt=-dt, t_end=t_start, snapshot_every=every,
-                                cfl_limit=config.cfl), source, observe, tops)
+                   EvolveConfig(dt=-dt, t_end=t_start, snapshot_every=every),
+                   source, observe, tops)
 
 
 # Picard iterates per backward sweep (pipelined waveform relaxation)
 PICARD_LANES = 3
-
-
-def _zero_slab(grid, times):
-    z = np.zeros((len(times), len(grid)))
-    z.flags.writeable = False  # one array backs both components
-    return SpaceTimeSlab(times, grid, z, z)
 
 
 def _increment_norms(h, h_t, base, base_t, dx: float) -> list[float]:
@@ -232,7 +225,7 @@ class Truncation:
 
 
 def _sweep(params: MultikinkParams, config: SolverConfig, T: float, tops, n_cand: int,
-           lanes: int, norm_cfg: WeightedNormConfig, g: SpaceTimeSlab | None = None):
+           lanes: int, delta: float, g: SpaceTimeSlab | None = None):
     """Picard iterates from g on [T, top] for the increasing tops, run as the
     lanes of one backward sweep from tops[-1], each joining at its own top.
 
@@ -247,8 +240,8 @@ def _sweep(params: MultikinkParams, config: SolverConfig, T: float, tops, n_cand
     the next longer one over their common snapshots: gap is the largest
     |phi| or |phi_t| difference, scale the largest |phi| of the longer
     seed. candidates holds, per candidate, its chain's last lane as a slab
-    and the weighted norms of its increments, the seed's against g (or 0),
-    taken per snapshot, so no seed slab is stored.
+    and the weighted norms (weight e^{delta t} from T) of its increments, the
+    seed's against g (or 0), taken per snapshot, so no seed slab is stored.
     """
     seed, rows = {}, []
     for k in reversed(range(len(tops))):  # rows ordered by top, highest first
@@ -293,14 +286,13 @@ def _sweep(params: MultikinkParams, config: SolverConfig, T: float, tops, n_cand
     candidates = []
     for k, (times, norms, phis, dots) in enumerate(seen):
         slab = SpaceTimeSlab(times[::-1], config.grid, phis[::-1], dots[::-1]) if k else last
-        sups = _weighted_sup(np.array(times), np.array(norms), norm_cfg)
+        sups = _weighted_sup(np.array(times), np.array(norms), T, delta)
         candidates.append((slab, [float(n) for n in sups]))
     return [tuple(gap) for gap in gaps], candidates
 
 
 def choose_final_time(params: MultikinkParams, config: SolverConfig, T: float,
-                      delta: float, rtol: float = 1e-8, max_span: float = 400.0,
-                      lanes: int = 0) -> Truncation:
+                      delta: float, lanes: int = 0) -> Truncation:
     """Double the truncation time until the zero-iterate response on the
     kept window stops changing (mirrors the limiting construction of the
     backward solver).
@@ -308,27 +300,28 @@ def choose_final_time(params: MultikinkParams, config: SolverConfig, T: float,
     The first span s is max(16, 4/delta), rounded up to a whole number of
     snapshot_dt so that every probe lies on one lattice of levels. Each
     window is one sweep (_sweep, from g = 0) of the probes at spans s, 2s
-    and 4s, none past max_span; the test of span s passes when its gap to
-    the probe at 2s is at most rtol * max(1, scale), and the first test
-    that passes gives t_final = T + s. If none passes, the next window
-    starts at 4s; when max_span stops the doubling, the longest probe is
+    and 4s, none past TRUNCATION_MAX_SPAN; the test of span s passes when
+    its gap to the probe at 2s is at most TRUNCATION_RTOL * max(1, scale),
+    and the first test that passes gives t_final = T + s. If none passes,
+    the next window starts at 4s; when the span cap stops the doubling, the
+    longest probe is
     accepted with a warning. The accepted probe is R N(0) on [T, t_final],
     the first fixed-point iterate, and the `lanes` iterates chained on it
     are the next ones.
     """
-    norm_cfg = WeightedNormConfig(T=T, delta=delta)
+    _check_delta(delta)
     step = config.snapshot_dt
     span = step * math.ceil(max(16.0, 4.0 / delta) / step - 1e-9)
     tests = []
     while True:
-        spans = [k * span for k in (1, 2, 4) if k == 1 or k * span <= max_span]
-        capped = 2.0 * spans[-1] > max_span
+        spans = [k * span for k in (1, 2, 4) if k == 1 or k * span <= TRUNCATION_MAX_SPAN]
+        capped = 2.0 * spans[-1] > TRUNCATION_MAX_SPAN
         n_cand = len(spans) if capped else len(spans) - 1
         tops = [T + s for s in spans]
-        gaps, candidates = _sweep(params, config, T, tops, n_cand, lanes, norm_cfg)
+        gaps, candidates = _sweep(params, config, T, tops, n_cand, lanes, delta)
         for k, (gap, scale) in enumerate(gaps):
             tests.append([spans[k], gap, scale])
-            if gap <= rtol * max(1.0, scale):
+            if gap <= TRUNCATION_RTOL * max(1.0, scale):
                 return Truncation(tops[k], *candidates[k], tests, False)
         if capped:
             warnings.warn("truncation time hit its cap before stabilizing")
@@ -336,14 +329,14 @@ def choose_final_time(params: MultikinkParams, config: SolverConfig, T: float,
         span = spans[-1]
 
 
-def measure_residual(params: MultikinkParams, psi_slab: SpaceTimeSlab,
-                     boundary_margin: float = 5.0) -> float:
+def measure_residual(params: MultikinkParams, psi_slab: SpaceTimeSlab) -> float:
     """Sup over interior snapshots of the L2 norm of the PDE residual of
-    H + Psi, measured with stencils independent of the solver (snapshot
-    second differences in t, wide 4th-order stencil in x)."""
+    H + Psi, RESIDUAL_MARGIN clear of the grid's ends, measured with
+    stencils independent of the solver (snapshot second differences in t,
+    wide 4th-order stencil in x)."""
     grid = psi_slab.grid
     dx = psi_slab.dx
-    mask = (grid >= grid[0] + boundary_margin) & (grid <= grid[-1] - boundary_margin)
+    mask = (grid >= grid[0] + RESIDUAL_MARGIN) & (grid <= grid[-1] - RESIDUAL_MARGIN)
     worst = 0.0
     # H + Psi per snapshot, held three at a time
     fields = (multikink(params, t, grid).phi + psi
@@ -361,7 +354,7 @@ def measure_residual(params: MultikinkParams, psi_slab: SpaceTimeSlab,
     return worst
 
 
-def decay_fit(psi_slab: SpaceTimeSlab, T: float, span: float = 10.0):
+def decay_fit(psi_slab: SpaceTimeSlab, T: float, span: float):
     """Log-linear fit of the energy norm of (Psi, d_t Psi) over [T, T+span].
 
     Returns (rate, r2): rate > 0 means exponential decay at that rate.
@@ -375,8 +368,7 @@ def decay_fit(psi_slab: SpaceTimeSlab, T: float, span: float = 10.0):
 def fixed_point(params: MultikinkParams, config: SolverConfig,
                 T: float | None = None, delta: float | None = None,
                 tol: float = 1e-8, max_iter: int = 25,
-                t_final: float | None = None, g0: SpaceTimeSlab | None = None,
-                fit_span: float = 10.0):
+                t_final: float | None = None, g0: SpaceTimeSlab | None = None):
     """Iterate g <- R N(g) from g = 0 (or g0, stored on the solver's
     snapshot lattice of [T, t_final]) until a weighted increment norm drops
     below tol; returns (Psi slab, ConstructReport).
@@ -392,8 +384,15 @@ def fixed_point(params: MultikinkParams, config: SolverConfig,
     doubling of choose_final_time. From g = 0 its windows carry the first
     iterates too: the accepted probe R N(0) and the iterates chained live on
     it, min(PICARD_LANES, max_iter - 1) of them, after which the sweeps go
-    on from the last.
+    on from the last. max_iter < 0, tol <= 0 or not finite and delta <= 0
+    raise ConfigError before any solve.
     """
+    if max_iter < 0:
+        raise ConfigError(f"max_iter must be >= 0, got {max_iter}")
+    if not 0 < tol < math.inf:
+        raise ConfigError(f"tol must be positive and finite, got {tol}")
+    if delta is not None:
+        _check_delta(delta)
     grid = config.grid
     if T is None:
         T = default_start_time(params, grid)
@@ -407,7 +406,6 @@ def fixed_point(params: MultikinkParams, config: SolverConfig,
         if eta <= 0:
             raise NoContractionError("free forcing does not decay; increase T")
         delta = 0.5 * eta
-    norm_cfg = WeightedNormConfig(T=T, delta=delta)
     search = first = None
     if t_final is None:
         chained = 0 if g0 is not None else max(0, min(PICARD_LANES, max_iter - 1))
@@ -438,7 +436,7 @@ def fixed_point(params: MultikinkParams, config: SolverConfig,
         else:
             lanes = min(PICARD_LANES, max_iter - report.iterations)
             _, [(g_new, dnorms)] = _sweep(params, config, T, [t_final], 1, lanes - 1,
-                                          norm_cfg, g)
+                                          delta, g)
         for dnorm in dnorms:
             report.iterate_norms.append(dnorm)
             if len(report.iterate_norms) >= 2 and report.iterate_norms[-2] > 0:
@@ -455,7 +453,9 @@ def fixed_point(params: MultikinkParams, config: SolverConfig,
             report.converged = report.converged or dnorm < tol
         g = g_new
     if g is None:  # max_iter = 0 from zero
-        g = _zero_slab(grid, np.linspace(T, t_final, n_snap))
+        z = np.zeros((n_snap, len(grid)))
+        z.flags.writeable = False  # one array backs both components
+        g = SpaceTimeSlab(np.linspace(T, t_final, n_snap), grid, z, z)
     if ratios:
         # ratios taken once increments reach the discrete noise floor say
         # nothing about the map; keep those above the geometric midpoint
@@ -464,10 +464,10 @@ def fixed_point(params: MultikinkParams, config: SolverConfig,
         cutoff = math.sqrt(norms[0] * max(norms.min(), 1e-300))
         kept = [r for r, nxt in zip(ratios, norms[1:]) if nxt >= cutoff]
         report.contraction_ratio = float(np.median(kept if kept else ratios))
-    if report.iterations > 0 and max_iter > 0:
+    if report.iterations > 0:
         report.final_residual = measure_residual(params, g)
         try:
-            rate, r2 = decay_fit(g, T, span=min(fit_span, t_final - T - 2 * config.snapshot_dt))
+            rate, r2 = decay_fit(g, T, span=min(FIT_SPAN, t_final - T - 2 * config.snapshot_dt))
             report.fitted_decay_rate = rate
             report.decay_fit_r2 = r2
         except FitError as err:
@@ -513,10 +513,10 @@ def param_derivative(params: MultikinkParams, psi_slab: SpaceTimeSlab, k: int,
                           float(psi_slab.times[-1]), config)
 
 
-def suggest_domain(params: MultikinkParams, t_max: float, margin: float | None = None):
-    """Spatial interval containing every kink over [0, t_max] plus a tail margin."""
-    if margin is None:
-        margin = 18.0 / min(params.table.masses)
+def suggest_domain(params: MultikinkParams, t_max: float):
+    """Spatial interval containing every kink over [0, t_max], padded by
+    TAIL_MARGIN tail decay lengths of the lightest vacuum."""
+    margin = TAIL_MARGIN / min(params.table.masses)
     lo, hi = 0.0, 0.0
     for k in range(1, params.K + 1):
         for t in (0.0, t_max):

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -25,23 +26,25 @@ from .numerics import derivative, grid_spacing, integrate_grid
 from .potential import PotentialModel, VacuumTable
 
 
+STABLE_FRACTION = 0.97  # leapfrog runs keep (4 + 4 blend/3) (dt/dx)^2 <= 4 * this
+MAX_COURANT = math.sqrt(STABLE_FRACTION)  # the largest |dt|/dx keeping it: blend 0
+
+
 @dataclass
 class EvolveConfig:
-    """Leapfrog run parameters; dt must satisfy dt <= cfl_limit * dx. A run
-    takes the fewest steps of at most |dt| that land on t_end (step_plan);
-    a backward run whose dt tiles its span steps exactly dt."""
+    """Leapfrog run parameters; |dt| must be at most MAX_COURANT * dx. A
+    run takes the fewest steps of at most |dt| that land on t_end
+    (step_plan); a backward run whose dt tiles its span steps exactly dt."""
 
     dt: float
     t_end: float
     snapshot_every: int = 25
-    cfl_limit: float = 0.9
 
     def validate(self, dx: float):
         if abs(self.dt) <= 0:
             raise ConfigError("dt must be nonzero")
-        if abs(self.dt) > self.cfl_limit * dx + 1e-15:
-            raise ConfigError(
-                f"CFL violation: |dt|={abs(self.dt)} exceeds {self.cfl_limit}*dx={self.cfl_limit * dx}")
+        if abs(self.dt) > MAX_COURANT * dx + 1e-15:
+            raise ConfigError(f"CFL violation: |dt|={abs(self.dt)} exceeds {MAX_COURANT * dx}")
         if self.snapshot_every < 1:
             raise ConfigError("snapshot_every must be >= 1")
 
@@ -50,11 +53,11 @@ class EvolveConfig:
 
         The blended operator has spectral radius (4 + 4 blend/3)/dx^2, so the
         leapfrog stability bound is (4 + 4 blend/3) (dt/dx)^2 <= 4. The weight
-        is the largest value keeping a 3% margin at the configured dt/dx;
-        small Courant ratios get the full 4th-order stencil.
+        is the largest value keeping a 3% margin (STABLE_FRACTION) at the
+        configured dt/dx; small Courant ratios get the full 4th-order stencil.
         """
         r2 = (self.dt / dx) ** 2
-        return min(1.0, max(0.0, 3.0 * (0.97 / r2 - 1.0)))
+        return min(1.0, max(0.0, 3.0 * (STABLE_FRACTION / r2 - 1.0)))
 
 
 def step_plan(span: float, dt: float) -> tuple[int, float]:
@@ -103,8 +106,6 @@ class SpaceTimeSlab:
         if self.phis.shape != (len(self.times), len(self.grid)):
             raise ConfigError("slab shape mismatch")
         self.dx = grid_spacing(self.grid)
-        self._value_spline = None
-        self._tderiv_spline = None
 
     def __len__(self):
         return len(self.times)
@@ -126,15 +127,13 @@ class SpaceTimeSlab:
         return ((1.0 + 2.0 * u) * w * w * self.phis[i] + u * u * (3.0 - 2.0 * u) * self.phis[i + 1]
                 + step * (u * w * w * self.phi_dots[i] - u * u * w * self.phi_dots[i + 1]))
 
+    @cached_property
     def value_spline(self) -> RectBivariateSpline:
-        if self._value_spline is None:
-            self._value_spline = RectBivariateSpline(self.times, self.grid, self.phis)
-        return self._value_spline
+        return RectBivariateSpline(self.times, self.grid, self.phis)
 
+    @cached_property
     def tderiv_spline(self) -> RectBivariateSpline:
-        if self._tderiv_spline is None:
-            self._tderiv_spline = RectBivariateSpline(self.times, self.grid, self.phi_dots)
-        return self._tderiv_spline
+        return RectBivariateSpline(self.times, self.grid, self.phi_dots)
 
     def merged(self, other: "SpaceTimeSlab") -> "SpaceTimeSlab":
         """Union of two slabs on the same grid (overlapping times deduplicated)."""
@@ -341,16 +340,19 @@ def energy(state: FieldState, model: PotentialModel):
     return float(ep + ek), float(ep), float(ek)
 
 
-def detect_sector(state: FieldState, table: VacuumTable, tol: float = 1e-3,
-                  edge_points: int = 8) -> tuple[int, int]:
+SECTOR_EDGE_POINTS = 8  # detect_sector's boundary value: the mean of this many points
+SECTOR_TOL = 1e-3  # its largest distance to the vacuum it names
+
+
+def detect_sector(state: FieldState, table: VacuumTable) -> tuple[int, int]:
     """Vacuum labels matched by the boundary windows of the field."""
     out = []
-    for window in (state.phi[:edge_points], state.phi[-edge_points:]):
+    for window in (state.phi[:SECTOR_EDGE_POINTS], state.phi[-SECTOR_EDGE_POINTS:]):
         val = float(np.mean(window))
         dist = [abs(val - w) for w in table.vacua]
         n = int(np.argmin(dist))
-        if dist[n] > tol:
-            raise SectorError(f"boundary value {val} is no vacuum (tol={tol})")
+        if dist[n] > SECTOR_TOL:
+            raise SectorError(f"boundary value {val} is no vacuum (tol={SECTOR_TOL})")
         out.append(n)
     return tuple(out)
 

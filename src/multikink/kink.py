@@ -17,10 +17,11 @@ from scipy.integrate import quad, solve_ivp
 from scipy.interpolate import CubicSpline
 
 from .errors import ConfigError, FitError, IntegrationError
-from .numerics import fit_log_linear
+from .numerics import fit_log_linear, integrate_grid
 from .potential import PotentialModel, VacuumTable
 
 _TAIL_SWITCH = 1e-10  # distance to the vacuum at which integration hands over to the tail
+_QUAD = dict(epsabs=1e-13, epsrel=1e-12, limit=400)  # tolerances of every quad call
 
 
 def center_value(table: VacuumTable, n: int) -> float:
@@ -29,8 +30,7 @@ def center_value(table: VacuumTable, n: int) -> float:
     return 0.5 * (table.vacuum(lo) + table.vacuum(lo + 1))
 
 
-def position_from_value(model: PotentialModel, table: VacuumTable, n: int, psi: float,
-                        epsabs: float = 1e-13) -> float:
+def position_from_value(model: PotentialModel, table: VacuumTable, n: int, psi: float) -> float:
     """Position x at which the kink from vacuum n to n+1 attains the value psi.
 
     This is the quadrature int_{mid}^{psi} dy / sqrt(2 W(y)) with the midpoint
@@ -45,7 +45,7 @@ def position_from_value(model: PotentialModel, table: VacuumTable, n: int, psi: 
     def integrand(y):
         return 1.0 / np.sqrt(2.0 * model(y, 0))
 
-    val, _ = quad(integrand, base, psi, epsabs=epsabs, epsrel=1e-12, limit=400)
+    val, _ = quad(integrand, base, psi, **_QUAD)
     return float(val)
 
 
@@ -55,8 +55,7 @@ def bogomolny_bound(model: PotentialModel, phi_a: float, phi_b: float) -> float:
     Antisymmetric in its endpoints' order in absolute value; returns the
     signed integral so bound(a, b) = -bound(b, a).
     """
-    val, _ = quad(lambda y: np.sqrt(2.0 * model(y, 0)), phi_a, phi_b,
-                  epsabs=1e-13, epsrel=1e-12, limit=400)
+    val, _ = quad(lambda y: np.sqrt(2.0 * model(y, 0)), phi_a, phi_b, **_QUAD)
     return float(val)
 
 
@@ -237,20 +236,18 @@ def default_tail_window(profile: KinkProfile, side: str) -> tuple[float, float]:
     return (x_lo, x_hi)
 
 
-def fit_tails(profile: KinkProfile, window: tuple[float, float] | None = None):
-    """Least-squares exponential rates of both tails.
-
-    `window` is a pair of positive offsets from the core; the left tail
-    uses its mirror image. Returns (left_fit, right_fit).
+def fit_tails(profile: KinkProfile):
+    """Least-squares exponential rates of both tails over
+    default_tail_window, a pair of positive offsets from the core; the left
+    tail uses its mirror image. Returns (left_fit, right_fit).
     """
     fits = []
     for side in ("left", "right"):
-        w = window if window is not None else default_tail_window(profile, side)
+        lo, hi = default_tail_window(profile, side)
         if side == "right":
-            lo, hi = w
             vac, expected = profile.vac_right, profile.mass_right
         else:
-            lo, hi = -w[1], -w[0]
+            lo, hi = -hi, -lo
             vac, expected = profile.vac_left, profile.mass_left
         mask = (profile.x >= lo) & (profile.x <= hi)
         xs = profile.x[mask]
@@ -278,7 +275,6 @@ def potential_energy_of_profile(profile: KinkProfile) -> float:
     The derivative is taken from the tabulated values (spline), so this is
     an independent check against the Bogomolny bound.
     """
-    from .numerics import integrate_grid
     dh = profile._spline.derivative()(profile.x)
     w = profile.model(profile.h, 0)
     core = integrate_grid(0.5 * dh**2 + w, profile.dx)

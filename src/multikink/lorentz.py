@@ -13,6 +13,9 @@ from .construct import SolverConfig, fixed_point, suggest_domain
 from .errors import ConfigError, CoverageError
 from .evolve import EvolveConfig, SpaceTimeSlab, evolve_nonlinear
 
+COVARIANCE_T_SAMPLES = 11  # verify_covariance's primed sample times
+COVARIANCE_PAD = 0.25  # the share of the primed domain it skips at either end
+
 
 @dataclass(frozen=True)
 class BoostSpec:
@@ -85,9 +88,9 @@ def boost_field(slab: SpaceTimeSlab, boost: BoostSpec, t_prime: float,
             f"x in [{x.min():.3f}, {x.max():.3f}]; slab covers "
             f"t in [{slab.times[0]:.3f}, {slab.times[-1]:.3f}], "
             f"x in [{slab.grid[0]:.3f}, {slab.grid[-1]:.3f}]")
-    sval = slab.value_spline()
+    sval = slab.value_spline
     phi = sval.ev(t, x)
-    dphi_dt = slab.tderiv_spline().ev(t, x)
+    dphi_dt = slab.tderiv_spline.ev(t, x)
     dphi_dx = sval.ev(t, x, dy=1)
     g = boost.gamma
     phi_dot = g * (dphi_dt + boost.v * dphi_dx)
@@ -113,14 +116,12 @@ def extend_backward(slab: SpaceTimeSlab, model, t_min: float,
     if t_min >= slab.times[0]:
         return slab
     dt, every = config.plan(t_min, slab.times[0])
-    cfg = EvolveConfig(dt=-dt, t_end=t_min, snapshot_every=every, cfl_limit=config.cfl)
+    cfg = EvolveConfig(dt=-dt, t_end=t_min, snapshot_every=every)
     return evolve_nonlinear(slab.state(0), model, cfg).merged(slab)
 
 
 def verify_covariance(params: MultikinkParams, boost: BoostSpec,
-                      config: SolverConfig, window_t: float = 5.0,
-                      window_x: tuple[float, float] | None = None,
-                      t_samples: int = 11, tol: float = 1e-8,
+                      config: SolverConfig, window_t: float = 5.0, tol: float = 1e-8,
                       construct_kwargs: dict | None = None) -> dict:
     """Compare boost(H + Psi) against H' + Psi' on a common primed window.
 
@@ -128,8 +129,7 @@ def verify_covariance(params: MultikinkParams, boost: BoostSpec,
     solution independently, and reports the sup discrepancy of the two
     fields over the window together with its location.
     """
-    construct_kwargs = dict(construct_kwargs or {})
-    psi, rep = fixed_point(params, config, tol=tol, **construct_kwargs)
+    psi, rep = fixed_point(params, config, tol=tol, **(construct_kwargs or {}))
     field = ansatz_plus_error_slab(params, psi)
 
     params_p = boost_params(params, boost)
@@ -138,9 +138,8 @@ def verify_covariance(params: MultikinkParams, boost: BoostSpec,
                             snapshot_dt=config.snapshot_dt)
     psi_p, rep_p = fixed_point(params_p, config_p, tol=tol)
 
-    if window_x is None:
-        pad = 0.25 * (config_p.x_max - config_p.x_min)
-        window_x = (config_p.x_min + pad, config_p.x_max - pad)
+    pad = COVARIANCE_PAD * (config_p.x_max - config_p.x_min)
+    window_x = (config_p.x_min + pad, config_p.x_max - pad)
     t_lo = max(rep_p.T, *(boost.primed(rep.T, x)[0] for x in window_x))
     t_hi = min(rep_p.t_final - 1.0,
                *(boost.primed(rep.t_final, x)[0] for x in window_x))
@@ -153,13 +152,10 @@ def verify_covariance(params: MultikinkParams, boost: BoostSpec,
                 for tp in (t_lo, t_hi) for xp in (grid_p[0], grid_p[-1])]
     field = extend_backward(field, params.model, min(needed_t) - 0.5, config)
 
-    spline_p = None
     worst = {"discrepancy": -1.0}
-    for tp in np.linspace(t_lo, t_hi, t_samples):
+    for tp in np.linspace(t_lo, t_hi, COVARIANCE_T_SAMPLES):
         boosted = boost_field(field, boost, tp, grid_p)
-        if spline_p is None:
-            spline_p = psi_p.value_spline()
-        direct = multikink(params_p, tp, grid_p).phi + spline_p.ev(
+        direct = multikink(params_p, tp, grid_p).phi + psi_p.value_spline.ev(
             np.full_like(grid_p, tp), grid_p)
         diff = np.abs(boosted.phi - direct)
         i = int(np.argmax(diff))

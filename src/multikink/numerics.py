@@ -84,26 +84,29 @@ def fit_log_linear(x: np.ndarray, y: np.ndarray):
     return float(slope), float(intercept), r2, rms
 
 
-def gaussian_bumps(grid: np.ndarray, rng: np.random.Generator, n_bumps: int = 4,
-                   center_frac: float = 0.6, width_range=(0.5, 3.0)) -> np.ndarray:
+BUMPS = 4  # gaussian_bumps sums this many Gaussians
+BUMP_CENTER_FRAC = 0.6  # centred in this middle share of the grid
+BUMP_WIDTHS = (0.5, 3.0)  # with widths drawn from this range
+
+
+def gaussian_bumps(grid: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Random smooth localized field: a sum of seeded Gaussian bumps.
 
-    Centers are drawn from the central `center_frac` portion of the grid so
-    the field is essentially zero at the boundary.
+    Centers are drawn from the central BUMP_CENTER_FRAC of the grid so the
+    field is essentially zero at the boundary.
     """
     span = grid[-1] - grid[0]
     mid = 0.5 * (grid[0] + grid[-1])
-    half = 0.5 * center_frac * span
+    half = 0.5 * BUMP_CENTER_FRAC * span
     y = np.zeros_like(grid)
-    for _ in range(n_bumps):
+    for _ in range(BUMPS):
         c = mid + rng.uniform(-half, half)
-        w = rng.uniform(*width_range)
+        w = rng.uniform(*BUMP_WIDTHS)
         a = rng.uniform(0.2, 1.0) * rng.choice((-1.0, 1.0))
         y += a * np.exp(-0.5 * ((grid - c) / w) ** 2)
     return y
 
 
-def random_pair_field(grid: np.ndarray, rng: np.random.Generator, n_bumps: int = 4) -> np.ndarray:
+def random_pair_field(grid: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Two-component random smooth field, shape (2, len(grid))."""
-    return np.stack([gaussian_bumps(grid, rng, n_bumps),
-                     gaussian_bumps(grid, rng, n_bumps)])
+    return np.stack([gaussian_bumps(grid, rng), gaussian_bumps(grid, rng)])

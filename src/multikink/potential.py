@@ -16,6 +16,8 @@ from scipy.optimize import brentq
 from .errors import ConfigError, DegenerateVacuumError, InvalidChainError
 
 _MAX_ORDER = 3
+VACUUM_SCAN_POINTS = 20001  # find_vacua's scan of W' over the search interval
+VACUUM_ZERO_TOL = 1e-9  # a minimum of W at most this is a vacuum
 
 
 @dataclass(frozen=True)
@@ -24,7 +26,7 @@ class PotentialModel:
 
     Built-in models carry closed-form derivatives; custom models are
     polynomials or trigonometric polynomials so every derivative order is
-    exact as well. `search_interval` is the default vacuum-search window.
+    exact as well. `search_interval` is the vacuum-search window.
     """
 
     kind: str
@@ -164,28 +166,25 @@ class ChainOfVacua:
         return list(zip(self.labels, self.labels[1:]))
 
 
-def find_vacua(model: PotentialModel, interval=None, tol: float = 1e-12,
-               zero_tol: float = 1e-9, scan_points: int = 20001) -> VacuumTable:
-    """Locate all vacua of W inside `interval` and attach masses.
+def find_vacua(model: PotentialModel, tol: float = 1e-12) -> VacuumTable:
+    """Locate all vacua of W inside model.search_interval and attach masses.
 
     Minima of W are bracketed by sign changes of W' on a fine scan grid and
     polished with Brent's method; a minimum counts as a vacuum when
-    W <= zero_tol there. W'' <= tol at a vacuum raises DegenerateVacuumError.
+    W <= VACUUM_ZERO_TOL there. W'' <= tol there raises DegenerateVacuumError.
     """
-    if interval is None:
-        interval = model.search_interval
-    a, b = float(interval[0]), float(interval[1])
+    a, b = (float(end) for end in model.search_interval)
     if not (np.isfinite(a) and np.isfinite(b) and a < b):
         raise ConfigError("vacuum search interval must be finite and increasing")
     if tol <= 0:
         raise ConfigError("tol must be positive")
-    xs = np.linspace(a, b, scan_points)
+    xs = np.linspace(a, b, VACUUM_SCAN_POINTS)
     w1 = np.asarray(model(xs, 1), dtype=float)
     vacua = []
     for i in np.nonzero((w1[:-1] < 0.0) & (w1[1:] >= 0.0))[0]:
         root = brentq(lambda p: float(model(p, 1)), xs[i], xs[i + 1],
                       xtol=tol, rtol=8.881784197001252e-16)
-        if float(model(root, 0)) > zero_tol:
+        if float(model(root, 0)) > VACUUM_ZERO_TOL:
             continue  # positive local minimum, not a vacuum
         curv = float(model(root, 2))
         if curv <= tol:

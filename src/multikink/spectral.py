@@ -9,7 +9,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConfigError, InvalidMultiplierError
-from .kink import KinkProfile, kink_profile
+from .kink import kink_profile
 from .numerics import gaussian_bumps, grid_spacing
 from .potential import PotentialModel, VacuumTable
 
@@ -47,13 +47,16 @@ class OperatorDiscretization:
         return float((np.dot(g, g) + np.dot(fwd, fwd)) * self.dx)
 
 
+COERCIVITY_SAMPLES = 100  # coercivity_constant's random bump fields
+
+
 def build_operator(model: PotentialModel, table: VacuumTable, n: int, n_prime: int,
-                   grid: np.ndarray, profile: KinkProfile | None = None) -> OperatorDiscretization:
-    """Central-difference discretization of -d_x^2 + W''(H_{n,n'}) on grid."""
+                   grid: np.ndarray) -> OperatorDiscretization:
+    """Central-difference discretization of -d_x^2 + W''(H_{n,n'}) on grid,
+    the profile tabulated at step min(0.01, dx)."""
     grid = np.asarray(grid, dtype=float)
     dx = grid_spacing(grid)
-    if profile is None:
-        profile = kink_profile(model, table, n, n_prime, dx=min(0.01, dx))
+    profile = kink_profile(model, table, n, n_prime, dx=min(0.01, dx))
     h = profile(grid)
     return OperatorDiscretization(grid=grid, v=model(h, 2), dx=dx,
                                   kernel_direction=profile.deriv(grid, 1))
@@ -68,10 +71,10 @@ def low_spectrum(disc: OperatorDiscretization, k: int = 2):
     return vals, vecs
 
 
-def coercivity_constant(disc: OperatorDiscretization, Z: np.ndarray,
-                        n_samples: int = 100, seed: int = 0) -> float:
-    """Smallest sampled Rayleigh ratio <g, L g> / |g|_{H^1}^2 over random
-    bump fields with the <Z, g> pairing projected out."""
+def coercivity_constant(disc: OperatorDiscretization, Z: np.ndarray, seed: int = 0) -> float:
+    """Smallest sampled Rayleigh ratio <g, L g> / |g|_{H^1}^2 over
+    COERCIVITY_SAMPLES random bump fields with the <Z, g> pairing projected
+    out."""
     Z = np.asarray(Z, dtype=float)
     zk = float(np.dot(Z, disc.kernel_direction) * disc.dx)
     scale = np.linalg.norm(Z) * np.linalg.norm(disc.kernel_direction) * disc.dx
@@ -80,7 +83,7 @@ def coercivity_constant(disc: OperatorDiscretization, Z: np.ndarray,
     zz = float(np.dot(Z, Z) * disc.dx)
     rng = np.random.default_rng(seed)
     worst = np.inf
-    for _ in range(n_samples):
+    for _ in range(COERCIVITY_SAMPLES):
         g = gaussian_bumps(disc.grid, rng)
         g = g - (float(np.dot(Z, g) * disc.dx) / zz) * Z
         worst = min(worst, disc.quad(g) / disc.h1_norm_sq(g))

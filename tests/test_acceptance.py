@@ -161,8 +161,7 @@ def test_criterion_7_uniqueness(sg2_construction, sg2_restart):
     psi2 = sg2_restart["psi"]
     diff = construct.weighted_norm(
         SpaceTimeSlab(psi.times, cfg.grid, psi2.phis - psi.phis,
-                      psi2.phi_dots - psi.phi_dots),
-        construct.WeightedNormConfig(T=rep.T, delta=rep.delta))
+                      psi2.phi_dots - psi.phi_dots), rep.T, rep.delta)
     ok = diff <= 10.0 * 1e-10
     report_line("C7 uniqueness surrogate", ok,
                 f"restarted run differs by {diff:.2e} (<= 10 tol = 1e-09)")
@@ -186,13 +185,12 @@ def test_criterion_8_parameter_derivatives(sg2_params, sg2_construction,
     fdd = (plus.phi_dots - minus.phi_dots) / (2.0 * eps)
     # compare on the physical window [T, T+12], clear of the truncation zone
     keep = psi.times <= rep.T + 12.0 + 1e-9
-    norm_cfg = construct.WeightedNormConfig(T=rep.T, delta=rep.delta)
     mismatch = construct.weighted_norm(
         SpaceTimeSlab(psi.times[keep], cfg.grid, (fd - da1.phis)[keep],
-                      (fdd - da1.phi_dots)[keep]), norm_cfg)
+                      (fdd - da1.phi_dots)[keep]), rep.T, rep.delta)
     signal = construct.weighted_norm(
         SpaceTimeSlab(psi.times[keep], cfg.grid, da1.phis[keep],
-                      da1.phi_dots[keep]), norm_cfg)
+                      da1.phi_dots[keep]), rep.T, rep.delta)
     # O(eps^2) + 10 tol budget. The eps^2 constant (2e3, giving 2e-3 at the
     # stated eps = 1e-3) covers the third parameter derivative plus the
     # floor where FD (the derivative of the discrete construction) and the

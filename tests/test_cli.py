@@ -50,6 +50,14 @@ directory = out
 """
 
 
+def _strict_json(path):
+    """The JSON document at path; a bare NaN or Infinity token raises."""
+    def reject(token):
+        raise ValueError(f"{path}: non-standard JSON token {token}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
 @pytest.fixture()
 def sg_config(tmp_path):
     path = tmp_path / "sg.cfg"
@@ -97,6 +105,17 @@ def test_cmd_evolve_ends_at_t_end(tmp_path, sg_config):
     assert json.loads((out / "evolve.json").read_text())["snapshots"] == len(times)
 
 
+def test_construct_report_is_strict_json(tmp_path, sg_config):
+    # a single kink is exact: no increment ratio and no decay fit, whose
+    # values are written as null
+    out = tmp_path / "o"
+    assert main(["construct", "--config", str(sg_config), "--out", str(out)]) == 0
+    report = _strict_json(out / "report.json")["report"]
+    for key in ("contraction_ratio", "decay_fit_r2", "fitted_decay_rate"):
+        assert report[key] is None
+    assert report["decay_fit_error"] and report["final_residual"] > 0.0
+
+
 @pytest.mark.slow
 def test_cmd_construct(tmp_path, sg_config):
     out = tmp_path / "o"
@@ -125,7 +144,7 @@ def test_cmd_boost_and_spectrum(tmp_path, sg_config):
 def test_cmd_verify(tmp_path, sg_config):
     out = tmp_path / "o"
     assert main(["verify", "--config", str(sg_config), "--out", str(out)]) == 0
-    doc = json.loads((out / "verification.json").read_text())
+    doc = _strict_json(out / "verification.json")
     assert doc["covariance"]["discrepancy"] <= 1e-4
     assert doc["energy_drift"]["max_drift"] <= 1e-5
     assert doc["coercivity"]["min_rayleigh_ratio"] >= 0.05
@@ -201,16 +220,22 @@ def test_bad_grid_step_exit_2(tmp_path, capsys, dx):
     ("kink", "[run]", "; caf\u00e9\n[run]", []),
     ("kink", "seed = 42", "seed = 42", ["--out", "file"]),
     ("kink", "seed = 42", "seed = 42", ["--out", "file/sub"]),
+    ("construct", "tol = 1e-8", "tol = 1e-8\nmax_iter = -1", []),
+    ("construct", "tol = 1e-8", "tol = -1", []),
+    ("construct", "dx = 0.05", "dx = 0.05\ncfl = 1.0", []),
 ], ids=["kink-n5", "kink-n-1", "profile_dx-nan", "t_end-nan", "vacuum_tol-nan", "spectrum-dx0",
         "spectrum-x_half0", "spectrum-k-above-grid", "coercivity_samples0", "seed-negative",
         "seed-override-negative", "spectrum-one-point-grid", "search_interval-one-value",
-        "custom-no-coeffs", "config-not-utf8", "out-is-a-file", "out-under-a-file"])
+        "custom-no-coeffs", "config-not-utf8", "out-is-a-file", "out-under-a-file",
+        "max_iter-negative", "tol-negative", "construct-cfl1"])
 def test_invalid_input_exit_2(tmp_path, capsys, monkeypatch, command, old, new, args):
     # vacuum labels outside the table, non-finite numbers, a zero spectrum
     # step or half width, a one-point spectrum grid, more eigenpairs than
     # grid points, a search interval or coefficient list of the wrong
     # length, no coercivity samples, a negative seed, a config file that is
-    # not UTF-8 and an --out naming or under a regular file are config errors
+    # not UTF-8, an --out naming or under a regular file, a negative
+    # max_iter, a negative tol and a Courant ratio past the leapfrog's
+    # stable bound are config errors
     monkeypatch.chdir(tmp_path)
     Path("file").write_text("")
     path = tmp_path / "bad.cfg"
@@ -234,3 +259,15 @@ def test_verify_zero_modes_read_cfl(tmp_path):
         assert main(["verify", "--config", str(path), "--out", str(tmp_path / cfl)]) == 0
         laws[cfl] = json.loads((tmp_path / cfl / "verification.json").read_text())["zero_modes"]
     assert laws["0.5"] != laws["0.9"]
+
+
+def test_one_courant_bound(tmp_path):
+    # cfl 0.95 lies under the one bound sqrt(0.97) of every leapfrog run:
+    # the forward runs of evolve and verify accept it, as construct does
+    path = tmp_path / "cfl.cfg"
+    path.write_text(SG_SINGLE.replace("dx = 0.05", "dx = 0.05\ncfl = 0.95").replace(
+        "window_t = 3.0", "coercivity = false\ncovariance = false"))
+    for command in ("evolve", "verify"):
+        assert main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 0
+    doc = _strict_json(tmp_path / "verify" / "verification.json")
+    assert doc["energy_drift"]["max_drift"] <= 1e-5

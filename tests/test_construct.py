@@ -34,7 +34,7 @@ def _bump_slab(grid, times, delta0):
 @pytest.mark.parametrize("bad", [dict(dx=0.0), dict(dx=-0.05), dict(dx=math.nan),
                                  dict(x_max=math.inf), dict(cfl=0.0),
                                  dict(snapshot_dt=0.0), dict(snapshot_dt=-0.25),
-                                 dict(snapshot_dt=math.nan)])
+                                 dict(snapshot_dt=math.nan), dict(cfl=1.0)])
 def test_solver_config_rejects_bad_values(bad):
     with pytest.raises(ConfigError):
         construct.SolverConfig(**{"x_min": -10.0, "x_max": 10.0, **bad})
@@ -49,32 +49,32 @@ def test_weighted_norm_closed_form(small_cfg):
     bx = -grid * b
     base = math.sqrt(integrate_grid(b**2 + bx**2 + delta0**2 * b**2, small_cfg.dx))
     # decaying weight: supremum at t = T
-    cfg = construct.WeightedNormConfig(T=2.0, delta=0.25)
     expect = math.exp((0.25 - delta0) * 2.0) * base
-    assert construct.weighted_norm(slab, cfg) == pytest.approx(expect, rel=1e-3)
+    assert construct.weighted_norm(slab, 2.0, 0.25) == pytest.approx(expect, rel=1e-3)
     # growing weight: supremum at the last snapshot
-    cfg2 = construct.WeightedNormConfig(T=2.0, delta=1.0)
     expect2 = math.exp((1.0 - delta0) * 12.0) * base
-    assert construct.weighted_norm(slab, cfg2) == pytest.approx(expect2, rel=1e-3)
+    assert construct.weighted_norm(slab, 2.0, 1.0) == pytest.approx(expect2, rel=1e-3)
     zero = SpaceTimeSlab(times, grid, np.zeros((41, len(grid))), np.zeros((41, len(grid))))
-    assert construct.weighted_norm(zero, cfg) == 0.0
-    with pytest.raises(ConfigError):
-        construct.weighted_norm(slab, construct.WeightedNormConfig(T=100.0, delta=0.25))
+    assert construct.weighted_norm(zero, 2.0, 0.25) == 0.0
+    with pytest.raises(ConfigError, match="snapshots"):
+        construct.weighted_norm(slab, 100.0, 0.25)
+    for delta in (0.0, -0.25, math.nan):
+        with pytest.raises(ConfigError, match="delta"):
+            construct.weighted_norm(slab, 2.0, delta)
 
 
 def test_weighted_norm_divergence_with_range(small_cfg):
     grid = small_cfg.grid
     delta0 = 0.5
-    cfg = construct.WeightedNormConfig(T=2.0, delta=1.5)
-    n_short = construct.weighted_norm(_bump_slab(grid, np.linspace(2, 8, 25), delta0), cfg)
-    n_long = construct.weighted_norm(_bump_slab(grid, np.linspace(2, 16, 57), delta0), cfg)
+    n_short = construct.weighted_norm(_bump_slab(grid, np.linspace(2, 8, 25), delta0), 2.0, 1.5)
+    n_long = construct.weighted_norm(_bump_slab(grid, np.linspace(2, 16, 57), delta0), 2.0, 1.5)
     assert n_long > 10.0 * n_short
 
 
-def _weighted_l2(slab, norm_cfg):
+def _weighted_l2(slab, T, delta):
     """sup over snapshots t >= T of e^{delta t} * |phi(t)|_{L2}."""
     norms = np.array([[math.sqrt(integrate_grid(p**2, slab.dx))] for p in slab.phis])
-    return float(construct._weighted_sup(slab.times, norms, norm_cfg)[0])
+    return float(construct._weighted_sup(slab.times, norms, T, delta)[0])
 
 
 def test_solve_backward_zero_forcing(sg, small_cfg):
@@ -91,7 +91,7 @@ def test_solve_backward_zero_forcing(sg, small_cfg):
 def test_solve_backward_apriori_bound(phi4):
     model, table = phi4
     params = ansatz.make_params(model, table, (0, 1), (0.0,), (0.0,))
-    norm_cfg = construct.WeightedNormConfig(T=1.0, delta=0.4)
+    weight = (1.0, 0.4)  # T, delta
     consts = []
     for dx in (0.1, 0.05):
         cfg = construct.SolverConfig(x_min=-25.0, x_max=25.0, dx=dx)
@@ -101,7 +101,7 @@ def test_solve_backward_apriori_bound(phi4):
         f_slab = SpaceTimeSlab(h.times, cfg.grid,
                                np.array([math.exp(-t) * bump for t in h.times]),
                                np.zeros((len(h.times), len(cfg.grid))))
-        consts.append(construct.weighted_norm(h, norm_cfg) / _weighted_l2(f_slab, norm_cfg))
+        consts.append(construct.weighted_norm(h, *weight) / _weighted_l2(f_slab, *weight))
     assert consts[0] == pytest.approx(consts[1], rel=0.05)
 
 
@@ -119,7 +119,7 @@ def test_stability_constant_across_parameters(sg):
     # measured response constant varies little over a compact (v, a) set when
     # the probe forcing rides along with the kink
     model, table = sg
-    norm_cfg = construct.WeightedNormConfig(T=1.0, delta=0.4)
+    weight = (1.0, 0.4)  # T, delta
     cfg = construct.SolverConfig(x_min=-25.0, x_max=25.0, dx=0.05)
     consts = []
     for v, a in ((0.0, 0.0), (0.2, 1.0), (0.4, -1.0)):
@@ -133,7 +133,7 @@ def test_stability_constant_across_parameters(sg):
         f_slab = SpaceTimeSlab(h.times, cfg.grid,
                                np.array([forcing(t) for t in h.times]),
                                np.zeros((len(h.times), len(cfg.grid))))
-        consts.append(construct.weighted_norm(h, norm_cfg) / _weighted_l2(f_slab, norm_cfg))
+        consts.append(construct.weighted_norm(h, *weight) / _weighted_l2(f_slab, *weight))
     assert max(consts) <= 1.2 * min(consts)
 
 
@@ -166,11 +166,15 @@ def test_solve_backward_lands_on_t_start(sg2_params):
     assert slab.times[-1] == 3.6
 
 
+# the weight e^{delta t} of the sweeps below, which all start at T = 16
+DELTA = 0.31
+
+
 def _sweep_setup(sg2_params):
-    """A dx = 0.1 grid, the first iterate R N(0) on [16, 24] and its norm."""
+    """A dx = 0.1 grid and the first iterate R N(0) on [16, 24]."""
     cfg = construct.SolverConfig(x_min=-34.0, x_max=34.0, dx=0.1)
     g = construct.solve_backward(sg2_params, _free_forcing, 16.0, 24.0, cfg)
-    return cfg, g, construct.WeightedNormConfig(T=16.0, delta=0.31)
+    return cfg, g
 
 
 def _sequential_solve(params, g, cfg):
@@ -203,9 +207,8 @@ def _swept_lanes(params, g, cfg, lanes, t_final=24.0):
     """Every lane of one Picard sweep from g (None for 0) on [16, t_final],
     as slabs in increasing time, and the slab the sweep returns."""
     seen = []
-    norm_cfg = construct.WeightedNormConfig(T=16.0, delta=0.31)
     _, [(last, _)] = _observed(
-        lambda: construct._sweep(params, cfg, 16.0, [t_final], 1, lanes - 1, norm_cfg, g),
+        lambda: construct._sweep(params, cfg, 16.0, [t_final], 1, lanes - 1, DELTA, g),
         lambda *snapshot: seen.append(snapshot))
     times = np.array([t for t, _, _ in seen[::-1]])
     slabs = [SpaceTimeSlab(times, cfg.grid, np.array([h[j] for _, h, _ in seen[::-1]]),
@@ -215,7 +218,7 @@ def _swept_lanes(params, g, cfg, lanes, t_final=24.0):
 
 
 def test_picard_sweep_one_evaluation_per_level(sg2_params, monkeypatch):
-    cfg, g, norm_cfg = _sweep_setup(sg2_params)
+    cfg, g = _sweep_setup(sg2_params)
     calls = []
 
     def counting(params, t, grid):
@@ -225,14 +228,14 @@ def test_picard_sweep_one_evaluation_per_level(sg2_params, monkeypatch):
     monkeypatch.setattr(construct, "evaluate_ansatz", counting)
     dt, _ = cfg.plan(16.0, 24.0)
     n_steps = int(round(8.0 / dt))
-    _, [(_, norms)] = construct._sweep(sg2_params, cfg, 16.0, [24.0], 1, 2, norm_cfg, g)
+    _, [(_, norms)] = construct._sweep(sg2_params, cfg, 16.0, [24.0], 1, 2, DELTA, g)
     assert len(norms) == 3
     assert len(calls) == n_steps + 1
     assert len(set(calls)) == n_steps + 1
 
 
 def test_picard_sweep_lane0_is_sequential_solve(sg2_params):
-    cfg, g, norm_cfg = _sweep_setup(sg2_params)
+    cfg, g = _sweep_setup(sg2_params)
     seq = _sequential_solve(sg2_params, g, cfg)
     lanes, last = _swept_lanes(sg2_params, g, cfg, 3)
     assert np.array_equal(lanes[0].times, seq.times)
@@ -242,9 +245,9 @@ def test_picard_sweep_lane0_is_sequential_solve(sg2_params):
     assert np.array_equal(last.phis, lanes[2].phis)
     assert np.array_equal(last.phi_dots, lanes[2].phi_dots)
     # lane 0's norm is the weighted norm of the stored increment
-    _, [(_, norms)] = construct._sweep(sg2_params, cfg, 16.0, [24.0], 1, 2, norm_cfg, g)
+    _, [(_, norms)] = construct._sweep(sg2_params, cfg, 16.0, [24.0], 1, 2, DELTA, g)
     diff = SpaceTimeSlab(seq.times, cfg.grid, seq.phis - g.phis, seq.phi_dots - g.phi_dots)
-    assert norms[0] == construct.weighted_norm(diff, norm_cfg)
+    assert norms[0] == construct.weighted_norm(diff, 16.0, DELTA)
 
 
 def test_picard_sweep_matches_sequential_iterates(sg2_params):
@@ -252,12 +255,12 @@ def test_picard_sweep_matches_sequential_iterates(sg2_params):
     # read the previous slab cubically in time between snapshots. Measured
     # here: both lanes off by 3.2e-10 of max |phi| and 2.9e-9 of max
     # |phi_t|, the norms by 1.4% and 0.2%
-    cfg, g, norm_cfg = _sweep_setup(sg2_params)
+    cfg, g = _sweep_setup(sg2_params)
     ref = [g]
     for _ in range(3):
         ref.append(_sequential_solve(sg2_params, ref[-1], cfg))
     lanes, _ = _swept_lanes(sg2_params, g, cfg, 3)
-    _, [(_, norms)] = construct._sweep(sg2_params, cfg, 16.0, [24.0], 1, 2, norm_cfg, g)
+    _, [(_, norms)] = construct._sweep(sg2_params, cfg, 16.0, [24.0], 1, 2, DELTA, g)
     for j in (1, 2):
         gap = np.max(np.abs(lanes[j].phis - ref[j + 1].phis))
         assert gap <= 1e-9 * np.max(np.abs(ref[j + 1].phis))
@@ -265,7 +268,7 @@ def test_picard_sweep_matches_sequential_iterates(sg2_params):
         assert gap <= 1e-8 * np.max(np.abs(ref[j + 1].phi_dots))
         step = SpaceTimeSlab(g.times, cfg.grid, ref[j + 1].phis - ref[j].phis,
                              ref[j + 1].phi_dots - ref[j].phi_dots)
-        assert norms[j] == pytest.approx(construct.weighted_norm(step, norm_cfg), rel=0.05)
+        assert norms[j] == pytest.approx(construct.weighted_norm(step, 16.0, DELTA), rel=0.05)
 
 
 def _count_solves(monkeypatch):
@@ -364,16 +367,15 @@ def _window_setup(sg2_params, n_grid):
     """A grid of n_grid points on [-34, 34] and one truncation window of
     spans 1, 2 and 4 from T = 16, two chain lanes on each candidate."""
     cfg = construct.SolverConfig(x_min=-34.0, x_max=34.0, dx=68.0 / (n_grid - 1))
-    norm_cfg = construct.WeightedNormConfig(T=16.0, delta=0.31)
-    gaps, cands = construct._sweep(sg2_params, cfg, 16.0, [17.0, 18.0, 20.0], 2, 2, norm_cfg)
-    return cfg, norm_cfg, gaps, cands
+    gaps, cands = construct._sweep(sg2_params, cfg, 16.0, [17.0, 18.0, 20.0], 2, 2, DELTA)
+    return cfg, gaps, cands
 
 
 @pytest.mark.parametrize("n_grid", [3401, 300, 40])
 def test_probe_gap_matches_per_time_sampling(sg2_params, n_grid):
     # the window's live gaps are those of standalone probes, sampled at
     # every common snapshot time
-    cfg, _, gaps, _ = _window_setup(sg2_params, n_grid)
+    cfg, gaps, _ = _window_setup(sg2_params, n_grid)
     probes = [construct.solve_backward(sg2_params, _free_forcing, 16.0, 16.0 + span,
                                        cfg) for span in (1.0, 2.0, 4.0)]
     for (gap, scale), short, long_ in zip(gaps, probes, probes[1:]):
@@ -393,7 +395,7 @@ def test_window_lanes_match_standalone_solves(sg2_params):
     def record(t, h, h_t):
         seen[t] = h, h_t
 
-    cfg, norm_cfg, _, cands = _observed(lambda: _window_setup(sg2_params, 300), record)
+    cfg, _, cands = _observed(lambda: _window_setup(sg2_params, 300), record)
     row = 0
     for span, chain in ((4.0, 0), (2.0, 2), (1.0, 2)):  # the rows, highest top first
         lanes, last = _swept_lanes(sg2_params, None, cfg, 1 + chain, 16.0 + span)
@@ -411,7 +413,7 @@ def test_window_lanes_match_standalone_solves(sg2_params):
             steps = [lanes[0]] + [SpaceTimeSlab(a.times, cfg.grid, b.phis - a.phis,
                                                 b.phi_dots - a.phi_dots)
                                   for a, b in zip(lanes, lanes[1:])]
-            assert norms == [construct.weighted_norm(d, norm_cfg) for d in steps]
+            assert norms == [construct.weighted_norm(d, 16.0, DELTA) for d in steps]
 
 
 def test_truncation_search_memory(sg2_params, monkeypatch):
@@ -448,12 +450,13 @@ def test_truncation_report(sg2_params):
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
-def test_truncation_cap(sg2_params):
+def test_truncation_cap(sg2_params, monkeypatch):
     # 16 and 32 fit under a cap of 40, 64 does not: one window of two
     # probes whose failing test leaves the longer one, with a warning
     cfg = construct.SolverConfig(x_min=-34.0, x_max=34.0, dx=0.1)
+    monkeypatch.setattr(construct, "TRUNCATION_MAX_SPAN", 40.0)
     with pytest.warns(UserWarning, match="cap"):
-        out = construct.choose_final_time(sg2_params, cfg, T=16.0, delta=0.31, max_span=40.0)
+        out = construct.choose_final_time(sg2_params, cfg, T=16.0, delta=0.31)
     assert out.t_final == 48.0 and out.capped
     assert [span for span, _, _ in out.tests] == [16.0]
     assert len(out.iterate) == 129
@@ -569,8 +572,9 @@ def test_default_start_time_without_crossing(sg2_params, monkeypatch):
     grid = np.arange(-34.0, 34.0 + 1e-9, 0.05)
     times, norms = _full_scan(sg2_params, grid)
     calls = _counting_nonlinearity(monkeypatch)
+    monkeypatch.setattr(construct, "START_THRESHOLD", -1.0)
     with pytest.warns(UserWarning, match="never drops below"):
-        T = construct.default_start_time(sg2_params, grid, threshold=-1.0)
+        T = construct.default_start_time(sg2_params, grid)
     assert T == times[np.argmin(norms)]
     assert len(calls) == len(times)
 
@@ -600,11 +604,13 @@ def test_decay_fit_catches_only_fit_errors(sg, small_cfg, monkeypatch):
         _single_kink_construction(sg, small_cfg)
 
 
-def test_decay_fit_error_is_reported(sg2_params):
+def test_decay_fit_error_is_reported(sg2_params, monkeypatch):
     # a 0.1 fit span holds one snapshot: the fit fails and says why
     cfg = construct.SolverConfig(x_min=-34.0, x_max=34.0, dx=0.1)
     kw = dict(T=16.0, delta=0.31, t_final=24.0, max_iter=1)
-    _, rep = construct.fixed_point(sg2_params, cfg, fit_span=0.1, **kw)
+    with monkeypatch.context() as mp:
+        mp.setattr(construct, "FIT_SPAN", 0.1)
+        _, rep = construct.fixed_point(sg2_params, cfg, **kw)
     assert math.isnan(rep.fitted_decay_rate) and math.isnan(rep.decay_fit_r2)
     assert rep.decay_fit_error == "need at least 3 samples for a log-linear fit"
     assert rep.to_dict()["decay_fit_error"] == rep.decay_fit_error
@@ -703,6 +709,24 @@ def test_fixed_point_zero_iterations(sg2_params):
     assert rep.iterate_norms == []
 
 
+@pytest.mark.parametrize("bad", [dict(max_iter=-1), dict(tol=0.0), dict(tol=-1.0),
+                                 dict(tol=math.nan), dict(tol=math.inf), dict(delta=0.0),
+                                 dict(delta=-0.3)])
+def test_fixed_point_rejects_bad_settings(sg2_params, monkeypatch, bad):
+    # each raises ConfigError before the start-time scan and any backward solve
+    def no_solve(*_args, **_kwargs):
+        raise AssertionError("a solve or the start-time scan ran")
+
+    monkeypatch.setattr(construct, "solve_backward", no_solve)
+    monkeypatch.setattr(construct, "nonlinearity", no_solve)
+    cfg = construct.SolverConfig(x_min=-34.0, x_max=34.0, dx=0.1)
+    for T in (None, 16.0):
+        for t_final in (None, 24.0):
+            with pytest.raises(ConfigError):
+                construct.fixed_point(sg2_params, cfg, **{"T": T, "delta": 0.31,
+                                                          "t_final": t_final, **bad})
+
+
 @pytest.mark.filterwarnings("ignore::UserWarning")
 def test_no_contraction_detected(sg2_params, monkeypatch):
     # unit test of the divergence detector: make every lane of every sweep
@@ -710,7 +734,7 @@ def test_no_contraction_detected(sg2_params, monkeypatch):
     cfg = construct.SolverConfig(x_min=-34.0, x_max=34.0, dx=0.05)
     norms = []
 
-    def fake(params, config, T, tops, n_cand, lanes, norm_cfg, g=None):
+    def fake(params, config, T, tops, n_cand, lanes, delta, g=None):
         for _ in range(1 + lanes):
             norms.append(2.0 ** len(norms))
         return [], [(g, norms[-1 - lanes:])]
@@ -731,8 +755,7 @@ def test_uniqueness_restart(sg2_construction, sg2_restart):
     psi2 = sg2_restart["psi"]
     diff = construct.weighted_norm(
         SpaceTimeSlab(psi.times, cfg.grid, psi2.phis - psi.phis,
-                      psi2.phi_dots - psi.phi_dots),
-        construct.WeightedNormConfig(T=rep.T, delta=rep.delta))
+                      psi2.phi_dots - psi.phi_dots), rep.T, rep.delta)
     assert diff <= 10.0 * 1e-10
 
 

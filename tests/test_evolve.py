@@ -31,6 +31,12 @@ def test_cfl_validation(grid):
     with pytest.raises(ConfigError):
         evolve.EvolveConfig(dt=0.03, t_end=1.0).validate(0.02)
     evolve.EvolveConfig(dt=0.018, t_end=1.0).validate(0.02)
+    # the one bound sqrt(0.97), where the Laplacian blend reaches 0 up to rounding
+    edge = evolve.EvolveConfig(dt=-evolve.MAX_COURANT * 0.02, t_end=-1.0)
+    edge.validate(0.02)
+    assert edge.stencil_blend(0.02) <= 1e-12
+    with pytest.raises(ConfigError):
+        evolve.EvolveConfig(dt=0.02, t_end=1.0).validate(0.02)
 
 
 def test_static_kink_is_fixed_point(phi4, phi4_static, grid):

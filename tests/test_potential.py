@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -36,7 +38,7 @@ def test_find_vacua_builtin(request, fixture, expected_vacua, expected_masses):
 
 def test_find_vacua_sine_gordon_window(sg):
     model, _ = sg
-    table = find_vacua(model, interval=(-1.0, 7.0))
+    table = find_vacua(dataclasses.replace(model, search_interval=(-1.0, 7.0)))
     assert np.allclose(table.vacua, (0.0, 2.0 * np.pi), atol=1e-10)
     assert np.allclose(table.masses, (1.0, 1.0), atol=1e-10)
 
@@ -60,16 +62,16 @@ def test_custom_trig_matches_sine_gordon(sg):
 
 
 def test_degenerate_vacuum_rejected():
-    quartic = PotentialModel.custom_poly([0.0, 0.0, 0.0, 0.0, 1.0])
+    quartic = PotentialModel.custom_poly([0.0, 0.0, 0.0, 0.0, 1.0], search_interval=(-1.0, 1.0))
     with pytest.raises(DegenerateVacuumError):
-        find_vacua(quartic, interval=(-1.0, 1.0))
+        find_vacua(quartic)
 
 
 def test_positive_local_minimum_not_a_vacuum():
     # W = (1 - p^2)^2 + 0.1 has the same minima but no zeros
-    lifted = PotentialModel.custom_poly([1.1, 0.0, -2.0, 0.0, 1.0])
+    lifted = PotentialModel.custom_poly([1.1, 0.0, -2.0, 0.0, 1.0], search_interval=(-2.0, 2.0))
     with pytest.raises(ConfigError):
-        find_vacua(lifted, interval=(-2.0, 2.0))
+        find_vacua(lifted)
 
 
 def test_validate_chain(sg, phi4, phi6):

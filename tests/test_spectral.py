@@ -105,4 +105,4 @@ def test_coercivity_constant(sg_disc):
 def test_invalid_multiplier(sg_disc):
     odd = sg_disc.grid * np.exp(-sg_disc.grid**2)
     with pytest.raises(InvalidMultiplierError):
-        spectral.coercivity_constant(sg_disc, odd, n_samples=1)
+        spectral.coercivity_constant(sg_disc, odd)
