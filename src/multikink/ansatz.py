@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -28,7 +28,6 @@ class FieldState:
     grid: np.ndarray
     phi: np.ndarray
     phi_dot: np.ndarray
-    sector: Optional[tuple[int, int]] = None
 
     def __post_init__(self):
         self.dx = grid_spacing(self.grid)
@@ -185,9 +184,7 @@ def multikink(params: MultikinkParams, t: float, grid: np.ndarray) -> FieldState
     tail-extended profile derivatives and the chain rule.
     """
     level = evaluate_ansatz(params, t, grid)
-    sector = (params.chain.labels[0], params.chain.labels[-1])
-    return FieldState(t=level.t, grid=level.grid, phi=level.H, phi_dot=level.H_t,
-                      sector=sector)
+    return FieldState(t=level.t, grid=level.grid, phi=level.H, phi_dot=level.H_t)
 
 
 def linearization_potential(params: MultikinkParams, t: float, grid: np.ndarray) -> np.ndarray:

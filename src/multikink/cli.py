@@ -52,13 +52,6 @@ def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]):
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
-def _grid_from_config(cfg: ExperimentConfig):
-    return construct.SolverConfig(
-        x_min=cfg.get_float("grid", "x_min", required=True),
-        x_max=cfg.get_float("grid", "x_max", required=True),
-        dx=cfg.get_float("grid", "dx", default=0.02)).grid
-
-
 def _params_from_config(cfg: ExperimentConfig):
     """The multikink parameters; they carry the model and its vacuum table."""
     model = cfg.build_model()
@@ -68,11 +61,8 @@ def _params_from_config(cfg: ExperimentConfig):
 def cmd_kink(cfg: ExperimentConfig, out: Path, seed: int) -> None:
     model = cfg.build_model()
     table = cfg.build_table(model)
-    n = cfg.get_int("kink", "n", default=0)
-    n_prime = cfg.get_int("kink", "n_prime", default=1)
-    dx = cfg.get_float("multikink", "profile_dx", default=0.01)
-    half_width = cfg.get_float("multikink", "half_width", default=None)
-    profile = kink.kink_profile(model, table, n, n_prime, half_width=half_width, dx=dx)
+    n, n_prime = cfg.kink_labels()
+    profile = kink.kink_profile(model, table, n, n_prime, **cfg.profile_settings())
     out.mkdir(parents=True, exist_ok=True)
     profile.to_csv(out / "profile.csv")
     _write_json(out / "tails.json", {
@@ -89,8 +79,8 @@ def cmd_kink(cfg: ExperimentConfig, out: Path, seed: int) -> None:
 
 def cmd_multikink(cfg: ExperimentConfig, out: Path, seed: int) -> None:
     params = _params_from_config(cfg)
-    grid = _grid_from_config(cfg)
-    t = cfg.get_float("grid", "t_start", default=0.0)
+    grid = cfg.build_grid()
+    t = cfg.t_start()
     state = ansatz.multikink(params, t, grid)
     _write_csv(out / "multikink.csv", ["x", "phi", "phi_dot"],
                [grid, state.phi, state.phi_dot])
@@ -103,26 +93,24 @@ def cmd_multikink(cfg: ExperimentConfig, out: Path, seed: int) -> None:
 
 def _time_step(cfg: ExperimentConfig, grid) -> float:
     """[grid] cfl * dx, the step of every forward run."""
-    return cfg.get_float("grid", "cfl", default=0.9) * float(grid[1] - grid[0])
+    return cfg.cfl() * float(grid[1] - grid[0])
 
 
-def _evolve_from_config(cfg: ExperimentConfig, params, grid, t_start: float,
-                        t_end: float):
-    """Evolve the ansatz from t_start to t_end with steps of at most
+def _evolve_from_config(cfg: ExperimentConfig, params, grid):
+    """Evolve the ansatz from [grid] t_start to t_end with steps of at most
     [grid] cfl * dx: the slab and (E, E_p, E_k) per snapshot."""
     econf = evolve.EvolveConfig(
-        dt=_time_step(cfg, grid), t_end=t_end,
+        dt=_time_step(cfg, grid), t_end=cfg.t_end(),
         snapshot_every=cfg.get_int("grid", "snapshot_every", default=25))
-    slab = evolve.evolve_nonlinear(ansatz.multikink(params, t_start, grid), params.model, econf)
+    slab = evolve.evolve_nonlinear(ansatz.multikink(params, cfg.t_start(), grid),
+                                   params.model, econf)
     energies = np.array([evolve.energy(slab.state(i), params.model) for i in range(len(slab))])
     return slab, energies
 
 
 def cmd_evolve(cfg: ExperimentConfig, out: Path, seed: int) -> None:
     params = _params_from_config(cfg)
-    slab, energies = _evolve_from_config(
-        cfg, params, _grid_from_config(cfg), cfg.get_float("grid", "t_start", default=0.0),
-        cfg.get_float("grid", "t_end", required=True))
+    slab, energies = _evolve_from_config(cfg, params, cfg.build_grid())
     slab.save(out / "slab")
     _write_csv(out / "energy_series.csv", ["t", "E", "E_p", "E_k"],
                [slab.times, energies[:, 0], energies[:, 1], energies[:, 2]])
@@ -135,13 +123,8 @@ def cmd_evolve(cfg: ExperimentConfig, out: Path, seed: int) -> None:
 
 
 def cmd_construct(cfg: ExperimentConfig, out: Path, seed: int) -> None:
-    psi, rep = construct.fixed_point(
-        _params_from_config(cfg), cfg.build_solver_config(),
-        T=cfg.get_auto_float("construct", "T"),
-        delta=cfg.get_auto_float("construct", "delta"),
-        tol=cfg.get_float("construct", "tol", default=1e-8),
-        max_iter=cfg.get_int("construct", "max_iter", default=25),
-        t_final=cfg.get_auto_float("construct", "t_final"))
+    psi, rep = construct.fixed_point(_params_from_config(cfg), cfg.build_solver_config(),
+                                     **cfg.fixed_point_settings())
     psi.save(out / "psi_slab")
     _write_json(out / "report.json", {"report": rep.to_dict()}, cfg, seed)
     norms = construct._snapshot_energy_norms(psi)
@@ -169,8 +152,7 @@ def cmd_boost(cfg: ExperimentConfig, out: Path, seed: int) -> None:
 def cmd_spectrum(cfg: ExperimentConfig, out: Path, seed: int) -> None:
     model = cfg.build_model()
     table = cfg.build_table(model)
-    n = cfg.get_int("kink", "n", default=0)
-    n_prime = cfg.get_int("kink", "n_prime", default=1)
+    n, n_prime = cfg.kink_labels()
     x_half = cfg.get_float("spectrum", "x_half", default=15.0)
     dx = cfg.get_float("spectrum", "dx", default=0.01)
     k = cfg.get_int("spectrum", "k", default=4)
@@ -196,13 +178,11 @@ def cmd_verify(cfg: ExperimentConfig, out: Path, seed: int) -> None:
     rng = np.random.default_rng(seed)
     checks = {name: cfg.get_bool("verify", name, default=True)
               for name in ("energy_drift", "zero_modes", "coercivity")}
-    grid = _grid_from_config(cfg) if any(checks.values()) else None
+    grid = cfg.build_grid() if any(checks.values()) else None
     result: dict = {}
 
     if checks["energy_drift"]:
-        t_start = cfg.get_float("grid", "t_start", default=0.0)
-        slab, energies = _evolve_from_config(
-            cfg, params, grid, t_start, cfg.get_float("grid", "t_end", default=t_start + 10.0))
+        slab, energies = _evolve_from_config(cfg, params, grid)
         result["energy_drift"] = {
             "initial": float(energies[0, 0]),
             "max_drift": float(np.max(np.abs(energies[:, 0] - energies[0, 0]))),
@@ -210,7 +190,7 @@ def cmd_verify(cfg: ExperimentConfig, out: Path, seed: int) -> None:
         }
 
     if checks["zero_modes"]:
-        t0 = max(cfg.get_float("grid", "t_start", default=0.0), 1.0)
+        t0 = max(cfg.t_start(), 1.0)
         if params.K >= 2:
             # the pairing laws hold once the kinks are well separated; start
             # where the free forcing has become small
@@ -223,24 +203,16 @@ def cmd_verify(cfg: ExperimentConfig, out: Path, seed: int) -> None:
 
     if checks["coercivity"]:
         n_samples = cfg.get_int("verify", "coercivity_samples", default=100)
-        t_eval = max(cfg.get_float("grid", "t_end", default=10.0), 1.0)
+        t_eval = max(cfg.t_end(), 1.0)
         result["coercivity"] = {
             "min_rayleigh_ratio": ansatz.coercivity_sample(params, t_eval, grid, rng, n_samples),
             "continuum_edge": float(min(params.table.masses) ** 2),
             "samples": n_samples, "t": t_eval}
 
     if cfg.has("boost") and cfg.get_bool("verify", "covariance", default=True):
-        boost = cfg.build_boost()
-        sconf = cfg.build_solver_config()
         result["covariance"] = lorentz.verify_covariance(
-            params, boost, sconf,
-            window_t=cfg.get_float("verify", "window_t", default=5.0),
-            tol=cfg.get_float("construct", "tol", default=1e-8),
-            construct_kwargs={
-                "T": cfg.get_auto_float("construct", "T"),
-                "delta": cfg.get_auto_float("construct", "delta"),
-                "t_final": cfg.get_auto_float("construct", "t_final"),
-            })
+            params, cfg.build_boost(), cfg.build_solver_config(), cfg.fixed_point_settings(),
+            window_t=cfg.get_float("verify", "window_t", default=5.0))
 
     _write_json(out / "verification.json", result, cfg, seed)
 

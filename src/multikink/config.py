@@ -8,6 +8,7 @@ every JSON output for reproducibility.
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import math
 from pathlib import Path
 
@@ -15,23 +16,20 @@ from .errors import ConfigError
 from .potential import PotentialModel, find_vacua
 
 
-def _number(section: str, key: str, text: str) -> float:
-    """text as a finite float; a ConfigError naming [section] key otherwise."""
-    try:
-        value = float(text)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: expected a number, got {text!r}") from exc
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
+
+
+def _number(text: str) -> float:
+    """text as a finite float; ValueError otherwise."""
+    value = float(text)
     if not math.isfinite(value):
-        raise ConfigError(f"[{section}] {key}: expected a finite number, got {text!r}")
+        raise ValueError(text)
     return value
 
 
-def _ints(text: str) -> list[int]:
-    items = [s.strip() for s in text.split(",") if s.strip()]
-    try:
-        return [int(s) for s in items]
-    except ValueError as exc:
-        raise ConfigError(f"expected a comma-separated list of integers, got {text!r}") from exc
+def _items(text: str) -> list[str]:
+    return [s.strip() for s in text.split(",") if s.strip()]
 
 
 class ExperimentConfig:
@@ -59,88 +57,113 @@ class ExperimentConfig:
             return self._parser.has_section(section)
         return self._parser.has_option(section, key)
 
-    def _raw(self, section, key, required):
+    def _get(self, section, key, parse, expected, default=None, required=False):
+        """[section] key parsed by parse, or default when the file does not
+        set it, recorded either way; a ConfigError naming [section] key when
+        a required key is missing or parse raises."""
         if not self._parser.has_option(section, key):
             if required:
                 raise ConfigError(f"missing required config key [{section}] {key}")
-            return None
-        return self._parser.get(section, key)
+            return self._record(section, key, default)
+        raw = self._parser.get(section, key)
+        try:
+            value = parse(raw.strip())
+        except (KeyError, ValueError):
+            raise ConfigError(f"[{section}] {key}: expected {expected}, got {raw!r}") from None
+        return self._record(section, key, value)
 
     def get_str(self, section, key, default=None, required=False):
-        raw = self._raw(section, key, required)
-        return self._record(section, key, default if raw is None else raw.strip())
+        return self._get(section, key, str, "a string", default, required)
 
     def get_float(self, section, key, default=None, required=False):
-        raw = self._raw(section, key, required)
-        if raw is None:
-            return self._record(section, key, default)
-        return self._record(section, key, _number(section, key, raw))
+        return self._get(section, key, _number, "a finite number", default, required)
 
     def get_auto_float(self, section, key, default=None):
-        """A float or the word 'auto' (returned as None)."""
-        raw = self._raw(section, key, False)
-        if raw is None or raw.strip().lower() == "auto":
-            self._record(section, key, "auto" if raw is not None else default)
-            return default
-        return self._record(section, key, _number(section, key, raw))
+        """A float or the word 'auto' (recorded as 'auto', returned as default)."""
+        value = self._get(section, key,
+                          lambda text: "auto" if text.lower() == "auto" else _number(text),
+                          "a finite number or 'auto'", default)
+        return default if value == "auto" else value
 
     def get_int(self, section, key, default=None, required=False):
-        raw = self._raw(section, key, required)
-        if raw is None:
-            return self._record(section, key, default)
-        try:
-            return self._record(section, key, int(raw))
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {key}: expected an integer, got {raw!r}") from exc
+        return self._get(section, key, int, "an integer", default, required)
 
     def get_bool(self, section, key, default=False):
-        raw = self._raw(section, key, False)
-        if raw is None:
-            return self._record(section, key, default)
-        val = raw.strip().lower()
-        if val in ("1", "true", "yes", "on"):
-            return self._record(section, key, True)
-        if val in ("0", "false", "no", "off"):
-            return self._record(section, key, False)
-        raise ConfigError(f"[{section}] {key}: expected a boolean, got {raw!r}")
+        return self._get(section, key, lambda text: _BOOLEANS[text.lower()], "a boolean",
+                         default)
 
     def get_floats(self, section, key, default=None, required=False):
-        raw = self._raw(section, key, required)
-        if raw is None:
-            return self._record(section, key, default)
-        items = [s.strip() for s in raw.split(",") if s.strip()]
-        return self._record(section, key, [_number(section, key, s) for s in items])
+        return self._get(section, key, lambda text: [_number(s) for s in _items(text)],
+                         "a comma-separated list of finite numbers", default, required)
 
     def get_ints(self, section, key, default=None, required=False):
-        raw = self._raw(section, key, required)
-        if raw is None:
-            return self._record(section, key, default)
-        return self._record(section, key, _ints(raw))
+        return self._get(section, key, lambda text: [int(s) for s in _items(text)],
+                         "a comma-separated list of integers", default, required)
+
+    # ---- keys read by more than one command or builder ----------------
+
+    def _grid_extent(self) -> dict:
+        """SolverConfig's x_min, x_max and dx from [grid]."""
+        return {"x_min": self.get_float("grid", "x_min", required=True),
+                "x_max": self.get_float("grid", "x_max", required=True),
+                "dx": self.get_float("grid", "dx", default=0.02)}
+
+    def build_grid(self):
+        """The spatial grid of [grid] x_min, x_max and dx."""
+        from .construct import SolverConfig
+        return SolverConfig(**self._grid_extent()).grid
+
+    def cfl(self) -> float:
+        """[grid] cfl, the Courant ratio dt/dx of every leapfrog run."""
+        return self.get_float("grid", "cfl", default=0.9)
+
+    def t_start(self) -> float:
+        return self.get_float("grid", "t_start", default=0.0)
+
+    def t_end(self) -> float:
+        """[grid] t_end, by default t_start + 10."""
+        return self.get_float("grid", "t_end", default=self.t_start() + 10.0)
+
+    def kink_labels(self) -> tuple[int, int]:
+        """[kink] n and n_prime, the vacua of the one kink of kink and spectrum."""
+        return (self.get_int("kink", "n", default=0),
+                self.get_int("kink", "n_prime", default=1))
+
+    def profile_settings(self) -> dict:
+        """The tabulation keywords dx and half_width of kink profiles."""
+        return {"dx": self.get_float("multikink", "profile_dx", default=0.01),
+                "half_width": self.get_float("multikink", "half_width")}
+
+    def fixed_point_settings(self) -> dict:
+        """fixed_point's T, delta, t_final (None for 'auto'), tol and max_iter."""
+        return {"T": self.get_auto_float("construct", "T"),
+                "delta": self.get_auto_float("construct", "delta"),
+                "t_final": self.get_auto_float("construct", "t_final"),
+                "tol": self.get_float("construct", "tol", default=1e-8),
+                "max_iter": self.get_int("construct", "max_iter", default=25)}
 
     # ---- domain object builders -------------------------------------
 
     def build_model(self) -> PotentialModel:
+        """The potential of [potential]; search_interval replaces the form's
+        own vacuum-search window only when the file sets it."""
         kind = self.get_str("potential", "kind", required=True)
         interval = self.get_floats("potential", "search_interval")
         if interval is not None and len(interval) != 2:
             raise ConfigError(f"[potential] search_interval needs two values, got {len(interval)}")
+        given = {} if interval is None else {"search_interval": tuple(interval)}
         if kind in ("phi4", "phi6", "sine_gordon"):
-            model = PotentialModel.builtin(kind)
-            if interval is not None:
-                model = PotentialModel(kind=model.kind, derivs=model.derivs,
-                                       search_interval=tuple(interval))
-            return model
+            return dataclasses.replace(PotentialModel.builtin(kind), **given)
         if kind == "custom":
             form = self.get_str("potential", "form", default="poly")
             coeffs = self.get_floats("potential", "coeffs", required=True)
             if not coeffs:
                 raise ConfigError("[potential] coeffs needs at least one value")
-            si = tuple(interval) if interval is not None else (-2.0, 2.0)
             if form == "poly":
-                return PotentialModel.custom_poly(coeffs, search_interval=si)
+                return PotentialModel.custom_poly(coeffs, **given)
             if form == "trig":
                 sin_coeffs = self.get_floats("potential", "sin_coeffs", default=[])
-                return PotentialModel.custom_trig(coeffs, sin_coeffs, search_interval=si)
+                return PotentialModel.custom_trig(coeffs, sin_coeffs, **given)
             raise ConfigError(f"[potential] form must be 'poly' or 'trig', got {form!r}")
         raise ConfigError(f"[potential] kind must be phi4, phi6, sine_gordon or custom, got {kind!r}")
 
@@ -157,19 +180,13 @@ class ExperimentConfig:
             raise ConfigError(
                 f"chain with {len(labels)} labels needs {len(labels) - 1} velocities and shifts; "
                 f"got {len(velocities)} and {len(shifts)}")
-        dx = self.get_float("multikink", "profile_dx", default=0.01)
-        half_width = self.get_float("multikink", "half_width", default=None)
         return make_params(model, table, labels, velocities, shifts,
-                           dx=dx, half_width=half_width)
+                           **self.profile_settings())
 
     def build_solver_config(self):
         from .construct import SolverConfig
-        return SolverConfig(
-            x_min=self.get_float("grid", "x_min", required=True),
-            x_max=self.get_float("grid", "x_max", required=True),
-            dx=self.get_float("grid", "dx", default=0.02),
-            cfl=self.get_float("grid", "cfl", default=0.9),
-            snapshot_dt=self.get_float("construct", "snapshot_dt", default=0.25))
+        return SolverConfig(**self._grid_extent(), cfl=self.cfl(),
+                            snapshot_dt=self.get_float("construct", "snapshot_dt", default=0.25))
 
     def build_boost(self):
         from .lorentz import BoostSpec

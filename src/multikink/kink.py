@@ -139,10 +139,7 @@ class KinkProfile:
             return self.orientation * np.sqrt(2.0 * w)
         if order == 2:
             return self.model(hval, 1)
-        if order == 3:
-            w = np.maximum(self.model(hval, 0), 0.0)
-            return self.model(hval, 2) * self.orientation * np.sqrt(2.0 * w)
-        raise ConfigError(f"profile derivative order must be 1..3, got {order}")
+        raise ConfigError(f"profile derivative order must be 1 or 2, got {order}")
 
     def reflected(self) -> "KinkProfile":
         """The antikink (or kink) obtained by exact reflection x -> -x."""

@@ -121,22 +121,25 @@ def extend_backward(slab: SpaceTimeSlab, model, t_min: float,
 
 
 def verify_covariance(params: MultikinkParams, boost: BoostSpec,
-                      config: SolverConfig, window_t: float = 5.0, tol: float = 1e-8,
-                      construct_kwargs: dict | None = None) -> dict:
+                      config: SolverConfig, settings: dict, window_t: float = 5.0) -> dict:
     """Compare boost(H + Psi) against H' + Psi' on a common primed window.
 
     Builds the unprimed solution, boosts the parameters, builds the primed
     solution independently, and reports the sup discrepancy of the two
-    fields over the window together with its location.
+    fields over the window together with its location. settings holds
+    fixed_point's tol and max_iter, used by both constructions, and may
+    hold its T, delta and t_final, used by the unprimed one only: the
+    primed construction picks its own.
     """
-    psi, rep = fixed_point(params, config, tol=tol, **(construct_kwargs or {}))
+    psi, rep = fixed_point(params, config, **settings)
     field = ansatz_plus_error_slab(params, psi)
 
     params_p = boost_params(params, boost)
     lo, hi = suggest_domain(params_p, rep.t_final)
     config_p = SolverConfig(x_min=lo, x_max=hi, dx=config.dx, cfl=config.cfl,
                             snapshot_dt=config.snapshot_dt)
-    psi_p, rep_p = fixed_point(params_p, config_p, tol=tol)
+    psi_p, rep_p = fixed_point(params_p, config_p, tol=settings["tol"],
+                               max_iter=settings["max_iter"])
 
     pad = COVARIANCE_PAD * (config_p.x_max - config_p.x_min)
     window_x = (config_p.x_min + pad, config_p.x_max - pad)
@@ -167,7 +170,7 @@ def verify_covariance(params: MultikinkParams, boost: BoostSpec,
         "max_location": {"t_prime": worst.get("t_prime"), "x_prime": worst.get("x_prime")},
         "window": {"t_lo": float(t_lo), "t_hi": float(t_hi),
                    "x_lo": float(grid_p[0]), "x_hi": float(grid_p[-1])},
-        "tolerances": {"fixed_point_tol": tol, "dx": config.dx,
+        "tolerances": {"fixed_point_tol": settings["tol"], "dx": config.dx,
                        "snapshot_dt": config.snapshot_dt},
         "unprimed": rep.to_dict(),
         "primed": rep_p.to_dict(),

@@ -15,14 +15,14 @@ from scipy.optimize import brentq
 
 from .errors import ConfigError, DegenerateVacuumError, InvalidChainError
 
-_MAX_ORDER = 3
+_MAX_ORDER = 2
 VACUUM_SCAN_POINTS = 20001  # find_vacua's scan of W' over the search interval
 VACUUM_ZERO_TOL = 1e-9  # a minimum of W at most this is a vacuum
 
 
 @dataclass(frozen=True)
 class PotentialModel:
-    """A potential W with exact derivatives up to third order.
+    """A potential W with exact derivatives up to second order.
 
     Built-in models carry closed-form derivatives; custom models are
     polynomials or trigonometric polynomials so every derivative order is
@@ -47,9 +47,7 @@ class PotentialModel:
                 lambda p: (1.0 - np.asarray(p) ** 2) ** 2,
                 lambda p: -4.0 * np.asarray(p) * (1.0 - np.asarray(p) ** 2),
                 lambda p: 12.0 * np.asarray(p) ** 2 - 4.0,
-                lambda p: 24.0 * np.asarray(p),
             ),
-            search_interval=(-2.0, 2.0),
         )
 
     @staticmethod
@@ -61,9 +59,7 @@ class PotentialModel:
                 lambda p: np.asarray(p) ** 2 * (1.0 - np.asarray(p) ** 2) ** 2,
                 lambda p: 2.0 * np.asarray(p) - 8.0 * np.asarray(p) ** 3 + 6.0 * np.asarray(p) ** 5,
                 lambda p: 2.0 - 24.0 * np.asarray(p) ** 2 + 30.0 * np.asarray(p) ** 4,
-                lambda p: -48.0 * np.asarray(p) + 120.0 * np.asarray(p) ** 3,
             ),
-            search_interval=(-2.0, 2.0),
         )
 
     @staticmethod
@@ -75,7 +71,6 @@ class PotentialModel:
                 lambda p: 1.0 - np.cos(p),
                 lambda p: np.sin(p),
                 lambda p: np.cos(p),
-                lambda p: -np.sin(p),
             ),
             search_interval=(-1.0, 14.0),
         )

@@ -226,8 +226,8 @@ def test_criterion_9_lorentz_covariance(sg2_params, sg2_construction):
     cfg = sg2_construction["config"]
     boost = lorentz.BoostSpec(v=0.2)
     result = lorentz.verify_covariance(
-        sg2_params, boost, cfg, window_t=5.0, tol=1e-8,
-        construct_kwargs={"T": rep.T, "delta": rep.delta, "t_final": rep.t_final})
+        sg2_params, boost, cfg, {"T": rep.T, "delta": rep.delta, "t_final": rep.t_final,
+                                 "tol": 1e-8, "max_iter": 25}, window_t=5.0)
     disc = result["discrepancy"]
     params = sg2_params.with_parameters((-0.3, 0.3), (0.4, -0.2))
     spec = lorentz.BoostSpec(v=0.2, t0=1.5, x0=-0.7)

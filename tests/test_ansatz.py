@@ -46,7 +46,6 @@ def test_two_kinks_separate(sg2_params, grid):
     assert np.max(np.abs(state.phi[right] - kink2[right])) <= 5.0 * np.exp(-6.0 * g)
     assert np.max(np.abs(state.phi[grid <= -2.0] - kink1[grid <= -2.0])) <= 1e-3
     assert np.max(np.abs(state.phi[grid >= 2.0] - kink2[grid >= 2.0])) <= 1e-3
-    assert state.sector == (0, 2)
 
 
 def test_sector_boundary_values(sg2_params, grid):

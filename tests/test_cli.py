@@ -65,19 +65,24 @@ def sg_config(tmp_path):
     return path
 
 
-def test_cmd_kink(tmp_path, sg_config):
-    out = tmp_path / "o"
-    assert main(["kink", "--config", str(sg_config), "--out", str(out)]) == 0
-    data = np.loadtxt(out / "profile.csv", delimiter=",", skiprows=1)
-    mid = len(data) // 2
-    assert abs(data[mid, 0]) <= 1e-12
-    assert abs(data[mid, 1] - np.pi) <= 1e-12
-    energy = json.loads((out / "energy.json").read_text())
-    assert abs(energy["energy"] - 8.0) <= 1e-6
-    assert energy["artifact_version"]
-    assert energy["config"]["potential"]["kind"] == "sine_gordon"
-    tails = json.loads((out / "tails.json").read_text())
-    assert abs(tails["right"]["fitted_rate"] - 1.0) <= 0.02
+def test_cmd_kink(tmp_path):
+    # W = 1 - cos(phi) given as a custom trigonometric polynomial searches
+    # its own default window for vacua, which holds 0 and 2 pi
+    for kind in ("sine_gordon", "custom\nform = trig\ncoeffs = 1, -1"):
+        path = tmp_path / "kink.cfg"
+        path.write_text(SG_SINGLE.replace("kind = sine_gordon", f"kind = {kind}"))
+        out = tmp_path / kind.split()[0]
+        assert main(["kink", "--config", str(path), "--out", str(out)]) == 0
+        data = np.loadtxt(out / "profile.csv", delimiter=",", skiprows=1)
+        mid = len(data) // 2
+        assert abs(data[mid, 0]) <= 1e-12
+        assert abs(data[mid, 1] - np.pi) <= 1e-12
+        energy = json.loads((out / "energy.json").read_text())
+        assert abs(energy["energy"] - 8.0) <= 1e-6
+        assert energy["artifact_version"]
+        assert energy["config"]["potential"]["kind"] == kind.split()[0]
+        tails = json.loads((out / "tails.json").read_text())
+        assert abs(tails["right"]["fitted_rate"] - 1.0) <= 0.02
 
 
 def test_cmd_multikink_and_evolve(tmp_path, sg_config):
@@ -223,19 +228,20 @@ def test_bad_grid_step_exit_2(tmp_path, capsys, dx):
     ("construct", "tol = 1e-8", "tol = 1e-8\nmax_iter = -1", []),
     ("construct", "tol = 1e-8", "tol = -1", []),
     ("construct", "dx = 0.05", "dx = 0.05\ncfl = 1.0", []),
+    ("multikink", "labels = 0, 1", "labels = 0, x", []),
 ], ids=["kink-n5", "kink-n-1", "profile_dx-nan", "t_end-nan", "vacuum_tol-nan", "spectrum-dx0",
         "spectrum-x_half0", "spectrum-k-above-grid", "coercivity_samples0", "seed-negative",
         "seed-override-negative", "spectrum-one-point-grid", "search_interval-one-value",
         "custom-no-coeffs", "config-not-utf8", "out-is-a-file", "out-under-a-file",
-        "max_iter-negative", "tol-negative", "construct-cfl1"])
+        "max_iter-negative", "tol-negative", "construct-cfl1", "labels-not-integer"])
 def test_invalid_input_exit_2(tmp_path, capsys, monkeypatch, command, old, new, args):
     # vacuum labels outside the table, non-finite numbers, a zero spectrum
     # step or half width, a one-point spectrum grid, more eigenpairs than
     # grid points, a search interval or coefficient list of the wrong
     # length, no coercivity samples, a negative seed, a config file that is
     # not UTF-8, an --out naming or under a regular file, a negative
-    # max_iter, a negative tol and a Courant ratio past the leapfrog's
-    # stable bound are config errors
+    # max_iter, a negative tol, a Courant ratio past the leapfrog's stable
+    # bound and a label that is not an integer are config errors
     monkeypatch.chdir(tmp_path)
     Path("file").write_text("")
     path = tmp_path / "bad.cfg"
@@ -271,3 +277,22 @@ def test_one_courant_bound(tmp_path):
         assert main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 0
     doc = _strict_json(tmp_path / "verify" / "verification.json")
     assert doc["energy_drift"]["max_drift"] <= 1e-5
+
+
+@pytest.mark.slow
+def test_verify_records_what_it_ran(tmp_path):
+    # t_end defaults to t_start + 10 for the coercivity sample as for the
+    # energy drift, and [construct] max_iter bounds both constructions of
+    # the covariance check
+    path = tmp_path / "verify.cfg"
+    path.write_text(SG_SINGLE.replace("t_start = 0\nt_end = 8", "t_start = 2").replace(
+        "tol = 1e-8", "tol = 1e-8\nmax_iter = 1").replace(
+        "window_t = 3.0", "window_t = 3.0\nenergy_drift = false\nzero_modes = false"))
+    out = tmp_path / "o"
+    assert main(["verify", "--config", str(path), "--out", str(out)]) == 0
+    doc = _strict_json(out / "verification.json")
+    assert doc["config"]["grid"]["t_end"] == 12.0
+    assert doc["coercivity"]["t"] == 12.0
+    assert doc["config"]["construct"]["max_iter"] == 1
+    assert doc["covariance"]["unprimed"]["iterations"] == 1
+    assert doc["covariance"]["primed"]["iterations"] == 1

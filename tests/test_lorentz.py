@@ -150,8 +150,8 @@ def test_covariance_single_kink(sg):
     params = ansatz.make_params(model, table, (0, 1), (0.3,), (0.0,))
     cfg = construct.SolverConfig(x_min=-30.0, x_max=30.0, dx=0.05)
     report = lorentz.verify_covariance(
-        params, lorentz.BoostSpec(v=0.2), cfg, window_t=3.0,
-        construct_kwargs={"T": 2.0, "delta": 0.5, "t_final": 22.0})
+        params, lorentz.BoostSpec(v=0.2), cfg,
+        {"T": 2.0, "delta": 0.5, "t_final": 22.0, "tol": 1e-8, "max_iter": 25}, window_t=3.0)
     assert report["discrepancy"] <= 1e-5
 
 
