@@ -144,11 +144,6 @@ class AnsatzLevel:
         return H_t
 
     @cached_property
-    def kink_wpp(self) -> list[np.ndarray]:
-        """W''(H_k) per kink."""
-        return [self.params.model(hk, 2) for hk in self.kinks]
-
-    @cached_property
     def V(self) -> np.ndarray:
         """Potential of the linearized operator: the sum of W''(H_k) with
         the vacuum-mass offsets removed, so the limits at -/+ infinity are
@@ -158,9 +153,9 @@ class AnsatzLevel:
         labels = p.chain.labels
         if p.K == 0:
             return np.full_like(self.grid, p.table.mass(labels[0]) ** 2)
-        V = self.kink_wpp[0]
+        V = p.model(self.kinks[0], 2)
         for j in range(1, p.K):
-            V = V + self.kink_wpp[j] - p.table.mass(labels[j]) ** 2
+            V = V + p.model(self.kinks[j], 2) - p.table.mass(labels[j]) ** 2
         return V
 
     @cached_property

@@ -140,23 +140,23 @@ def fitted_forcing_rate(params: MultikinkParams, grid: np.ndarray, T: float) -> 
 
 def solve_backward(params: MultikinkParams, terms, t_start: float, t_final: float,
                    config: SolverConfig, lanes=1, observe=None) -> SpaceTimeSlab:
-    """Solve d_t^2 h - d_x^2 h + (V + b) h = f backward from zero data.
+    """Solve d_t^2 h - d_x^2 h + U h = f backward from zero data.
 
     Integrates from (h, d_t h)(t_final) = (0, 0) down to t_start with the
     leapfrog stepper; this realizes the decaying solution once t_final is
     large enough that the forcing is negligible beyond it.
 
-    The ansatz level is evaluated once per time level and shared by V and
+    The ansatz level is evaluated once per time level and handed to
     terms(t, level, h), which sees the live solution h, one row per active
-    lane, and returns (b, f): the extra potential (or None) and the forcing,
-    an (n,) array shared by every lane or one row per lane. The lanes are
-    solutions of the same operator whose forcings may read each other's
-    live values. lanes is their number, all starting at t_final, or each
-    lane's top, nonincreasing from t_final and on snapshot levels: a lane is
-    inactive above its top and starts there from zero data, so it equals
-    the solve from its top on the same plan. The slab returned is the last
-    lane's; observe(t, h, h_t), if given, sees every active lane at each
-    snapshot.
+    lane, and returns (U, f): the operator's potential, None meaning the
+    ansatz's V, and the forcing, an (n,) array shared by every lane or one
+    row per lane. The lanes are solutions of the same operator whose
+    forcings may read each other's live values. lanes is their number, all
+    starting at t_final, or each lane's top, nonincreasing from t_final and
+    on snapshot levels: a lane is inactive above its top and starts there
+    from zero data, so it equals the solve from its top on the same plan.
+    The slab returned is the last lane's; observe(t, h, h_t), if given, sees
+    every active lane at each snapshot.
     """
     grid = config.grid
     dt, every = config.plan(t_start, t_final)
@@ -164,8 +164,8 @@ def solve_backward(params: MultikinkParams, terms, t_start: float, t_final: floa
 
     def source(t, h, out):
         level = evaluate_ansatz(params, t, grid)
-        extra, f = terms(t, level, h)
-        pot = level.V if extra is None else level.V + extra
+        pot, f = terms(t, level, h)
+        pot = level.V if pot is None else pot
         out[:, 1:-1] -= pot[1:-1] * h[:, 1:-1]
         out[:, 1:-1] += f[..., 1:-1]
 
@@ -493,10 +493,12 @@ def param_derivative(params: MultikinkParams, psi_slab: SpaceTimeSlab, k: int,
                      which: str, config: SolverConfig) -> SpaceTimeSlab:
     """Solve the linear equation for d Psi / d a_k or d Psi / d v_k.
 
-    The equation carries the potential W''(H + Psi) and the right-hand side
-    -(W''(H + Psi) - W''(H_k)) dH_k; both are evaluated along the stored
-    Psi slab, read between its snapshots through psi_slab.phi_at, the cubic
-    Hermite interpolant of its phi and phi_t, which keeps no state.
+    The equation's whole potential is W''(H + Psi), which replaces the
+    ansatz's V (never built here), and its right-hand side is
+    -(W''(H + Psi) - W''(H_k)) dH_k, which reads W'' of the k-th kink only;
+    both are evaluated along the stored Psi slab, read between its
+    snapshots through psi_slab.phi_at, the cubic Hermite interpolant of its
+    phi and phi_t, which keeps no state.
     """
     if which not in ("shift", "velocity"):
         raise ConfigError("which must be 'shift' or 'velocity'")
@@ -506,8 +508,8 @@ def param_derivative(params: MultikinkParams, psi_slab: SpaceTimeSlab, k: int,
 
     def terms(t, level, _h):
         wpp_full = params.model(level.H + psi_slab.phi_at(t), 2)
-        forcing = -(wpp_full - level.kink_wpp[k - 1]) * dkink(level, k)
-        return wpp_full - level.V, forcing
+        forcing = -(wpp_full - params.model(level.kinks[k - 1], 2)) * dkink(level, k)
+        return wpp_full, forcing
 
     return solve_backward(params, terms, float(psi_slab.times[0]),
                           float(psi_slab.times[-1]), config)

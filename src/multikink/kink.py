@@ -4,7 +4,7 @@ A kink between adjacent vacua solves the first-order Bogomolny equation
 dH/dx = sqrt(2 W(H)) and is tabulated on a finite grid; outside the grid
 it is continued by its single-exponential tail. Derivatives of a profile
 are evaluated through the Bogomolny relation itself (d1 = +-sqrt(2W(H)),
-d2 = W'(H), d3 = W''(H) d1), which keeps them exact functions of H.
+d2 = W'(H)), which keeps them exact functions of H.
 """
 
 from __future__ import annotations

@@ -64,11 +64,15 @@ class PotentialModel:
 
     @staticmethod
     def sine_gordon() -> "PotentialModel":
-        """W = 1 - cos(phi), vacua at 2 pi n."""
+        """W = 1 - cos(phi), vacua at 2 pi n.
+
+        W is evaluated as 2 sin^2(phi/2), which keeps its full relative
+        accuracy near every vacuum, where 1 - cos(phi) cancels.
+        """
         return PotentialModel(
             kind="sine_gordon",
             derivs=(
-                lambda p: 1.0 - np.cos(p),
+                lambda p: 2.0 * np.sin(0.5 * np.asarray(p)) ** 2,
                 lambda p: np.sin(p),
                 lambda p: np.cos(p),
             ),
@@ -92,7 +96,10 @@ class PotentialModel:
         """W = c0 + sum_{k>=1} c_k cos(k phi) + sum_{k>=1} s_k sin(k phi).
 
         cos_coeffs[0] is the constant term; sin_coeffs[0] (if given) pairs
-        with sin(1*phi).
+        with sin(1*phi). W itself is evaluated with cos(k phi) written as
+        1 - 2 sin^2(k phi/2), as sum_k c_k - 2 sum_k c_k sin^2(k phi/2) + ...,
+        which does not cancel where W vanishes, so coeffs (1, -1) give the
+        built-in sine-Gordon W bit for bit.
         """
         c = np.asarray(cos_coeffs, dtype=float)
         s = np.asarray(sin_coeffs, dtype=float)
@@ -104,7 +111,10 @@ class PotentialModel:
                 p = np.asarray(p, dtype=float)
                 # d^n cos(k p)/dp^n = k^n cos(k p + n pi/2), same shift for sin
                 shift = order * np.pi / 2.0
-                total = np.cos(np.multiply.outer(p, kc) + shift) @ (c * kc**order)
+                if order == 0:
+                    total = c.sum() - 2.0 * (np.sin(0.5 * np.multiply.outer(p, kc)) ** 2 @ c)
+                else:
+                    total = np.cos(np.multiply.outer(p, kc) + shift) @ (c * kc**order)
                 if len(s):
                     total = total + np.sin(np.multiply.outer(p, ks) + shift) @ (s * ks.astype(float) ** order)
                 return total if total.shape else float(total)

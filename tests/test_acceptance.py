@@ -192,12 +192,12 @@ def test_criterion_8_parameter_derivatives(sg2_params, sg2_construction,
         SpaceTimeSlab(psi.times[keep], cfg.grid, da1.phis[keep],
                       da1.phi_dots[keep]), rep.T, rep.delta)
     # O(eps^2) + 10 tol budget. The eps^2 constant (2e3, giving 2e-3 at the
-    # stated eps = 1e-3) covers the third parameter derivative plus the
-    # floor where FD (the derivative of the discrete construction) and the
-    # solved equation (the discretization of the derivative equation) part
-    # ways: a homogeneous component of ~0.4% of the signal, measured to be
-    # independent of eps, dx, snapshot cadence and truncation time. The
-    # solver term is tol/eps from differencing two constructions.
+    # stated eps = 1e-3) was set to cover the third parameter derivative
+    # plus a floor of ~0.4% of the signal, independent of eps, dx, snapshot
+    # cadence and truncation time. That floor came from W = 1 - cos(phi)
+    # cancelling in the kink tails: with W evaluated as 2 sin^2(phi/2) the
+    # mismatch is ~3e-7. The solver term is tol/eps from differencing two
+    # constructions.
     budget = 2e3 * eps**2 + 10.0 * tol_fp / eps
     fd_ok = mismatch <= budget and mismatch <= 0.01 * signal
 

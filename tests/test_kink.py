@@ -21,6 +21,18 @@ def test_profile_oracles(phi4_kink, sg_kink, phi6_kink):
     assert np.max(np.abs(phi6_kink(xs) - exact)) <= 1e-8
 
 
+def test_sine_gordon_tails_match_closed_form(sg, sg_kink):
+    # over the whole table, |x| <= 20, where the tail continuation starts
+    model, table = sg
+    for n, prof in ((0, sg_kink), (1, kink.kink_profile(model, table, 1, 2))):
+        assert prof.half_width == 20.0
+        exact = 4.0 * np.arctan(np.exp(prof.x)) + 2.0 * np.pi * n
+        assert np.max(np.abs(prof.h - exact)) <= 1e-10
+        tail = 4.0 * np.exp(-20.0)
+        assert abs((prof.h[0] - prof.vac_left) / tail - 1.0) <= 1e-3
+        assert abs((prof.h[-1] - prof.vac_right) / -tail - 1.0) <= 1e-3
+
+
 def test_center_values(phi4_kink, sg_kink, phi6_kink):
     assert abs(phi4_kink(0.0)) <= 1e-12
     assert abs(sg_kink(0.0) - np.pi) <= 1e-12

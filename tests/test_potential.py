@@ -57,8 +57,16 @@ def test_custom_trig_matches_sine_gordon(sg):
     model, _ = sg
     custom = PotentialModel.custom_trig([1.0, -1.0])
     xs = np.linspace(-3.0, 9.0, 41)
-    for order in range(3):
+    assert np.array_equal(custom(xs, 0), model(xs, 0))
+    for order in (1, 2):
         assert np.allclose(custom(xs, order), model(xs, order), atol=1e-12)
+
+
+def test_cosine_forms_keep_relative_accuracy_near_the_vacuum(sg):
+    # 1 - cos(1e-9) rounds to 0; W = 2 sin^2(phi/2) = 5e-19 (1 - 1e-18/12)
+    model, _ = sg
+    for w in (model(1e-9), PotentialModel.custom_trig([1.0, -1.0])(1e-9)):
+        assert abs(w - 5e-19) <= 1e-12 * 5e-19
 
 
 def test_degenerate_vacuum_rejected():
