@@ -76,10 +76,6 @@ class MultikinkParams:
         """Profile of the k-th kink (1-indexed)."""
         return self.profiles[self.chain.pairs()[k - 1]]
 
-    def kink_argument(self, k: int, t: float, x: np.ndarray) -> np.ndarray:
-        """gamma_k (x - v_k t - a_k) for the k-th kink (1-indexed)."""
-        return self.gammas[k - 1] * (x - self.velocities[k - 1] * t - self.shifts[k - 1])
-
     def with_parameters(self, velocities, shifts) -> "MultikinkParams":
         return MultikinkParams(model=self.model, table=self.table, chain=self.chain,
                                velocities=tuple(float(v) for v in velocities),
@@ -105,25 +101,46 @@ def make_params(model: PotentialModel, table: VacuumTable, labels: Sequence[int]
 class AnsatzLevel:
     """The multikink ansatz at one time level.
 
-    Each kink profile H_k is sampled once, at gamma_k (x - v_k t - a_k);
-    every piece below is derived from those samples on first use, so a
-    caller pays only for the pieces it reads. The potential's W' and W''
-    are applied to the sampled H_k, never to tabulated values.
+    The one place a kink profile is sampled: each H_k once, at gamma_k y_k,
+    y_k = coord(k) its co-moving coordinate. Every piece below is derived
+    from those samples on first use, so a caller pays only for the pieces
+    it reads; W' and W'' are applied to the sampled H_k, never to
+    tabulated values.
     """
 
     def __init__(self, params: MultikinkParams, t: float, grid: np.ndarray):
         self.params = params
         self.t = float(t)
         self.grid = np.asarray(grid, dtype=float)
-        self.kinks = [params.profile(k)(params.kink_argument(k, t, self.grid))
+        self.kinks = [params.profile(k)(params.gammas[k - 1] * self.coord(k))
                       for k in range(1, params.K + 1)]
         self._slopes: dict[int, np.ndarray] = {}
+
+    def coord(self, k: int) -> np.ndarray:
+        """y_k = x - v_k t - a_k, the k-th kink's co-moving coordinate."""
+        p = self.params
+        return self.grid - p.velocities[k - 1] * self.t - p.shifts[k - 1]
 
     def slope(self, k: int) -> np.ndarray:
         """Profile derivative H_k' at the k-th kink's argument (1-indexed)."""
         if k not in self._slopes:
             self._slopes[k] = self.params.profile(k).deriv_at_values(self.kinks[k - 1], 1)
         return self._slopes[k]
+
+    def zero_modes(self, j: int) -> "ModePair":
+        """Y^0, Y^1 and their duals for the j-th kink (1-indexed), from
+        H_j' = slope(j) and H_j'' = W'(H_j). Y^0 generates translations of
+        the moving kink, Y^1 velocity changes; psi^i = J Y^i are the pairing
+        functionals whose evolution obeys the linearized flow's laws."""
+        p = self.params
+        v, g, y = p.velocities[j - 1], p.gammas[j - 1], self.coord(j)
+        d1 = self.slope(j)
+        d2 = p.model(self.kinks[j - 1], 1)
+        # Y1 is gamma * d/dv of the moving-kink pair with the secular part removed;
+        # with these factors h = Y1 + (t/gamma) Y0 solves the linearized flow exactly
+        Y0 = np.stack([d1, -g * v * d2])
+        Y1 = np.stack([-g * v * y * d1, g * d1 + g * g * v * v * y * d2])
+        return ModePair(Y0=Y0, Y1=Y1, psi0=apply_J(Y0), psi1=apply_J(Y1))
 
     @cached_property
     def H(self) -> np.ndarray:
@@ -195,9 +212,8 @@ def apply_J(h: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ModePair:
-    """Generalized zero modes of the j-th kink and their symplectic duals."""
+    """Generalized zero modes of one kink and their symplectic duals."""
 
-    j: int
     Y0: np.ndarray
     Y1: np.ndarray
     psi0: np.ndarray
@@ -205,26 +221,10 @@ class ModePair:
 
 
 def zero_modes(params: MultikinkParams, j: int, t: float, grid: np.ndarray) -> ModePair:
-    """Sample Y^0, Y^1 and their duals for the j-th kink (1-indexed).
-
-    Y^0 generates spatial translations of the moving kink, Y^1 velocity
-    changes; psi^i = J Y^i are the pairing functionals whose time evolution
-    obeys the conservation laws of the linearized flow.
-    """
+    """AnsatzLevel.zero_modes(j) of the ansatz at time t, j checked first."""
     if not 1 <= j <= params.K:
         raise ConfigError(f"kink index {j} outside 1..{params.K}")
-    grid = np.asarray(grid, dtype=float)
-    v = params.velocities[j - 1]
-    g = params.gammas[j - 1]
-    y = grid - v * t - params.shifts[j - 1]
-    prof = params.profile(j)
-    d1 = prof.deriv(g * y, 1)
-    d2 = prof.deriv(g * y, 2)
-    # Y1 is gamma * d/dv of the moving-kink pair with the secular part removed;
-    # with these factors h = Y1 + (t/gamma) Y0 solves the linearized flow exactly
-    Y0 = np.stack([d1, -g * v * d2])
-    Y1 = np.stack([-g * v * y * d1, g * d1 + g * g * v * v * y * d2])
-    return ModePair(j=j, Y0=Y0, Y1=Y1, psi0=apply_J(Y0), psi1=apply_J(Y1))
+    return evaluate_ansatz(params, t, grid).zero_modes(j)
 
 
 def default_rho(params: MultikinkParams) -> float:
@@ -258,8 +258,9 @@ def inner_product(h: np.ndarray, mode: np.ndarray, dx: float) -> float:
     return integrate_grid(h[0] * mode[0] + h[1] * mode[1], dx)
 
 
-def energy_norm_sq(h: np.ndarray, dx: float) -> float:
-    """Squared energy norm: |h|_{H^1}^2 + |h_dot|_{L^2}^2."""
+def energy_norm_sq(h: np.ndarray, dx: float):
+    """Squared energy norm |h|_{H^1}^2 + |h_dot|_{L^2}^2 of each pair of a
+    (2, ..., n) stack: a float for one (2, n) field."""
     hx = central_diff(h[0], dx)
     return integrate_grid(h[0] ** 2 + hx**2 + h[1] ** 2, dx)
 
@@ -320,10 +321,9 @@ def coercivity_sample(params: MultikinkParams, t: float, grid: np.ndarray,
         raise ConfigError("coercivity needs at least one sample")
     grid = np.asarray(grid, dtype=float)
     dx = grid_spacing(grid)
-    duals = []
-    for j in range(1, params.K + 1):
-        m = zero_modes(params, j, t, grid)
-        duals.extend([m.psi0, m.psi1])
+    level = evaluate_ansatz(params, t, grid)
+    modes = [level.zero_modes(j) for j in range(1, params.K + 1)]
+    duals = [psi for m in modes for psi in (m.psi0, m.psi1)]
     quad_form = quad_form_single if params.K == 1 else quad_form_multi
     worst = np.inf
     for _ in range(n_samples):

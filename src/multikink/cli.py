@@ -20,7 +20,7 @@ from . import __version__
 from . import ansatz, construct, evolve, kink, lorentz, spectral
 from .config import ExperimentConfig
 from .errors import ConfigError, MultikinkError, NumericsError
-from .numerics import random_pair_field
+from .numerics import capped_count, random_pair_field
 
 
 def _finite(value):
@@ -127,8 +127,7 @@ def cmd_construct(cfg: ExperimentConfig, out: Path, seed: int) -> None:
                                      **cfg.fixed_point_settings())
     psi.save(out / "psi_slab")
     _write_json(out / "report.json", {"report": rep.to_dict()}, cfg, seed)
-    norms = construct._snapshot_energy_norms(psi)
-    _write_csv(out / "decay_fit.csv", ["t", "energy_norm"], [psi.times, norms])
+    _write_csv(out / "decay_fit.csv", ["t", "energy_norm"], [psi.times, psi.energy_norms()])
 
 
 def cmd_boost(cfg: ExperimentConfig, out: Path, seed: int) -> None:
@@ -158,6 +157,7 @@ def cmd_spectrum(cfg: ExperimentConfig, out: Path, seed: int) -> None:
     k = cfg.get_int("spectrum", "k", default=4)
     if dx <= 0 or x_half <= 0:
         raise ConfigError("[spectrum] dx and x_half must be positive")
+    capped_count(2.0 * x_half / dx, "grid points of [spectrum] x_half and dx")
     grid = np.arange(-x_half, x_half + 1e-9, dx)
     disc = spectral.build_operator(model, table, n, n_prime, grid)
     vals, vecs = spectral.low_spectrum(disc, k)

@@ -22,7 +22,7 @@ import numpy as np
 from .ansatz import AnsatzLevel, MultikinkParams, energy_norm_sq, evaluate_ansatz, multikink
 from .errors import ConfigError, FitError, NoContractionError
 from .evolve import MAX_COURANT, EvolveConfig, SpaceTimeSlab, _evolve, step_plan
-from .numerics import derivative2, fit_log_linear, grid_spacing, integrate_grid
+from .numerics import capped_count, derivative2, fit_log_linear, grid_spacing, integrate_grid
 
 START_THRESHOLD = 1e-3  # T is the first scanned time with |N(0)(T)|_{L2} <= this
 FIT_SPAN = 10.0  # both exponential fits, of |N(0)| and of |Psi|, span [T, T + FIT_SPAN]
@@ -49,7 +49,8 @@ class SolverConfig:
             raise ConfigError("x_max must exceed x_min")
         if self.dx <= 0 or not 0 < self.cfl <= MAX_COURANT or self.snapshot_dt <= 0:
             raise ConfigError(f"dx, snapshot_dt must be positive, cfl in (0, {MAX_COURANT:.4g}]")
-        n = int(round((self.x_max - self.x_min) / self.dx))
+        n = int(round(capped_count((self.x_max - self.x_min) / self.dx,
+                                   "grid points of x_min, x_max and dx")))
         if n < 8:
             raise ConfigError("domain too narrow for the stencil")
         self.grid = self.x_min + self.dx * np.arange(n + 1)
@@ -57,23 +58,17 @@ class SolverConfig:
     def plan(self, t_start: float, t_final: float):
         """(dt, snapshot_every) landing exactly on both endpoints with a
         uniform snapshot cadence. A span that is a whole number of
-        snapshot_dt, up to a 1e-9 slack, keeps that number and steps
+        snapshot_dt, up to step_plan's slack, keeps that number and steps
         snapshot_dt / every, so all such plans share one step length."""
         span = t_final - t_start
         if span <= 0:
             raise ConfigError("t_final must exceed t_start")
-        every = max(1, math.ceil(self.snapshot_dt / (self.cfl * self.dx)))
-        intervals = span / self.snapshot_dt
-        n_snap = max(2, math.ceil(intervals - 1e-9))
-        if abs(intervals - n_snap) <= 1e-9:
+        every = max(1, math.ceil(capped_count(self.snapshot_dt / (self.cfl * self.dx),
+                                              "steps of cfl * dx per snapshot_dt")))
+        n_snap = max(2, step_plan(span, self.snapshot_dt, "snapshots of snapshot_dt")[0])
+        if abs(span / self.snapshot_dt - n_snap) <= 1e-9:
             return self.snapshot_dt / every, every
         return span / (n_snap * every), every
-
-
-def _snapshot_energy_norms(slab: SpaceTimeSlab) -> np.ndarray:
-    """Energy norm of (g, g_t) per snapshot (sqrt of ansatz.energy_norm_sq)."""
-    return np.array([math.sqrt(energy_norm_sq((phi, dot), slab.dx))
-                     for phi, dot in zip(slab.phis, slab.phi_dots)])
 
 
 def _check_delta(delta: float):
@@ -94,7 +89,7 @@ def _weighted_sup(times: np.ndarray, norms: np.ndarray, T: float, delta: float):
 def weighted_norm(slab: SpaceTimeSlab, T: float, delta: float) -> float:
     """sup over snapshots t >= T of e^{delta t} * |(g, g_t)(t)|, the H^1 x
     L^2 norm."""
-    return float(_weighted_sup(slab.times, _snapshot_energy_norms(slab)[:, None], T, delta)[0])
+    return float(_weighted_sup(slab.times, slab.energy_norms()[:, None], T, delta)[0])
 
 
 def level_nonlinearity(level: AnsatzLevel, g) -> np.ndarray:
@@ -177,14 +172,6 @@ def solve_backward(params: MultikinkParams, terms, t_start: float, t_final: floa
 
 # Picard iterates per backward sweep (pipelined waveform relaxation)
 PICARD_LANES = 3
-
-
-def _increment_norms(h, h_t, base, base_t, dx: float) -> list[float]:
-    """Energy norms of the increments along a chain of lanes at one
-    snapshot: lane 0 against (base, base_t), lane j against lane j-1."""
-    dh = np.diff(h, axis=0, prepend=base)
-    dh_t = np.diff(h_t, axis=0, prepend=base_t)
-    return [math.sqrt(energy_norm_sq(d, dx)) for d in zip(dh, dh_t)]
 
 
 @dataclass
@@ -277,7 +264,10 @@ def _sweep(params: MultikinkParams, config: SolverConfig, T: float, tops, n_cand
                 i = -1 - len(times)  # g's snapshot at t: the sweep runs backward
                 base = (0.0, 0.0) if g is None else (g.phis[i][None], g.phi_dots[i][None])
                 times.append(t)
-                norms.append(_increment_norms(h[chain], h_t[chain], *base, dx))
+                # increments along the chain: lane 0 against g, lane j against lane j-1
+                dh = np.diff(h[chain], axis=0, prepend=base[0])
+                dh_t = np.diff(h_t[chain], axis=0, prepend=base[1])
+                norms.append([math.sqrt(energy_norm_sq(d, dx)) for d in zip(dh, dh_t)])
                 if k:  # the shortest candidate's last lane is the sweep's slab
                     phis.append(h[p + lanes].copy())
                     dots.append(h_t[p + lanes].copy())
@@ -311,7 +301,7 @@ def choose_final_time(params: MultikinkParams, config: SolverConfig, T: float,
     """
     _check_delta(delta)
     step = config.snapshot_dt
-    span = step * math.ceil(max(16.0, 4.0 / delta) / step - 1e-9)
+    span = step * step_plan(max(16.0, 4.0 / delta), step, "snapshots of snapshot_dt")[0]
     tests = []
     while True:
         spans = [k * span for k in (1, 2, 4) if k == 1 or k * span <= TRUNCATION_MAX_SPAN]
@@ -359,9 +349,8 @@ def decay_fit(psi_slab: SpaceTimeSlab, T: float, span: float):
 
     Returns (rate, r2): rate > 0 means exponential decay at that rate.
     """
-    norms = _snapshot_energy_norms(psi_slab)
     mask = (psi_slab.times >= T - 1e-9) & (psi_slab.times <= T + span + 1e-9)
-    slope, _, r2, _ = fit_log_linear(psi_slab.times[mask], norms[mask])
+    slope, _, r2, _ = fit_log_linear(psi_slab.times[mask], psi_slab.energy_norms()[mask])
     return -slope, r2
 
 
@@ -418,7 +407,7 @@ def fixed_point(params: MultikinkParams, config: SolverConfig,
         warnings.warn(f"|N(0)(T)| = {start_norm:.3g} is large; T may be too small")
 
     dt, every = config.plan(T, t_final)
-    n_snap = step_plan(t_final - T, dt)[0] // every + 1
+    n_snap = step_plan(t_final - T, dt, "steps from T to t_final")[0] // every + 1
     if g0 is not None and g0.phis.shape != (n_snap, len(grid)):
         raise ConfigError(f"g0 must hold {n_snap} snapshots on the solver grid")
     g = g0
@@ -482,11 +471,8 @@ def shift_derivative_of_kink(level: AnsatzLevel, k: int) -> np.ndarray:
 
 def velocity_derivative_of_kink(level: AnsatzLevel, k: int) -> np.ndarray:
     """d H_k / d v_k = H'(gamma_k y) (gamma_k^3 v_k y - gamma_k t)."""
-    p = level.params
-    g = p.gammas[k - 1]
-    v = p.velocities[k - 1]
-    y = level.grid - v * level.t - p.shifts[k - 1]
-    return level.slope(k) * (g**3 * v * y - g * level.t)
+    g, v = level.params.gammas[k - 1], level.params.velocities[k - 1]
+    return level.slope(k) * (g**3 * v * level.coord(k) - g * level.t)
 
 
 def param_derivative(params: MultikinkParams, psi_slab: SpaceTimeSlab, k: int,

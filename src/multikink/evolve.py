@@ -20,9 +20,10 @@ from pathlib import Path
 import numpy as np
 from scipy.interpolate import RectBivariateSpline
 
-from .ansatz import FieldState, MultikinkParams, inner_product, linearization_potential, zero_modes
+from .ansatz import (FieldState, MultikinkParams, energy_norm_sq, evaluate_ansatz, inner_product,
+                     linearization_potential)
 from .errors import ConfigError, InstabilityError, SectorError
-from .numerics import derivative, grid_spacing, integrate_grid
+from .numerics import capped_count, derivative, grid_spacing, integrate_grid
 from .potential import PotentialModel, VacuumTable
 
 
@@ -60,11 +61,11 @@ class EvolveConfig:
         return min(1.0, max(0.0, 3.0 * (STABLE_FRACTION / r2 - 1.0)))
 
 
-def step_plan(span: float, dt: float) -> tuple[int, float]:
-    """(n, span / n): the fewest steps of at most |dt| covering span. The
-    1e-9 slack keeps a span that is a whole number of steps up to rounding
-    at that number."""
-    n = max(1, math.ceil(abs(span / dt) - 1e-9))
+def step_plan(span: float, dt: float, what: str) -> tuple[int, float]:
+    """(n, span / n): the fewest steps of at most |dt| covering span, the one
+    step-count rule. The 1e-9 slack keeps a whole number of steps up to
+    rounding; a count not finite or above MAX_COUNT raises ConfigError naming what."""
+    n = max(1, math.ceil(capped_count(abs(span / dt), what) - 1e-9))
     return n, span / n
 
 
@@ -113,6 +114,10 @@ class SpaceTimeSlab:
     def state(self, i: int) -> FieldState:
         return FieldState(t=float(self.times[i]), grid=self.grid,
                           phi=self.phis[i].copy(), phi_dot=self.phi_dots[i].copy())
+
+    def energy_norms(self) -> np.ndarray:
+        """Energy norm of each snapshot, one at a time: no slab-sized temporary."""
+        return np.sqrt([energy_norm_sq(pair, self.dx) for pair in zip(self.phis, self.phi_dots)])
 
     def phi_at(self, t: float) -> np.ndarray:
         """phi at time t: the cubic Hermite interpolant of the stored (phi,
@@ -222,7 +227,7 @@ def _evolve(phi, pd, t0: float, grid: np.ndarray, dx: float, config: EvolveConfi
     span = config.t_end - t0
     if span * config.dt <= 0:
         raise ConfigError("sign of dt must match t_end - t_start")
-    n_steps, dt = step_plan(span, config.dt)
+    n_steps, dt = step_plan(span, config.dt, "steps of dt from the start to t_end")
     if dt < 0 and abs(span / config.dt - n_steps) <= 1e-9:
         dt = config.dt
     every = config.snapshot_every
@@ -364,14 +369,13 @@ def zero_mode_drift(params: MultikinkParams, h0: np.ndarray, grid: np.ndarray,
     Returns (slab, pairings) with pairings[i, j-1, s] = <psi_j^s(t_i), h(t_i)>.
     """
     slab = evolve_linearized(h0, params, grid, t_start, config)
-    dx = slab.dx
     pairings = np.empty((len(slab), params.K, 2))
     for i, t in enumerate(slab.times):
         h = np.stack([slab.phis[i], slab.phi_dots[i]])
+        level = evaluate_ansatz(params, t, grid)
         for j in range(1, params.K + 1):
-            modes = zero_modes(params, j, t, grid)
-            pairings[i, j - 1, 0] = inner_product(modes.psi0, h, dx)
-            pairings[i, j - 1, 1] = inner_product(modes.psi1, h, dx)
+            modes = level.zero_modes(j)
+            pairings[i, j - 1] = [inner_product(psi, h, slab.dx) for psi in (modes.psi0, modes.psi1)]
     return slab, pairings
 
 

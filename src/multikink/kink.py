@@ -17,7 +17,7 @@ from scipy.integrate import quad, solve_ivp
 from scipy.interpolate import CubicSpline
 
 from .errors import ConfigError, FitError, IntegrationError
-from .numerics import fit_log_linear, integrate_grid
+from .numerics import capped_count, fit_log_linear, integrate_grid
 from .potential import PotentialModel, VacuumTable
 
 _TAIL_SWITCH = 1e-10  # distance to the vacuum at which integration hands over to the tail
@@ -25,9 +25,8 @@ _QUAD = dict(epsabs=1e-13, epsrel=1e-12, limit=400)  # tolerances of every quad 
 
 
 def center_value(table: VacuumTable, n: int) -> float:
-    """Midpoint of two adjacent vacua; the profile passes through it at x=0."""
-    lo = min(n, n + 1)
-    return 0.5 * (table.vacuum(lo) + table.vacuum(lo + 1))
+    """Midpoint of the vacua n and n+1; the profile passes through it at x=0."""
+    return 0.5 * (table.vacuum(n) + table.vacuum(n + 1))
 
 
 def position_from_value(model: PotentialModel, table: VacuumTable, n: int, psi: float) -> float:
@@ -107,7 +106,6 @@ class KinkProfile:
         self.vac_right = table.vacuum(n_prime)
         self.mass_left = table.mass(n)
         self.mass_right = table.mass(n_prime)
-        self.center = center_value(table, min(n, n_prime))
         # signed tail coefficients relative to the vacuum at each end
         self._c_left = h[0] - self.vac_left
         self._c_right = h[-1] - self.vac_right
@@ -208,7 +206,7 @@ def kink_profile(model: PotentialModel, table: VacuumTable, n: int, n_prime: int
         half_width = 20.0 / m_min
     if half_width <= 0:
         raise ConfigError("half_width must be positive")
-    n_half = int(np.ceil(half_width / dx))
+    n_half = int(np.ceil(capped_count(half_width / dx, "profile samples of half_width and dx")))
     xs = dx * np.arange(n_half + 1)
     start = center_value(table, n)
     h_right = _integrate_half(model, start, table.vacuum(n_prime), table.mass(n_prime), xs, +1.0)

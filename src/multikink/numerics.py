@@ -19,9 +19,19 @@ def grid_spacing(x: np.ndarray) -> float:
     return float(dx[0])
 
 
-def integrate_grid(y: np.ndarray, dx: float) -> float:
-    """Composite Simpson quadrature on a uniform grid."""
-    return float(simpson(y, dx=dx))
+MAX_COUNT = 10**7  # the most grid points, table samples or time steps one value may ask for
+
+
+def capped_count(count: float, what: str) -> float:
+    """count if finite and at most MAX_COUNT, else ConfigError naming what."""
+    if not count <= MAX_COUNT:
+        raise ConfigError(f"{what}: {count:.3g}, not finite or above MAX_COUNT = {MAX_COUNT}")
+    return count
+
+
+def integrate_grid(y: np.ndarray, dx: float):
+    """Composite Simpson quadrature along the last axis (a float for 1-D y)."""
+    return float(simpson(y, dx=dx)) if np.ndim(y) == 1 else simpson(y, dx=dx)
 
 
 def derivative(y: np.ndarray, dx: float) -> np.ndarray:
@@ -49,11 +59,12 @@ def derivative2(y: np.ndarray, dx: float) -> np.ndarray:
 
 
 def central_diff(y: np.ndarray, dx: float) -> np.ndarray:
-    """Plain 2nd-order first derivative (one-sided at the edges)."""
+    """Plain 2nd-order first derivative along the last axis (one-sided at
+    the edges)."""
     d = np.empty_like(y)
-    d[1:-1] = (y[2:] - y[:-2]) / (2.0 * dx)
-    d[0] = (y[1] - y[0]) / dx
-    d[-1] = (y[-1] - y[-2]) / dx
+    d[..., 1:-1] = (y[..., 2:] - y[..., :-2]) / (2.0 * dx)
+    d[..., 0] = (y[..., 1] - y[..., 0]) / dx
+    d[..., -1] = (y[..., -1] - y[..., -2]) / dx
     return d
 
 

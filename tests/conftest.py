@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from multikink import ansatz, construct
 from multikink.potential import PotentialModel, find_vacua
 from multikink.kink import kink_profile
+
+
+# `pytest --hypothesis-profile=ci` draws the same examples on every run, so a
+# failing property test reproduces locally; each test keeps its example count
+settings.register_profile("ci", derandomize=True, database=None)
 
 
 @pytest.fixture(scope="session")

@@ -191,14 +191,14 @@ def test_criterion_8_parameter_derivatives(sg2_params, sg2_construction,
     signal = construct.weighted_norm(
         SpaceTimeSlab(psi.times[keep], cfg.grid, da1.phis[keep],
                       da1.phi_dots[keep]), rep.T, rep.delta)
-    # O(eps^2) + 10 tol budget. The eps^2 constant (2e3, giving 2e-3 at the
-    # stated eps = 1e-3) was set to cover the third parameter derivative
-    # plus a floor of ~0.4% of the signal, independent of eps, dx, snapshot
-    # cadence and truncation time. That floor came from W = 1 - cos(phi)
-    # cancelling in the kink tails: with W evaluated as 2 sin^2(phi/2) the
-    # mismatch is ~3e-7. The solver term is tol/eps from differencing two
-    # constructions.
-    budget = 2e3 * eps**2 + 10.0 * tol_fp / eps
+    # O(eps^2) + 10 tol/eps budget, the second term from differencing two
+    # constructions converged to tol_fp. Measured on this fixture, the
+    # mismatch is 3.20e-7, 7.55e-7 and 2.86e-6 at eps = 1e-3, 2e-3 and
+    # 4e-3; a least-squares fit of c2 eps^2 + c1 tol/eps gives c2 = 0.176
+    # and c1 = 1.36 (within 3% at each eps). The eps^2 constant 1.0 keeps
+    # a margin of 5.7 over c2, and the budget at eps = 1e-3, 2.0e-6, lies
+    # 6.2 times above the measured mismatch.
+    budget = 1.0 * eps**2 + 10.0 * tol_fp / eps
     fd_ok = mismatch <= budget and mismatch <= 0.01 * signal
 
     # translation identities; the time identity holds with d_t Psi equal to

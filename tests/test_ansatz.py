@@ -98,6 +98,32 @@ def test_evaluator_matches_per_kink_formulas(sg, grid, labels, velocities, shift
         for got, want in zip((level.H, level.H_t, level.V, level.sum_wp),
                              _direct_pieces(params, t, grid)):
             assert np.allclose(got, want, rtol=0.0, atol=1e-13)
+        # the zero modes read off the level are the profile formulas bit for bit
+        for j in range(1, params.K + 1):
+            g, v, a = params.gammas[j - 1], params.velocities[j - 1], params.shifts[j - 1]
+            y = grid - v * t - a
+            d1, d2 = (params.profile(j).deriv(g * y, order) for order in (1, 2))
+            want = (np.stack([d1, -g * v * d2]),
+                    np.stack([-g * v * y * d1, g * d1 + g * g * v * v * y * d2]))
+            for m in (level.zero_modes(j), ansatz.zero_modes(params, j, t, grid)):
+                assert np.array_equal(m.Y0, want[0]) and np.array_equal(m.Y1, want[1])
+                assert np.array_equal(m.psi0, ansatz.apply_J(want[0]))
+                assert np.array_equal(m.psi1, ansatz.apply_J(want[1]))
+
+
+@pytest.mark.parametrize("n", [801, 800])
+def test_energy_norm_sq_takes_stacks(n):
+    # a (2, ..., n) stack is normed pair by pair, each bit for bit as alone;
+    # n odd and even take both of Simpson's branches
+    grid = np.linspace(-10.0, 10.0, n)
+    dx = float(grid[1] - grid[0])
+    rng = np.random.default_rng(5)
+    pairs = np.array([[random_pair_field(grid, rng) for _ in range(3)] for _ in range(2)])
+    got = ansatz.energy_norm_sq(np.moveaxis(pairs, 2, 0), dx)
+    assert got.shape == (2, 3)
+    want = [[ansatz.energy_norm_sq(pair, dx) for pair in row] for row in pairs]
+    assert isinstance(want[0][0], float)
+    assert np.array_equal(got, want)
 
 
 def test_linearization_potential_single(phi4_static, grid):

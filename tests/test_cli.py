@@ -1,8 +1,13 @@
+import configparser
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from multikink.cli import main
 
@@ -206,6 +211,20 @@ def test_bad_grid_step_exit_2(tmp_path, capsys, dx):
     assert "config error" in err and "Traceback" not in err
 
 
+# values whose grid, profile table or step count would overflow, each with
+# the part of its error message that names its keys
+OVERSIZED = [
+    ("multikink", "x_max = 25", "x_max = 1e308", "x_min, x_max and dx"),
+    ("multikink", "dx = 0.05", "dx = 1e-300", "x_min, x_max and dx"),
+    ("spectrum", "[output]", "[spectrum]\nx_half = 1e308\n\n[output]", "[spectrum] x_half and dx"),
+    ("spectrum", "[output]", "[spectrum]\ndx = 1e-300\n\n[output]", "[spectrum] x_half and dx"),
+    ("kink", "shifts = 0.0", "shifts = 0.0\nprofile_dx = 1e-300", "half_width and dx"),
+    ("kink", "shifts = 0.0", "shifts = 0.0\nhalf_width = 1e308", "half_width and dx"),
+    ("construct", "tol = 1e-8", "tol = 1e-8\nsnapshot_dt = 1e-300", "snapshot_dt"),
+    ("evolve", "t_end = 8", "t_end = 1e308", "t_end"),
+]
+
+
 @pytest.mark.parametrize("command, old, new, args", [
     ("kink", "n = 0\nn_prime = 1", "n = 5\nn_prime = 6", []),
     ("kink", "n = 0\nn_prime = 1", "n = -1\nn_prime = 0", []),
@@ -229,11 +248,14 @@ def test_bad_grid_step_exit_2(tmp_path, capsys, dx):
     ("construct", "tol = 1e-8", "tol = -1", []),
     ("construct", "dx = 0.05", "dx = 0.05\ncfl = 1.0", []),
     ("multikink", "labels = 0, 1", "labels = 0, x", []),
+    *[(command, old, new, []) for command, old, new, _ in OVERSIZED],
 ], ids=["kink-n5", "kink-n-1", "profile_dx-nan", "t_end-nan", "vacuum_tol-nan", "spectrum-dx0",
         "spectrum-x_half0", "spectrum-k-above-grid", "coercivity_samples0", "seed-negative",
         "seed-override-negative", "spectrum-one-point-grid", "search_interval-one-value",
         "custom-no-coeffs", "config-not-utf8", "out-is-a-file", "out-under-a-file",
-        "max_iter-negative", "tol-negative", "construct-cfl1", "labels-not-integer"])
+        "max_iter-negative", "tol-negative", "construct-cfl1", "labels-not-integer",
+        "x_max-1e308", "dx-1e-300", "spectrum-x_half-1e308", "spectrum-dx-1e-300",
+        "profile_dx-1e-300", "half_width-1e308", "snapshot_dt-1e-300", "t_end-1e308"])
 def test_invalid_input_exit_2(tmp_path, capsys, monkeypatch, command, old, new, args):
     # vacuum labels outside the table, non-finite numbers, a zero spectrum
     # step or half width, a one-point spectrum grid, more eigenpairs than
@@ -241,7 +263,8 @@ def test_invalid_input_exit_2(tmp_path, capsys, monkeypatch, command, old, new, 
     # length, no coercivity samples, a negative seed, a config file that is
     # not UTF-8, an --out naming or under a regular file, a negative
     # max_iter, a negative tol, a Courant ratio past the leapfrog's stable
-    # bound and a label that is not an integer are config errors
+    # bound, a label that is not an integer and a value asking for more grid
+    # points, profile samples or time steps than MAX_COUNT are config errors
     monkeypatch.chdir(tmp_path)
     Path("file").write_text("")
     path = tmp_path / "bad.cfg"
@@ -251,6 +274,8 @@ def test_invalid_input_exit_2(tmp_path, capsys, monkeypatch, command, old, new, 
     assert main([command, "--config", str(path), "--out", str(out), *args]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err
+    names = {new: named for _, _, new, named in OVERSIZED}
+    assert names.get(new, "") in err
     assert not (out / "verification.json").exists()
     assert Path("file").read_text() == ""
 
@@ -296,3 +321,49 @@ def test_verify_records_what_it_ran(tmp_path):
     assert doc["config"]["construct"]["max_iter"] == 1
     assert doc["covariance"]["unprimed"]["iterations"] == 1
     assert doc["covariance"]["primed"]["iterations"] == 1
+
+
+def _shipped_keys():
+    """(path, section, key) of every key of every shipped config."""
+    keys = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg")):
+        parser = configparser.ConfigParser()
+        parser.read(path, encoding="utf-8")
+        keys += [(path, section, key) for section in parser.sections() for key in parser[section]]
+    return keys
+
+
+SHIPPED_KEYS = _shipped_keys()
+
+
+# a fixed list, so no draw can ask for a large but feasible allocation
+EDIT_VALUES = ("0", "-1", "1e-300", "1e308", "nan", "inf", "x", "")
+
+
+def _shipped(name, section, key):
+    return next(k for k in SHIPPED_KEYS if (k[0].name, k[1], k[2]) == (name, section, key))
+
+
+@settings(max_examples=60, deadline=None)
+@given(target=st.sampled_from(SHIPPED_KEYS), value=st.sampled_from(EDIT_VALUES),
+       command=st.sampled_from(("kink", "multikink", "boost", "spectrum")))
+# two edits whose grid size overflows without the MAX_COUNT check, tried on every run
+@example(target=_shipped("sg2_construct.cfg", "grid", "x_max"), value="1e308",
+         command="multikink")
+@example(target=_shipped("sg_kink.cfg", "spectrum", "dx"), value="1e-300", command="spectrum")
+def test_no_config_edit_ends_in_a_traceback(target, value, command):
+    # one key of a shipped config set to an invalid or extreme value: the
+    # command succeeds, or exits 2 (config) or 3 (numerics) with a message
+    path, section, key = target
+    parser = configparser.ConfigParser()
+    parser.read(path, encoding="utf-8")
+    parser[section][key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        edited = Path(tmp) / "edited.cfg"
+        with open(edited, "w", encoding="utf-8") as fh:
+            parser.write(fh)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([command, "--config", str(edited), "--out", str(Path(tmp) / "o")])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()

@@ -159,7 +159,7 @@ def test_solve_backward_lands_on_t_start(sg2_params):
     # levels count from t_start instead, and the top is pinned to t_final
     cfg = construct.SolverConfig(x_min=-34.0, x_max=34.0, dx=0.1)
     dt, _ = cfg.plan(0.5, 3.6)
-    n, step = evolve.step_plan(0.5 - 3.6, -dt)
+    n, step = evolve.step_plan(0.5 - 3.6, -dt, "steps")
     assert 3.6 + n * step != 0.5
     slab = construct.solve_backward(sg2_params, _free_forcing, 0.5, 3.6, cfg)
     assert slab.times[0] == 0.5

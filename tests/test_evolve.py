@@ -516,7 +516,7 @@ def test_step_plan_matches_solver_plan():
     for t_start in np.arange(0.5, 40.0, 0.5):
         for span in (3.1, 7.3, 10.0, 12.5, 16.0, 32.0, 64.0, 128.0, 256.0):
             dt, every = cfg.plan(t_start, t_start + span)
-            n, step = evolve.step_plan(t_start - (t_start + span), -dt)
+            n, step = evolve.step_plan(t_start - (t_start + span), -dt, "steps")
             assert n == max(2, math.ceil(span / 0.25)) * every
             assert step == -dt
 
