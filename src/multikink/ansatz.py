@@ -265,18 +265,32 @@ def energy_norm_sq(h: np.ndarray, dx: float):
     return integrate_grid(h[0] ** 2 + hx**2 + h[1] ** 2, dx)
 
 
+def _quad_form(h: np.ndarray, dx: float, pot: np.ndarray, cross) -> float:
+    """1/2 int (h_dot^2 + h_x^2 + 2 cross h_dot h_x + pot h^2), the form of
+    both quad_form_ functions; pot = V and the cross weight do not depend on
+    h, so a caller with many h computes them once."""
+    hx = central_diff(h[0], dx)
+    integrand = h[1] ** 2 + hx**2 + 2.0 * cross * h[1] * hx + pot * h[0] ** 2
+    return 0.5 * integrate_grid(integrand, dx)
+
+
+def _cutoff_velocity(params: MultikinkParams, t: float, grid: np.ndarray) -> np.ndarray:
+    """sum_j chi_j v_j, quad_form_multi's cross weight, the cutoffs chi_j at
+    half-speed default_rho(params)."""
+    cross = np.zeros(np.shape(grid))
+    for j in range(1, params.K + 1):
+        cross += kink_cutoff(params, j, t, grid, default_rho(params)) * params.velocities[j - 1]
+    return cross
+
+
 def quad_form_single(params: MultikinkParams, t: float, h: np.ndarray,
                      grid: np.ndarray) -> float:
     """Quadratic form of the linearized flow around one moving kink (K=1):
     1/2 int (h_dot^2 + 2 v h_dot h_x + h_x^2 + V h^2)."""
     if params.K != 1:
         raise ConfigError("single-kink quadratic form requires K = 1")
-    dx = grid_spacing(grid)
-    hx = central_diff(h[0], dx)
-    v = params.velocities[0]
     pot = linearization_potential(params, t, grid)
-    integrand = h[1] ** 2 + 2.0 * v * h[1] * hx + hx**2 + pot * h[0] ** 2
-    return 0.5 * integrate_grid(integrand, dx)
+    return _quad_form(h, grid_spacing(grid), pot, params.velocities[0])
 
 
 def quad_form_multi(params: MultikinkParams, t: float, h: np.ndarray,
@@ -284,14 +298,8 @@ def quad_form_multi(params: MultikinkParams, t: float, h: np.ndarray,
     """Quadratic form around the multikink with cutoff-localized cross terms:
     1/2 int (h_dot^2 + h_x^2 + 2 sum_j chi_j v_j h_dot h_x + V h^2), the
     cutoffs chi_j at half-speed default_rho(params)."""
-    dx = grid_spacing(grid)
-    hx = central_diff(h[0], dx)
-    cross = np.zeros_like(hx)
-    for j in range(1, params.K + 1):
-        cross += kink_cutoff(params, j, t, grid, default_rho(params)) * params.velocities[j - 1]
     pot = linearization_potential(params, t, grid)
-    integrand = h[1] ** 2 + hx**2 + 2.0 * cross * h[1] * hx + pot * h[0] ** 2
-    return 0.5 * integrate_grid(integrand, dx)
+    return _quad_form(h, grid_spacing(grid), pot, _cutoff_velocity(params, t, grid))
 
 
 def remove_projections(h: np.ndarray, duals: Sequence[np.ndarray], dx: float) -> np.ndarray:
@@ -324,9 +332,10 @@ def coercivity_sample(params: MultikinkParams, t: float, grid: np.ndarray,
     level = evaluate_ansatz(params, t, grid)
     modes = [level.zero_modes(j) for j in range(1, params.K + 1)]
     duals = [psi for m in modes for psi in (m.psi0, m.psi1)]
-    quad_form = quad_form_single if params.K == 1 else quad_form_multi
+    # the h-independent terms of quad_form_single / quad_form_multi, once
+    cross = params.velocities[0] if params.K == 1 else _cutoff_velocity(params, t, grid)
     worst = np.inf
     for _ in range(n_samples):
         h = remove_projections(random_pair_field(grid, rng), duals, dx)
-        worst = min(worst, quad_form(params, t, h, grid) / energy_norm_sq(h, dx))
+        worst = min(worst, _quad_form(h, dx, level.V, cross) / energy_norm_sq(h, dx))
     return float(worst)

@@ -88,8 +88,10 @@ class KinkProfile:
     """Tabulated static kink with exponential-tail continuation.
 
     The grid is uniform on [-X, X]; values are strictly monotone between
-    the two vacua. Evaluation uses a cubic spline on the grid and the
-    fitted single-exponential tails outside it.
+    the two vacua. Inside it a point x takes the piece i = floor((x + X) /
+    dx) of the cubic spline through the samples, clipped to the table, and
+    is evaluated by Horner's rule in u = x - x[i]; no interval search.
+    Outside it the single-exponential tails continue the profile.
     """
 
     def __init__(self, model, table, n, n_prime, x, h):
@@ -118,7 +120,23 @@ class KinkProfile:
         left = x < -self.half_width
         right = x > self.half_width
         core = ~(left | right)
-        out[core] = self._spline(x[core])
+        xc = x[core]
+        # a core point lies at 0 <= t <= n - 1 knot spacings from x[0] = -X,
+        # so the cast's truncation is the floor; fmin puts t = n - 1 on the
+        # last piece, and NaN there too, so the cast sees no NaN and u keeps it
+        t = (xc - self.x[0]) / self.dx
+        i = np.fmin(t, len(self.x) - 2, out=t).astype(np.intp)
+        u = xc - self.x[i]
+        # the spline's piece i is c3 u^3 + c2 u^2 + c1 u + c0
+        c3, c2, c1, c0 = self._spline.c
+        val = c3[i]
+        val *= u
+        val += c2[i]
+        val *= u
+        val += c1[i]
+        val *= u
+        val += c0[i]
+        out[core] = val
         out[left] = self.vac_left + self._c_left * np.exp(
             self.mass_left * (x[left] + self.half_width))
         out[right] = self.vac_right + self._c_right * np.exp(

@@ -276,3 +276,22 @@ def test_coercivity_sample_matches_inline_loop(sg, sg2_params, K):
     old_rng = np.random.default_rng(23)
     _old_coercivity_loop(params, 20.0, grid, old_rng, 8)
     assert rng.random() == old_rng.random()
+
+
+@pytest.mark.parametrize("K", [1, 2])
+def test_coercivity_sample_builds_one_level(sg, sg2_params, K, monkeypatch):
+    # V and the cutoff cross term do not depend on the sample: one ansatz
+    # level serves all 100 quadratic forms
+    model, table = sg
+    params = ansatz.make_params(model, table, (0, 1), (0.5,), (0.0,)) if K == 1 else sg2_params
+    built = []
+
+    class CountingLevel(ansatz.AnsatzLevel):
+        def __init__(self, *args):
+            built.append(args[1])
+            super().__init__(*args)
+
+    monkeypatch.setattr(ansatz, "AnsatzLevel", CountingLevel)
+    grid = np.arange(-30.0, 30.0 + 1e-9, 0.05)
+    ansatz.coercivity_sample(params, 20.0, grid, np.random.default_rng(4), 100)
+    assert built == [20.0]

@@ -554,3 +554,43 @@ def test_zero_mode_laws_match_inline_loop(sg, sg2_params, K):
     p0, p1 = pairings[:, 0, 0], pairings[:, 0, 1]
     resid = p1 - p1[0] + cumulative_trapezoid(p0, slab.times, initial=0.0) / params.gammas[0]
     assert laws["kink_1"]["psi1_law_residual"] == float(np.max(np.abs(resid)))
+
+
+def _two_pass_laplacian(f, dx, blend):
+    """The blended Laplacian as a 3-point pass plus a 5-point correction,
+    the outermost interior nodes on the 3-point formula."""
+    inv_dx2 = 1.0 / (dx * dx)
+    out = np.zeros_like(f)
+    three = f[..., 2:] - 2.0 * f[..., 1:-1] + f[..., :-2]
+    out[..., 1:-1] = (1.0 - blend) * inv_dx2 * three
+    out[..., 2:-2] += blend * inv_dx2 / 12.0 * (-f[..., :-4] + 16.0 * f[..., 1:-3]
+                                                - 30.0 * f[..., 2:-2] + 16.0 * f[..., 3:-1]
+                                                - f[..., 4:])
+    out[..., 1] += blend * inv_dx2 * three[..., 0]
+    out[..., -2] += blend * inv_dx2 * three[..., -1]
+    return out
+
+
+LAPLACIAN_BLENDS = [0.0, evolve.EvolveConfig(dt=0.018, t_end=1.0).stencil_blend(0.02), 1.0]
+
+
+@pytest.mark.parametrize("blend", LAPLACIAN_BLENDS)
+@pytest.mark.parametrize("lanes", [1, 8])
+def test_laplacian_matches_two_pass_formula(blend, lanes):
+    rng = np.random.default_rng(lanes)
+    f = 2.0 * np.pi + rng.standard_normal((lanes, 3401))
+    out = np.full_like(f, np.nan)
+    assert evolve.make_laplacian(0.02, blend)(f, out) is out
+    ref = _two_pass_laplacian(f, 0.02, blend)
+    assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
+    assert np.all(out[:, [0, -1]] == 0.0)
+
+
+@pytest.mark.parametrize("blend", LAPLACIAN_BLENDS)
+@pytest.mark.parametrize("lanes", [1, 8])
+def test_laplacian_of_constant_is_zero(blend, lanes):
+    lap = evolve.make_laplacian(0.02, blend)
+    for c in (0.0, 2.0 * np.pi, 4.0 * np.pi):
+        out = np.full((lanes, 3401), np.nan)
+        lap(np.full((lanes, 3401), c), out)
+        assert np.all(out == 0.0)

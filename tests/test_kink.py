@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -199,3 +201,50 @@ def test_tail_evaluation_beyond_grid(phi4_kink):
     exact = np.tanh(np.sqrt(2.0) * x)
     assert abs(phi4_kink(x) - exact) <= 1e-9
     assert phi4_kink.deriv(x, 1) > 0.0
+
+
+def _lookup_points(prof, rng):
+    """Random core points, every knot, each knot one ulp either side and the
+    two table ends exactly: the points where a piece lookup can go wrong."""
+    knots = prof.x
+    return np.concatenate([rng.uniform(-prof.half_width, prof.half_width, 2000), knots,
+                           np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf),
+                           [-prof.half_width, prof.half_width]])
+
+
+@pytest.mark.parametrize("which", range(3))
+@pytest.mark.parametrize("anti", [False, True])
+def test_profile_lookup_matches_spline(kink_pairs, which, anti):
+    # the piece found from the uniform knots gives the spline's value up to
+    # rounding, on either side of a knot and at the table ends
+    prof = kink_pairs[which][anti]
+    tol = 4.0 * np.spacing(np.max(np.abs(prof.h)))
+    xs = _lookup_points(prof, np.random.default_rng(which))
+    core = np.abs(xs) <= prof.half_width
+    assert np.max(np.abs(prof(xs[core]) - prof._spline(xs[core]))) <= tol
+    # shape and order are free: a shuffled 2-D array gives the same values
+    perm = np.random.default_rng(5).permutation(core.sum())
+    assert np.array_equal(prof(xs[core][perm].reshape(-1, 1)).ravel(), prof(xs[core])[perm])
+    for x in xs[core][::97]:
+        val = prof(x)
+        assert isinstance(val, float)
+        assert abs(val - float(prof._spline(x))) <= tol
+
+
+@pytest.mark.parametrize("which", range(3))
+@pytest.mark.parametrize("anti", [False, True])
+def test_profile_tails_and_non_finite_input(kink_pairs, which, anti):
+    prof = kink_pairs[which][anti]
+    X = prof.half_width
+    left = -X - np.array([np.spacing(X), 0.5, 3.0])
+    right = X + np.array([np.spacing(X), 0.5, 3.0])
+    assert np.array_equal(prof(left), prof.vac_left + (prof.h[0] - prof.vac_left)
+                          * np.exp(prof.mass_left * (left + X)))
+    assert np.array_equal(prof(right), prof.vac_right + (prof.h[-1] - prof.vac_right)
+                          * np.exp(-prof.mass_right * (right - X)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = prof(np.array([np.nan, -np.inf, np.inf, 0.0]))
+        assert np.isnan(prof(np.nan))
+    assert np.isnan(vals[0]) and not np.isnan(vals[3])
+    assert (vals[1], vals[2]) == (prof.vac_left, prof.vac_right)
