@@ -17,8 +17,8 @@ from .ansatz import (  # noqa: F401
     quad_form_single, zero_modes,
 )
 from .evolve import (  # noqa: F401
-    EvolveConfig, SpaceTimeSlab, detect_sector, energy, evolve_linearized,
-    evolve_nonlinear, zero_mode_drift, zero_mode_laws,
+    EvolveConfig, SpaceTimeSlab, detect_sector, energy, evolve_nonlinear,
+    zero_mode_drift, zero_mode_laws,
 )
 from .construct import (  # noqa: F401
     ConstructReport, SolverConfig, fixed_point, nonlinearity,

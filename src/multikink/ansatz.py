@@ -334,8 +334,8 @@ def coercivity_sample(params: MultikinkParams, t: float, grid: np.ndarray,
     duals = [psi for m in modes for psi in (m.psi0, m.psi1)]
     # the h-independent terms of quad_form_single / quad_form_multi, once
     cross = params.velocities[0] if params.K == 1 else _cutoff_velocity(params, t, grid)
-    worst = np.inf
+    ratios = []
     for _ in range(n_samples):
         h = remove_projections(random_pair_field(grid, rng), duals, dx)
-        worst = min(worst, _quad_form(h, dx, level.V, cross) / energy_norm_sq(h, dx))
-    return float(worst)
+        ratios.append(_quad_form(h, dx, level.V, cross) / energy_norm_sq(h, dx))
+    return float(np.min(ratios))  # unlike min, np.min passes a NaN ratio on

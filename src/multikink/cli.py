@@ -1,16 +1,16 @@
 """Command-line front end: reproducible experiments from a config file.
 
 Subcommands: kink, multikink, evolve, construct, boost, verify, spectrum.
-Exit codes: 0 success, 2 configuration error, 3 numerical failure. All
-JSON outputs embed the resolved configuration, the seed and the package
-version; all randomness is derived from the single seed.
+Exit codes: 0 success, 2 configuration error, 3 numerical failure, which
+includes a NaN or an infinity in any output. All JSON outputs embed the
+resolved configuration, the seed and the package version; all randomness
+is derived from the single seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -23,28 +23,26 @@ from .errors import ConfigError, MultikinkError, NumericsError
 from .numerics import capped_count, random_pair_field
 
 
-def _finite(value):
-    """value with every non-finite float, however nested, replaced by None."""
-    if isinstance(value, dict):
-        return {k: _finite(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_finite(v) for v in value]
-    return None if isinstance(value, float) and not math.isfinite(value) else value
-
-
 def _write_json(path: Path, payload: dict, cfg: ExperimentConfig, seed: int):
-    """Strict JSON: a non-finite float (an unmeasured report value) is null."""
-    doc = dict(payload)
-    doc["artifact_version"] = __version__
-    doc["config"] = cfg.resolved
-    doc["seed"] = seed
+    """payload as strict JSON, with the resolved config, the seed and the
+    package version. Nothing is written when a value is NaN or infinite:
+    that is a NumericsError naming the file. Unmeasured values are None."""
+    doc = dict(payload, artifact_version=__version__, config=cfg.resolved, seed=seed)
+    try:
+        text = json.dumps(doc, sort_keys=True, indent=1, allow_nan=False)
+    except ValueError as err:
+        raise NumericsError(f"{path}: {err}") from err
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_finite(doc), fh, sort_keys=True, indent=1, allow_nan=False)
-        fh.write("\n")
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]):
+    """One row per index of the columns, each value to 17 digits. Nothing is
+    written when a column holds a NaN or an infinity: that is a
+    NumericsError naming the file and the column."""
+    for name, column in zip(header, columns):
+        if not np.all(np.isfinite(column)):
+            raise NumericsError(f"{path}: column {name} is not finite")
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
@@ -63,8 +61,8 @@ def cmd_kink(cfg: ExperimentConfig, out: Path, seed: int) -> None:
     table = cfg.build_table(model)
     n, n_prime = cfg.kink_labels()
     profile = kink.kink_profile(model, table, n, n_prime, **cfg.profile_settings())
-    out.mkdir(parents=True, exist_ok=True)
-    profile.to_csv(out / "profile.csv")
+    _write_csv(out / "profile.csv", ["x", "H", "dH"],
+               [profile.x, profile.h, profile.deriv(profile.x, 1)])
     _write_json(out / "tails.json", {
         fit.side: {k: getattr(fit, k) for k in ("fitted_rate", "expected_rate", "fit_residual")}
         for fit in kink.fit_tails(profile)}, cfg, seed)
@@ -125,8 +123,8 @@ def cmd_evolve(cfg: ExperimentConfig, out: Path, seed: int) -> None:
 def cmd_construct(cfg: ExperimentConfig, out: Path, seed: int) -> None:
     psi, rep = construct.fixed_point(_params_from_config(cfg), cfg.build_solver_config(),
                                      **cfg.fixed_point_settings())
-    psi.save(out / "psi_slab")
     _write_json(out / "report.json", {"report": rep.to_dict()}, cfg, seed)
+    psi.save(out / "psi_slab")
     _write_csv(out / "decay_fit.csv", ["t", "energy_norm"], [psi.times, psi.energy_norms()])
 
 

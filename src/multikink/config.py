@@ -13,6 +13,7 @@ import math
 from pathlib import Path
 
 from .errors import ConfigError
+from .evolve import MAX_COURANT
 from .potential import PotentialModel, find_vacua
 
 
@@ -114,8 +115,11 @@ class ExperimentConfig:
         return SolverConfig(**self._grid_extent()).grid
 
     def cfl(self) -> float:
-        """[grid] cfl, the Courant ratio dt/dx of every leapfrog run."""
-        return self.get_float("grid", "cfl", default=0.9)
+        """[grid] cfl, the Courant ratio dt/dx of every leapfrog run, in (0, MAX_COURANT]."""
+        cfl = self.get_float("grid", "cfl", default=0.9)
+        if not 0 < cfl <= MAX_COURANT:
+            raise ConfigError(f"[grid] cfl must lie in (0, {MAX_COURANT:.4g}], got {cfl}")
+        return cfl
 
     def t_start(self) -> float:
         return self.get_float("grid", "t_start", default=0.0)

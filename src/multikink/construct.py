@@ -14,6 +14,7 @@ below.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import asdict, dataclass, field
 
@@ -30,6 +31,7 @@ TRUNCATION_RTOL = 1e-8  # a probe is stable when its gap is <= this * max(1, sca
 TRUNCATION_MAX_SPAN = 400.0  # no truncation probe runs past T + this
 RESIDUAL_MARGIN = 5.0  # the residual skips this width at either end of the grid
 TAIL_MARGIN = 18.0  # suggest_domain pads the kink paths by this / min(mass)
+LOG_FLOAT_MAX = math.log(sys.float_info.max)  # the largest delta * t of a weight e^{delta t}
 
 
 @dataclass
@@ -78,11 +80,14 @@ def _check_delta(delta: float):
 
 def _weighted_sup(times: np.ndarray, norms: np.ndarray, T: float, delta: float):
     """Per column of norms (one row per time): max over the times >= T of
-    e^{delta t} * norm."""
+    e^{delta t} * norm. A weight past the largest float raises ConfigError."""
     _check_delta(delta)
     mask = times >= T - 1e-9
     if not np.any(mask):
         raise ConfigError("slab has no snapshots at or after T")
+    t_max = float(times[mask].max())
+    if float(delta) * t_max > LOG_FLOAT_MAX:
+        raise ConfigError(f"delta = {delta:g} overflows the weight e^(delta t) at t = {t_max:g}")
     return np.max(np.exp(delta * times[mask])[:, None] * norms[mask], axis=0)
 
 
@@ -182,10 +187,11 @@ class ConstructReport:
     delta: float
     t_final: float
     iterate_norms: list[float] = field(default_factory=list)
-    contraction_ratio: float = float("nan")
-    final_residual: float = float("nan")
-    fitted_decay_rate: float = float("nan")
-    decay_fit_r2: float = float("nan")
+    # None: not measured
+    contraction_ratio: float | None = None
+    final_residual: float | None = None
+    fitted_decay_rate: float | None = None
+    decay_fit_r2: float | None = None
     decay_fit_error: str | None = None
     converged: bool = False
     iterations: int = 0

@@ -20,8 +20,7 @@ from pathlib import Path
 import numpy as np
 from scipy.interpolate import RectBivariateSpline
 
-from .ansatz import (FieldState, MultikinkParams, energy_norm_sq, evaluate_ansatz, inner_product,
-                     linearization_potential)
+from .ansatz import FieldState, MultikinkParams, energy_norm_sq, evaluate_ansatz, inner_product
 from .errors import ConfigError, InstabilityError, SectorError
 from .numerics import capped_count, derivative, grid_spacing, integrate_grid
 from .potential import PotentialModel, VacuumTable
@@ -326,23 +325,6 @@ def evolve_nonlinear(state: FieldState, model: PotentialModel,
     return _evolve(state.phi, state.phi_dot, state.t, state.grid, state.dx, config, source)
 
 
-def evolve_linearized(h0: np.ndarray, params: MultikinkParams, grid: np.ndarray,
-                      t_start: float, config: EvolveConfig) -> SpaceTimeSlab:
-    """Evolve d_t^2 h = d_x^2 h - V(t, x) h with h clamped to zero at the ends.
-
-    h0 is a two-component field (h, d_t h); the time-dependent potential is
-    resampled from the ansatz at every step.
-    """
-    grid = np.asarray(grid, dtype=float)
-    h = np.array(h0, dtype=float)
-    h[:, 0] = h[:, -1] = 0.0
-
-    def source(t, f, out):
-        out[:, 1:-1] -= linearization_potential(params, t, grid)[1:-1] * f[:, 1:-1]
-
-    return _evolve(h[0], h[1], t_start, grid, grid_spacing(grid), config, source)
-
-
 def energy(state: FieldState, model: PotentialModel):
     """(E, E_p, E_k) by grid quadrature; boundary tails sit at vacua and
     contribute nothing."""
@@ -371,19 +353,32 @@ def detect_sector(state: FieldState, table: VacuumTable) -> tuple[int, int]:
 
 def zero_mode_drift(params: MultikinkParams, h0: np.ndarray, grid: np.ndarray,
                     t_start: float, config: EvolveConfig):
-    """Evolve h linearly and record all 2K dual pairings per snapshot.
+    """Evolve d_t^2 h = d_x^2 h - V(t, x) h, h clamped to zero at the ends,
+    from the two-component field h0 = (h, d_t h), and record all 2K dual
+    pairings per snapshot. Each time level's ansatz gives both V and the
+    modes paired at that level.
 
     Returns (slab, pairings) with pairings[i, j-1, s] = <psi_j^s(t_i), h(t_i)>.
     """
-    slab = evolve_linearized(h0, params, grid, t_start, config)
-    pairings = np.empty((len(slab), params.K, 2))
-    for i, t in enumerate(slab.times):
-        h = np.stack([slab.phis[i], slab.phi_dots[i]])
+    grid = np.asarray(grid, dtype=float)
+    dx = grid_spacing(grid)
+    h = np.array(h0, dtype=float)
+    h[:, 0] = h[:, -1] = 0.0
+    level = None
+    pairings = []
+
+    def source(t, f, out):
+        nonlocal level
         level = evaluate_ansatz(params, t, grid)
-        for j in range(1, params.K + 1):
-            modes = level.zero_modes(j)
-            pairings[i, j - 1] = [inner_product(psi, h, slab.dx) for psi in (modes.psi0, modes.psi1)]
-    return slab, pairings
+        out[:, 1:-1] -= level.V[1:-1] * f[:, 1:-1]
+
+    def observe(_t, f, v):
+        pair = np.stack([f[-1], v[-1]])
+        pairings.append([[inner_product(psi, pair, dx) for psi in (modes.psi0, modes.psi1)]
+                         for modes in map(level.zero_modes, range(1, params.K + 1))])
+
+    slab = _evolve(h[0], h[1], t_start, grid, dx, config, source, observe)
+    return slab, np.array(pairings[::-1] if config.dt < 0 else pairings)
 
 
 def zero_mode_laws(params: MultikinkParams, slab: SpaceTimeSlab,

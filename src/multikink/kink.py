@@ -9,7 +9,6 @@ d2 = W'(H)), which keeps them exact functions of H.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,14 +160,6 @@ class KinkProfile:
         """The antikink (or kink) obtained by exact reflection x -> -x."""
         return KinkProfile(self.model, self.table, self.n_prime, self.n,
                            self.x.copy(), self.h[::-1].copy())
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["x", "H", "dH"])
-            d = self.deriv(self.x, 1)
-            for xi, hi, di in zip(self.x, self.h, d):
-                w.writerow([f"{xi:.17g}", f"{hi:.17g}", f"{di:.17g}"])
 
 
 def _integrate_half(model, start, target_vac, mass, xs, sign):

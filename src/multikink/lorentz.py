@@ -129,8 +129,11 @@ def verify_covariance(params: MultikinkParams, boost: BoostSpec,
     fields over the window together with its location. settings holds
     fixed_point's tol and max_iter, used by both constructions, and may
     hold its T, delta and t_final, used by the unprimed one only: the
-    primed construction picks its own.
+    primed construction picks its own. window_t, the window's length in
+    t', must be positive; it is checked before either construction.
     """
+    if not window_t > 0:
+        raise ConfigError(f"window_t must be positive, got {window_t}")
     psi, rep = fixed_point(params, config, **settings)
     field = ansatz_plus_error_slab(params, psi)
 
@@ -155,19 +158,17 @@ def verify_covariance(params: MultikinkParams, boost: BoostSpec,
                 for tp in (t_lo, t_hi) for xp in (grid_p[0], grid_p[-1])]
     field = extend_backward(field, params.model, min(needed_t) - 0.5, config)
 
-    worst = {"discrepancy": -1.0}
-    for tp in np.linspace(t_lo, t_hi, COVARIANCE_T_SAMPLES):
-        boosted = boost_field(field, boost, tp, grid_p)
-        direct = multikink(params_p, tp, grid_p).phi + psi_p.value_spline.ev(
-            np.full_like(grid_p, tp), grid_p)
-        diff = np.abs(boosted.phi - direct)
-        i = int(np.argmax(diff))
-        if diff[i] > worst["discrepancy"]:
-            worst = {"discrepancy": float(diff[i]), "t_prime": float(tp),
-                     "x_prime": float(grid_p[i])}
+    times_p = np.linspace(t_lo, t_hi, COVARIANCE_T_SAMPLES)
+    diffs = np.array([
+        np.abs(boost_field(field, boost, tp, grid_p).phi
+               - (multikink(params_p, tp, grid_p).phi
+                  + psi_p.value_spline.ev(np.full_like(grid_p, tp), grid_p)))
+        for tp in times_p])
+    # the first maximum in sample order, or the first NaN
+    i, j = np.unravel_index(np.argmax(diffs), diffs.shape)
     return {
-        "discrepancy": worst["discrepancy"],
-        "max_location": {"t_prime": worst.get("t_prime"), "x_prime": worst.get("x_prime")},
+        "discrepancy": float(diffs[i, j]),
+        "max_location": {"t_prime": float(times_p[i]), "x_prime": float(grid_p[j])},
         "window": {"t_lo": float(t_lo), "t_hi": float(t_hi),
                    "x_lo": float(grid_p[0]), "x_hi": float(grid_p[-1])},
         "tolerances": {"fixed_point_tol": settings["tol"], "dx": config.dx,

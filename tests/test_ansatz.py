@@ -278,6 +278,20 @@ def test_coercivity_sample_matches_inline_loop(sg, sg2_params, K):
     assert rng.random() == old_rng.random()
 
 
+def test_coercivity_sample_passes_a_nan_on(sg2_params, monkeypatch):
+    # one NaN Rayleigh ratio among finite ones is the result, not skipped
+    real, ratios = ansatz._quad_form, []
+
+    def one_nan(*args):
+        ratios.append(real(*args))
+        return np.nan if len(ratios) == 2 else ratios[-1]
+
+    monkeypatch.setattr(ansatz, "_quad_form", one_nan)
+    grid = np.arange(-30.0, 30.0 + 1e-9, 0.05)
+    assert np.isnan(ansatz.coercivity_sample(sg2_params, 20.0, grid, np.random.default_rng(4), 4))
+    assert len(ratios) == 4 and np.all(np.isfinite(ratios))
+
+
 @pytest.mark.parametrize("K", [1, 2])
 def test_coercivity_sample_builds_one_level(sg, sg2_params, K, monkeypatch):
     # V and the cutoff cross term do not depend on the sample: one ansatz

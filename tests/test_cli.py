@@ -9,7 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from multikink import cli, lorentz
 from multikink.cli import main
+from multikink.config import ExperimentConfig
+from multikink.errors import NumericsError
 
 
 SG_SINGLE = """
@@ -78,7 +81,10 @@ def test_cmd_kink(tmp_path):
         path.write_text(SG_SINGLE.replace("kind = sine_gordon", f"kind = {kind}"))
         out = tmp_path / kind.split()[0]
         assert main(["kink", "--config", str(path), "--out", str(out)]) == 0
+        text = (out / "profile.csv").read_bytes().decode()
+        assert text.startswith("x,H,dH\n") and "\r" not in text
         data = np.loadtxt(out / "profile.csv", delimiter=",", skiprows=1)
+        assert data.shape[1] == 3
         mid = len(data) // 2
         assert abs(data[mid, 0]) <= 1e-12
         assert abs(data[mid, 1] - np.pi) <= 1e-12
@@ -124,6 +130,67 @@ def test_construct_report_is_strict_json(tmp_path, sg_config):
     for key in ("contraction_ratio", "decay_fit_r2", "fitted_decay_rate"):
         assert report[key] is None
     assert report["decay_fit_error"] and report["final_residual"] > 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_writers_refuse_non_finite_values(tmp_path, sg_config, bad):
+    # a NaN or an infinity is a numerical failure naming the file, and
+    # neither writer leaves a file behind
+    cfg = ExperimentConfig(sg_config)
+    path = tmp_path / "o" / "doc.json"
+    with pytest.raises(NumericsError, match="doc.json"):
+        cli._write_json(path, {"report": {"values": [1.0, bad]}}, cfg, 0)
+    path = tmp_path / "o" / "table.csv"
+    with pytest.raises(NumericsError, match="table.csv: column b"):
+        cli._write_csv(path, ["a", "b"], [np.zeros(3), np.array([0.0, bad, 1.0])])
+    assert not (tmp_path / "o").exists()
+
+
+def test_non_finite_verification_exits_3(tmp_path, monkeypatch, capsys):
+    # a coercivity sample that is NaN fails the run: no verification.json
+    path = tmp_path / "coercivity.cfg"
+    path.write_text(SG_SINGLE.replace(
+        "window_t = 3.0", "energy_drift = false\nzero_modes = false\ncovariance = false"))
+    monkeypatch.setattr(cli.ansatz, "coercivity_sample", lambda *_args: float("nan"))
+    out = tmp_path / "o"
+    assert main(["verify", "--config", str(path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "verification.json" in err
+    assert not (out / "verification.json").exists()
+
+
+@pytest.mark.slow
+def test_nan_discrepancy_exits_3(tmp_path, monkeypatch):
+    # one NaN point of one boosted sample reaches the reported discrepancy,
+    # which then fails the run
+    real_boost, real_verify = lorentz.boost_field, lorentz.verify_covariance
+    samples, results = [], []
+
+    def boost_with_a_nan(*args):
+        state = real_boost(*args)
+        if not samples:
+            state.phi[7] = np.nan
+        samples.append(state.t)
+        return state
+
+    def recorded(*args, **kwargs):
+        results.append(real_verify(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(lorentz, "boost_field", boost_with_a_nan)
+    monkeypatch.setattr(lorentz, "verify_covariance", recorded)
+    path = tmp_path / "covariance.cfg"
+    path.write_text(SG_SINGLE.replace(
+        "window_t = 3.0", "window_t = 3.0\nenergy_drift = false\nzero_modes = false\n"
+                          "coercivity = false"))
+    out = tmp_path / "o"
+    assert main(["verify", "--config", str(path), "--out", str(out)]) == 3
+    [result] = results
+    assert np.isnan(result["discrepancy"])
+    assert len(samples) == lorentz.COVARIANCE_T_SAMPLES
+    assert result["max_location"]["t_prime"] == result["window"]["t_lo"] == samples[0]
+    assert result["max_location"]["x_prime"] == pytest.approx(result["window"]["x_lo"] + 0.35)
+    assert not (out / "verification.json").exists()
 
 
 @pytest.mark.slow
@@ -224,6 +291,18 @@ OVERSIZED = [
     ("evolve", "t_end = 8", "t_end = 1e308", "t_end"),
 ]
 
+# values refused with a message naming their key
+NAMED = [
+    ("construct", "delta = 0.5", "delta = 1e308", "delta = 1e+308 overflows"),
+    ("verify", "window_t = 3.0", "window_t = 0\nenergy_drift = false\nzero_modes = false\n"
+                                 "coercivity = false", "window_t must be positive"),
+    ("verify", "window_t = 3.0", "window_t = -1\nenergy_drift = false\nzero_modes = false\n"
+                                 "coercivity = false", "window_t must be positive"),
+    ("evolve", "dx = 0.05", "dx = 0.05\ncfl = -0.5", "[grid] cfl"),
+    ("evolve", "dx = 0.05", "dx = 0.05\ncfl = 0", "[grid] cfl"),
+    ("evolve", "dx = 0.05", "dx = 0.05\ncfl = 5", "[grid] cfl"),
+]
+
 
 @pytest.mark.parametrize("command, old, new, args", [
     ("kink", "n = 0\nn_prime = 1", "n = 5\nn_prime = 6", []),
@@ -248,14 +327,15 @@ OVERSIZED = [
     ("construct", "tol = 1e-8", "tol = -1", []),
     ("construct", "dx = 0.05", "dx = 0.05\ncfl = 1.0", []),
     ("multikink", "labels = 0, 1", "labels = 0, x", []),
-    *[(command, old, new, []) for command, old, new, _ in OVERSIZED],
+    *[(command, old, new, []) for command, old, new, _ in OVERSIZED + NAMED],
 ], ids=["kink-n5", "kink-n-1", "profile_dx-nan", "t_end-nan", "vacuum_tol-nan", "spectrum-dx0",
         "spectrum-x_half0", "spectrum-k-above-grid", "coercivity_samples0", "seed-negative",
         "seed-override-negative", "spectrum-one-point-grid", "search_interval-one-value",
         "custom-no-coeffs", "config-not-utf8", "out-is-a-file", "out-under-a-file",
         "max_iter-negative", "tol-negative", "construct-cfl1", "labels-not-integer",
         "x_max-1e308", "dx-1e-300", "spectrum-x_half-1e308", "spectrum-dx-1e-300",
-        "profile_dx-1e-300", "half_width-1e308", "snapshot_dt-1e-300", "t_end-1e308"])
+        "profile_dx-1e-300", "half_width-1e308", "snapshot_dt-1e-300", "t_end-1e308",
+        "delta-1e308", "window_t0", "window_t-negative", "cfl-negative", "cfl0", "cfl5"])
 def test_invalid_input_exit_2(tmp_path, capsys, monkeypatch, command, old, new, args):
     # vacuum labels outside the table, non-finite numbers, a zero spectrum
     # step or half width, a one-point spectrum grid, more eigenpairs than
@@ -264,7 +344,14 @@ def test_invalid_input_exit_2(tmp_path, capsys, monkeypatch, command, old, new, 
     # not UTF-8, an --out naming or under a regular file, a negative
     # max_iter, a negative tol, a Courant ratio past the leapfrog's stable
     # bound, a label that is not an integer and a value asking for more grid
-    # points, profile samples or time steps than MAX_COUNT are config errors
+    # points, profile samples or time steps than MAX_COUNT, a delta whose
+    # weight e^(delta t) overflows, a covariance window that is not positive
+    # and a Courant ratio outside (0, MAX_COURANT] are config errors, none of
+    # them found by a construction of the covariance check
+    def no_construction(*_args, **_kwargs):
+        raise AssertionError("the covariance check constructed")
+
+    monkeypatch.setattr(lorentz, "fixed_point", no_construction)
     monkeypatch.chdir(tmp_path)
     Path("file").write_text("")
     path = tmp_path / "bad.cfg"
@@ -274,7 +361,7 @@ def test_invalid_input_exit_2(tmp_path, capsys, monkeypatch, command, old, new, 
     assert main([command, "--config", str(path), "--out", str(out), *args]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err
-    names = {new: named for _, _, new, named in OVERSIZED}
+    names = {new: named for _, _, new, named in OVERSIZED + NAMED}
     assert names.get(new, "") in err
     assert not (out / "verification.json").exists()
     assert Path("file").read_text() == ""

@@ -61,6 +61,20 @@ def test_weighted_norm_closed_form(small_cfg):
     for delta in (0.0, -0.25, math.nan):
         with pytest.raises(ConfigError, match="delta"):
             construct.weighted_norm(slab, 2.0, delta)
+    # the weight e^(delta t) is finite up to t = 12 for delta = 59 and
+    # overflows for 60, which is refused before np.exp runs
+    assert math.isfinite(construct.weighted_norm(slab, 2.0, 59.0))
+    with pytest.raises(ConfigError, match="delta = 60 overflows"):
+        construct.weighted_norm(slab, 2.0, 60.0)
+
+
+def test_fixed_point_rejects_an_overflowing_delta(sg):
+    # without the check every increment norm would be inf * 0 = NaN
+    model, table = sg
+    params = ansatz.make_params(model, table, (0, 1), (0.3,), (0.0,))
+    cfg = construct.SolverConfig(x_min=-10.0, x_max=10.0, dx=0.1)
+    with pytest.raises(ConfigError, match=r"delta = 1e\+308 overflows"):
+        construct.fixed_point(params, cfg, T=1.0, delta=1e308, t_final=3.0, max_iter=1)
 
 
 def test_weighted_norm_divergence_with_range(small_cfg):
@@ -593,7 +607,7 @@ def test_decay_fit_catches_only_fit_errors(sg, small_cfg, monkeypatch):
 
     monkeypatch.setattr(construct, "decay_fit", no_fit)
     _, rep = _single_kink_construction(sg, small_cfg)
-    assert math.isnan(rep.fitted_decay_rate) and math.isnan(rep.decay_fit_r2)
+    assert rep.fitted_decay_rate is None and rep.decay_fit_r2 is None
     assert rep.decay_fit_error == "log-linear fit requires positive values"
 
     def broken(*_args, **_kwargs):
@@ -611,7 +625,7 @@ def test_decay_fit_error_is_reported(sg2_params, monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(construct, "FIT_SPAN", 0.1)
         _, rep = construct.fixed_point(sg2_params, cfg, **kw)
-    assert math.isnan(rep.fitted_decay_rate) and math.isnan(rep.decay_fit_r2)
+    assert rep.fitted_decay_rate is None and rep.decay_fit_r2 is None
     assert rep.decay_fit_error == "need at least 3 samples for a log-linear fit"
     assert rep.to_dict()["decay_fit_error"] == rep.decay_fit_error
     _, rep = construct.fixed_point(sg2_params, cfg, **kw)

@@ -99,15 +99,15 @@ def test_linearity(phi4_static, grid):
     h1 = random_pair_field(grid, rng)
     h2 = random_pair_field(grid, rng)
     cfg = evolve.EvolveConfig(dt=0.018, t_end=3.0, snapshot_every=50)
-    s1 = evolve.evolve_linearized(h1, phi4_static, grid, 0.0, cfg)
-    s2 = evolve.evolve_linearized(h2, phi4_static, grid, 0.0, cfg)
-    s12 = evolve.evolve_linearized(2.0 * h1 - 0.5 * h2, phi4_static, grid, 0.0, cfg)
+    s1 = evolve.zero_mode_drift(phi4_static, h1, grid, 0.0, cfg)[0]
+    s2 = evolve.zero_mode_drift(phi4_static, h2, grid, 0.0, cfg)[0]
+    s12 = evolve.zero_mode_drift(phi4_static, 2.0 * h1 - 0.5 * h2, grid, 0.0, cfg)[0]
     assert np.max(np.abs(s12.phis[-1] - (2.0 * s1.phis[-1] - 0.5 * s2.phis[-1]))) <= 1e-11
 
 
 def test_zero_initial_data(phi4_static, grid):
     cfg = evolve.EvolveConfig(dt=0.018, t_end=2.0)
-    slab = evolve.evolve_linearized(np.zeros((2, len(grid))), phi4_static, grid, 0.0, cfg)
+    slab = evolve.zero_mode_drift(phi4_static, np.zeros((2, len(grid))), grid, 0.0, cfg)[0]
     assert np.max(np.abs(slab.phis)) == 0.0
 
 
@@ -129,7 +129,7 @@ def test_mode_stationarity_refines(phi4_static):
         grid = np.arange(-20.0, 20.0 + 1e-12, dx)
         m = ansatz.zero_modes(phi4_static, 1, 0.0, grid)
         cfg = evolve.EvolveConfig(dt=0.9 * dx, t_end=10.0, snapshot_every=200)
-        slab = evolve.evolve_linearized(m.Y0, phi4_static, grid, 0.0, cfg)
+        slab = evolve.zero_mode_drift(phi4_static, m.Y0, grid, 0.0, cfg)[0]
         errs.append(np.max(np.abs(slab.phis[-1] - m.Y0[0])))
     assert errs[1] <= 0.35 * errs[0]
     assert errs[1] <= 5e-3
@@ -142,7 +142,7 @@ def test_secular_solution(sg):
     params = ansatz.make_params(model, table, (0, 1), (0.5,), (0.0,))
     m0 = ansatz.zero_modes(params, 1, 0.0, grid)
     cfg = evolve.EvolveConfig(dt=0.9 * dx, t_end=10.0, snapshot_every=200)
-    slab = evolve.evolve_linearized(m0.Y1, params, grid, 0.0, cfg)
+    slab = evolve.zero_mode_drift(params, m0.Y1, grid, 0.0, cfg)[0]
     t_end = slab.times[-1]
     mt = ansatz.zero_modes(params, 1, t_end, grid)
     gamma = 1.0 / np.sqrt(1.0 - 0.25)
@@ -498,15 +498,32 @@ def test_linearized_run_ends_at_t_end(sg, grid):
     model, table = sg
     params = ansatz.make_params(model, table, (0, 1), (0.3,), (0.0,))
     h0 = random_pair_field(grid, np.random.default_rng(2))
-    fwd = evolve.evolve_linearized(h0, params, grid, 0.0,
-                                   evolve.EvolveConfig(dt=0.018, t_end=30.0, snapshot_every=50))
+    fwd = evolve.zero_mode_drift(params, h0, grid, 0.0,
+                                 evolve.EvolveConfig(dt=0.018, t_end=30.0, snapshot_every=50))[0]
     assert fwd.times[0] == 0.0 and fwd.times[-1] == 30.0
     assert len(fwd) == 1667 // 50 + 2
     assert _step_of(fwd, 50) <= 0.018
-    back = evolve.evolve_linearized(h0, params, grid, 30.0,
-                                    evolve.EvolveConfig(dt=-0.018, t_end=0.0, snapshot_every=50))
+    back = evolve.zero_mode_drift(params, h0, grid, 30.0,
+                                  evolve.EvolveConfig(dt=-0.018, t_end=0.0, snapshot_every=50))[0]
     assert back.times[0] == 0.0 and back.times[-1] == 30.0
     assert abs(back.times[-1] - back.times[-2]) / 50 <= 0.018
+
+
+@pytest.mark.parametrize("dt, t_start, t_end", [(0.018, 0.0, 2.0), (-0.018, 2.0, 0.0)])
+def test_pairings_follow_the_slab(sg, grid, dt, t_start, t_end):
+    # forward or backward, pairings[i] pairs the slab's snapshot i with the
+    # zero modes at its time
+    model, table = sg
+    params = ansatz.make_params(model, table, (0, 1), (0.3,), (0.0,))
+    h0 = random_pair_field(grid, np.random.default_rng(2))
+    slab, pairings = evolve.zero_mode_drift(
+        params, h0, grid, t_start, evolve.EvolveConfig(dt=dt, t_end=t_end, snapshot_every=50))
+    assert pairings.shape == (len(slab), 1, 2)
+    for i in (0, 1, len(slab) - 1):
+        modes = ansatz.zero_modes(params, 1, slab.times[i], grid)
+        h = np.stack([slab.phis[i], slab.phi_dots[i]])
+        assert pairings[i, 0].tolist() == [ansatz.inner_product(psi, h, slab.dx)
+                                          for psi in (modes.psi0, modes.psi1)]
 
 
 def test_step_plan_matches_solver_plan():

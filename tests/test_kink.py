@@ -185,16 +185,6 @@ def test_gamma_inequality_on_sampled_fields(phi4):
             assert lhs <= rhs + 1e-6 * (1.0 + abs(rhs))
 
 
-def test_csv_export(tmp_path, sg_kink):
-    path = tmp_path / "profile.csv"
-    sg_kink.to_csv(path)
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert data.shape == (len(sg_kink.x), 3)
-    assert np.allclose(data[:, 1], sg_kink.h)
-    header = path.read_text().splitlines()[0]
-    assert header == "x,H,dH"
-
-
 def test_tail_evaluation_beyond_grid(phi4_kink):
     # far outside the grid the tail formula continues the profile smoothly
     x = phi4_kink.half_width + 3.0
