@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from multikink import kink
+from multikink.cli import _write_csv
 from multikink.errors import ConfigError, FitError
 from multikink.numerics import gaussian_bumps, integrate_grid, central_diff
 
@@ -183,6 +184,17 @@ def test_gamma_inequality_on_sampled_fields(phi4):
             lhs = abs(kink.bogomolny_bound(model, phi[i1], phi[i2]))
             rhs = integrate_grid(0.5 * dphi[i1:i2 + 1] ** 2 + model(phi[i1:i2 + 1], 0), 0.01)
             assert lhs <= rhs + 1e-6 * (1.0 + abs(rhs))
+
+
+def test_csv_export(tmp_path, sg_kink):
+    # the profile goes out the way `multikink kink` writes profile.csv
+    path = tmp_path / "profile.csv"
+    _write_csv(path, ["x", "H", "dH"], [sg_kink.x, sg_kink.h, sg_kink.deriv(sg_kink.x, 1)])
+    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert data.shape == (len(sg_kink.x), 3)
+    assert np.array_equal(data[:, 1], sg_kink.h)
+    text = path.read_bytes().decode()
+    assert text.splitlines()[0] == "x,H,dH" and "\r" not in text
 
 
 def test_tail_evaluation_beyond_grid(phi4_kink):
