@@ -4,7 +4,7 @@
         [--description TEXT]
 
 Each run is `python3 perfbench/run.py --workload W --seed N --seconds 30
---trace 0` inside one checkout, one run at a time, for seeds 1 to 5 and
+--trace 0` inside one checkout, one run at a time, for seeds 1 to 10 and
 the three workloads. The runs go seed by seed, and for each seed workload
 by workload; each workload runs once per checkout, the parent first on odd
 seeds and the change first on even ones.
@@ -13,6 +13,9 @@ runs it finished. Per workload and side it holds each end-to-end metric's
 median and quartiles (statistics.quantiles, method='inclusive') with the
 runs in seed order, the environment line of the first run (without its
 seed), whether every run was correct, and the job counts of each run.
+Per workload it also counts, for each metric, the pairs (runs of one seed)
+that the change won and lost by the direction of BENCHMARK.json; a tie
+counts for neither side.
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 WORKLOADS = ("construct-sg2", "derivative-sg2", "evolve-sg2")
-SEEDS = range(1, 6)
+SEEDS = range(1, 11)
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 SECONDS = 30
 COMMAND = f"python3 perfbench/run.py --workload W --seed N --seconds {SECONDS} --trace 0"
 STATISTICS = ("median and quartiles (statistics.quantiles, method='inclusive') over the "
@@ -80,14 +84,37 @@ def side_record(runs: list[tuple[int, dict, dict]]) -> dict:
             "seeds": [seed for seed, _, _ in runs]}
 
 
+def directions() -> dict:
+    """Each end-to-end metric's better side, "lower" or "higher", as
+    BENCHMARK.json declares it."""
+    return {m["name"]: m["better"] for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
+
+
+def pair_record(runs: dict) -> dict:
+    """Of the seeds both sides ran, how many each metric's change won and
+    lost; runs[side] lists that side's (seed, environment, result) runs."""
+    by_seed = {side: {seed: r["metrics"] for seed, _, r in runs[side]} for side in SIDES}
+    seeds = sorted(by_seed["parent"].keys() & by_seed["change"].keys())
+    better = directions()
+    won, lost = {}, {}
+    for name in by_seed["parent"][seeds[0]] if seeds else ():
+        sign = 1.0 if better[name] == "lower" else -1.0
+        gains = [sign * (by_seed["parent"][s][name]["value"] - by_seed["change"][s][name]["value"])
+                 for s in seeds]
+        won[name] = sum(g > 0 for g in gains)
+        lost[name] = sum(g < 0 for g in gains)
+    return {"count": len(seeds), "won_by_change": won, "lost_by_change": lost}
+
+
 def bench_document(runs: dict, description: str) -> dict:
     """The BENCH_<n>.json document; runs[workload][side] lists that side's
     (seed, environment, result) runs."""
     return {"command": COMMAND,
             "description": description,
             "statistics": STATISTICS,
-            "workloads": {w: {side: side_record(runs[w][side])
-                              for side in SIDES if runs[w][side]}
+            "workloads": {w: {**{side: side_record(runs[w][side])
+                                 for side in SIDES if runs[w][side]},
+                              "pairs": pair_record(runs[w])}
                           for w in runs}}
 
 

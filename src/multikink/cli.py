@@ -178,6 +178,16 @@ def cmd_verify(cfg: ExperimentConfig, out: Path, seed: int) -> None:
               for name in ("energy_drift", "zero_modes", "coercivity")}
     grid = cfg.build_grid() if any(checks.values()) else None
     result: dict = {}
+    if checks["coercivity"]:
+        t_eval = max(cfg.t_end(), 1.0)
+        # the sample is taken about the multikink, so every kink must be on
+        # the grid; far off it the co-moving coordinates lose the grid's
+        # resolution (t = 1e16) or overflow (t = 1e308)
+        for k, (v, a) in enumerate(zip(params.velocities, params.shifts), start=1):
+            if not grid[0] < a + v * t_eval < grid[-1]:
+                raise ConfigError(
+                    f"[grid] t_end = {t_eval:g} puts kink {k} at x = {a + v * t_eval:g}, off the "
+                    f"grid [{grid[0]:g}, {grid[-1]:g}] that the coercivity sample needs it on")
 
     if checks["energy_drift"]:
         slab, energies = _evolve_from_config(cfg, params, grid)
@@ -201,7 +211,6 @@ def cmd_verify(cfg: ExperimentConfig, out: Path, seed: int) -> None:
 
     if checks["coercivity"]:
         n_samples = cfg.get_int("verify", "coercivity_samples", default=100)
-        t_eval = max(cfg.t_end(), 1.0)
         result["coercivity"] = {
             "min_rayleigh_ratio": ansatz.coercivity_sample(params, t_eval, grid, rng, n_samples),
             "continuum_edge": float(min(params.table.masses) ** 2),

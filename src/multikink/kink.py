@@ -2,13 +2,18 @@
 
 A kink between adjacent vacua solves the first-order Bogomolny equation
 dH/dx = sqrt(2 W(H)) and is tabulated on a finite grid; outside the grid
-it is continued by its single-exponential tail. Derivatives of a profile
-are evaluated through the Bogomolny relation itself (d1 = +-sqrt(2W(H)),
-d2 = W'(H)), which keeps them exact functions of H.
+it is continued by its single-exponential tail. Each half of the table,
+from the midpoint at x = 0 to one vacuum v, is integrated in the
+log-distance u = log|v - H| with W written in the offset from v, so that
+the step control and W keep their relative accuracy all the way to the
+vacuum. Derivatives of a profile are evaluated through the Bogomolny
+relation itself (d1 = +-sqrt(2W(H)), d2 = W'(H)), which keeps them exact
+functions of H.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +25,7 @@ from .numerics import capped_count, fit_log_linear, integrate_grid
 from .potential import PotentialModel, VacuumTable
 
 _TAIL_SWITCH = 1e-10  # distance to the vacuum at which integration hands over to the tail
+_LOG_TAIL_SWITCH = math.log(_TAIL_SWITCH)
 _QUAD = dict(epsabs=1e-13, epsrel=1e-12, limit=400)  # tolerances of every quad call
 
 
@@ -162,34 +168,43 @@ class KinkProfile:
                            self.x.copy(), self.h[::-1].copy())
 
 
-def _integrate_half(model, start, target_vac, mass, xs, sign):
-    """Integrate dH/dx = sign*sqrt(2W(H)) from H(0)=start over xs >= 0.
+def _integrate_half(model, start, target_vac, mass, xs):
+    """The half of a kink from H(0) = start to target_vac, sampled at xs >= 0.
 
-    Hands over to the exponential tail once H is within _TAIL_SWITCH of the
-    target vacuum (the equation degenerates there).
+    Integrates the log-distance u = log|target_vac - H|, which obeys
+    du/dx = -sqrt(2 W(H)) / |target_vac - H| with W taken in the offset from
+    the vacuum (model.about), and returns H = target_vac -+ e^u. Near the
+    vacuum u falls linearly at the rate of the mass, so RK45 steps as far
+    toward either vacuum, wherever it lies. Hands over to the exponential
+    tail, u falling at exactly the mass, once H is within _TAIL_SWITCH of
+    the target vacuum.
     """
-    approach = 1.0 if target_vac > start else -1.0
+    w = model.about(target_vac)
+    side = 1.0 if start > target_vac else -1.0  # H = target_vac + side * e^u
 
-    def rhs(_x, y):
-        return [sign * np.sqrt(2.0 * max(float(model(y[0], 0)), 0.0))]
+    def rhs(_x, u):
+        d = math.exp(u[0])
+        return [-math.sqrt(2.0 * max(float(w(side * d)), 0.0)) / d]
 
-    def near_vacuum(_x, y):
-        return abs(target_vac - y[0]) - _TAIL_SWITCH
+    def near_vacuum(_x, u):
+        return u[0] - _LOG_TAIL_SWITCH
     near_vacuum.terminal = True
     near_vacuum.direction = -1
 
-    sol = solve_ivp(rhs, (0.0, xs[-1]), [start], t_eval=xs, method="RK45",
-                    rtol=1e-12, atol=1e-14, events=near_vacuum, dense_output=False)
+    sol = solve_ivp(rhs, (0.0, xs[-1]), [math.log(abs(start - target_vac))], t_eval=xs,
+                    method="RK45", rtol=1e-12, atol=1e-14, events=near_vacuum,
+                    dense_output=False)
     if not sol.success and sol.status != 1:
         raise IntegrationError(f"Bogomolny integration failed: {sol.message}")
-    h = np.empty_like(xs)
+    u = np.empty_like(xs)
     got = sol.y[0].size
-    h[:got] = sol.y[0]
+    u[:got] = sol.y[0]
     if got < xs.size:
         x_star = sol.t_events[0][0]
-        h_star = sol.y_events[0][0][0]
-        h[got:] = target_vac - (target_vac - h_star) * np.exp(-mass * (xs[got:] - x_star))
-    overshoot = approach * (h - target_vac)
+        u_star = sol.y_events[0][0][0]
+        u[got:] = u_star - mass * (xs[got:] - x_star)
+    h = target_vac + side * np.exp(u)
+    overshoot = side * (target_vac - h)
     if np.any(overshoot > 1e-9):
         raise IntegrationError("integration overshot the vacuum interval")
     return h
@@ -218,8 +233,8 @@ def kink_profile(model: PotentialModel, table: VacuumTable, n: int, n_prime: int
     n_half = int(np.ceil(capped_count(half_width / dx, "profile samples of half_width and dx")))
     xs = dx * np.arange(n_half + 1)
     start = center_value(table, n)
-    h_right = _integrate_half(model, start, table.vacuum(n_prime), table.mass(n_prime), xs, +1.0)
-    h_left = _integrate_half(model, start, table.vacuum(n), table.mass(n), xs, -1.0)
+    h_right = _integrate_half(model, start, table.vacuum(n_prime), table.mass(n_prime), xs)
+    h_left = _integrate_half(model, start, table.vacuum(n), table.mass(n), xs)
     x = np.concatenate([-xs[::-1], xs[1:]])
     h = np.concatenate([h_left[::-1], h_right[1:]])
     # deep-tail samples may round onto the vacuum itself; only a genuine

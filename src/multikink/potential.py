@@ -20,6 +20,17 @@ VACUUM_SCAN_POINTS = 20001  # find_vacua's scan of W' over the search interval
 VACUUM_ZERO_TOL = 1e-9  # a minimum of W at most this is a vacuum
 
 
+def _sin_minus_identity(x):
+    """sin(x) - x without the cancellation of the difference for small |x|:
+    its Taylor series, nested in x^2, for |x| <= 1, the difference beyond."""
+    x = np.asarray(x, dtype=float)
+    x2 = x * x
+    series = 1.0
+    for n in range(9, 0, -1):  # -x^3/3! (1 - x^2/(4*5) (1 - x^2/(6*7) (...)))
+        series = 1.0 - x2 / ((2 * n + 2) * (2 * n + 3)) * series
+    return np.where(np.abs(x) <= 1.0, -x * x2 / 6.0 * series, np.sin(x) - x)
+
+
 @dataclass(frozen=True)
 class PotentialModel:
     """A potential W with exact derivatives up to second order.
@@ -27,10 +38,25 @@ class PotentialModel:
     Built-in models carry closed-form derivatives; custom models are
     polynomials or trigonometric polynomials so every derivative order is
     exact as well. `search_interval` is the vacuum-search window.
+
+    `about(v)` gives W near a vacuum v as a function of the offset delta,
+    delta -> W(v + delta), written so that it keeps its relative accuracy as
+    delta -> 0, where W(v + delta) evaluated directly cancels to O(eps).
+    Each factory supplies its own form:
+    - phi4: (delta (2v + delta))^2, that is (delta (2 +- delta))^2
+    - phi6: (v + delta)^2 (1 - v^2 - delta (2v + delta))^2, which at the
+      vacua +-1 is ((1 +- delta) delta (2 +- delta))^2 and at 0 is
+      delta^2 (1 - delta^2)^2
+    - sine_gordon: 2 sin^2(delta/2)
+    - custom_poly: the Taylor polynomial of W about v, with its constant and
+      linear coefficients set to exactly 0
+    - custom_trig: each cos(k(v + delta)) and sin(k(v + delta)) by angle
+      addition, with W(v) and the term delta W'(v) set to exactly 0
     """
 
     kind: str
     derivs: tuple[Callable, ...] = field(repr=False)
+    about: Callable[[float], Callable] = field(repr=False)
     search_interval: tuple[float, float] = (-2.0, 2.0)
 
     def __call__(self, phi, order: int = 0):
@@ -48,6 +74,7 @@ class PotentialModel:
                 lambda p: -4.0 * np.asarray(p) * (1.0 - np.asarray(p) ** 2),
                 lambda p: 12.0 * np.asarray(p) ** 2 - 4.0,
             ),
+            about=lambda v: lambda d: (d * (2.0 * v + d)) ** 2,
         )
 
     @staticmethod
@@ -60,6 +87,7 @@ class PotentialModel:
                 lambda p: 2.0 * np.asarray(p) - 8.0 * np.asarray(p) ** 3 + 6.0 * np.asarray(p) ** 5,
                 lambda p: 2.0 - 24.0 * np.asarray(p) ** 2 + 30.0 * np.asarray(p) ** 4,
             ),
+            about=lambda v: lambda d: ((v + d) * (1.0 - v * v - d * (2.0 * v + d))) ** 2,
         )
 
     @staticmethod
@@ -76,6 +104,7 @@ class PotentialModel:
                 lambda p: np.sin(p),
                 lambda p: np.cos(p),
             ),
+            about=lambda _v: lambda d: 2.0 * np.sin(0.5 * d) ** 2,
             search_interval=(-1.0, 14.0),
         )
 
@@ -87,7 +116,15 @@ class PotentialModel:
         ds = [base]
         for _ in range(_MAX_ORDER):
             ds.append(ds[-1].deriv())
-        return PotentialModel(kind="custom", derivs=tuple(ds),
+
+        def about(v):
+            # W(v + delta) composed as a polynomial in delta: its Taylor
+            # coefficients about v, of which W(v) and W'(v) are 0 at a vacuum
+            taylor = base(np.polynomial.Polynomial([v, 1.0])).coef.copy()
+            taylor[:2] = 0.0
+            return np.polynomial.Polynomial(taylor)
+
+        return PotentialModel(kind="custom", derivs=tuple(ds), about=about,
                               search_interval=tuple(search_interval))
 
     @staticmethod
@@ -99,29 +136,44 @@ class PotentialModel:
         with sin(1*phi). W itself is evaluated with cos(k phi) written as
         1 - 2 sin^2(k phi/2), as sum_k c_k - 2 sum_k c_k sin^2(k phi/2) + ...,
         which does not cancel where W vanishes, so coeffs (1, -1) give the
-        built-in sine-Gordon W bit for bit.
+        built-in sine-Gordon W bit for bit. About a vacuum v, angle addition
+        gives W(v + delta) = -2 sum_k A_k sin^2(k delta/2)
+        + sum_k B_k (sin(k delta) - k delta), with A_k = c_k cos(kv) + s_k sin(kv)
+        and B_k = s_k cos(kv) - c_k sin(kv): W(v) and delta W'(v) = delta sum_k k B_k
+        are the terms dropped as exactly 0.
         """
         c = np.asarray(cos_coeffs, dtype=float)
         s = np.asarray(sin_coeffs, dtype=float)
-        kc = np.arange(len(c))
-        ks = np.arange(1, len(s) + 1)
+        k = np.arange(max(len(c), len(s) + 1))
+        c_k = np.pad(c, (0, len(k) - len(c)))
+        s_k = np.pad(s, (1, len(k) - len(s) - 1))
 
         def make(order):
             def f(p):
-                p = np.asarray(p, dtype=float)
-                # d^n cos(k p)/dp^n = k^n cos(k p + n pi/2), same shift for sin
-                shift = order * np.pi / 2.0
+                kp = np.multiply.outer(np.asarray(p, dtype=float), k)
+                # the sines and cosines themselves, not cos(k p + n pi/2), whose
+                # rounded pi/2 leaves W'(0) off 0 by 6e-17
                 if order == 0:
-                    total = c.sum() - 2.0 * (np.sin(0.5 * np.multiply.outer(p, kc)) ** 2 @ c)
+                    total = c_k.sum() - 2.0 * (np.sin(0.5 * kp) ** 2 @ c_k) + np.sin(kp) @ s_k
+                elif order == 1:
+                    total = np.cos(kp) @ (k * s_k) - np.sin(kp) @ (k * c_k)
                 else:
-                    total = np.cos(np.multiply.outer(p, kc) + shift) @ (c * kc**order)
-                if len(s):
-                    total = total + np.sin(np.multiply.outer(p, ks) + shift) @ (s * ks.astype(float) ** order)
+                    total = -(np.cos(kp) @ (k**2 * c_k) + np.sin(kp) @ (k**2 * s_k))
                 return total if total.shape else float(total)
             return f
 
+        def about(v):
+            a = c_k * np.cos(k * v) + s_k * np.sin(k * v)
+            b = s_k * np.cos(k * v) - c_k * np.sin(k * v)
+
+            def w(d):
+                kd = np.multiply.outer(np.asarray(d, dtype=float), k)
+                total = _sin_minus_identity(kd) @ b - 2.0 * (np.sin(0.5 * kd) ** 2 @ a)
+                return total if total.shape else float(total)
+            return w
+
         return PotentialModel(kind="custom", derivs=tuple(make(n) for n in range(_MAX_ORDER + 1)),
-                              search_interval=tuple(search_interval))
+                              about=about, search_interval=tuple(search_interval))
 
     @staticmethod
     def builtin(kind: str) -> "PotentialModel":
@@ -175,8 +227,10 @@ def find_vacua(model: PotentialModel, tol: float = 1e-12) -> VacuumTable:
     """Locate all vacua of W inside model.search_interval and attach masses.
 
     Minima of W are bracketed by sign changes of W' on a fine scan grid and
-    polished with Brent's method; a minimum counts as a vacuum when
+    polished with Brent's method to tol; a minimum counts as a vacuum when
     W <= VACUUM_ZERO_TOL there. W'' <= tol there raises DegenerateVacuumError.
+    One Newton step on W' with the exact W'' then takes each root from
+    Brent's tol to the nearest double, such as 0, 2 pi and 4 pi exactly.
     """
     a, b = (float(end) for end in model.search_interval)
     if not (np.isfinite(a) and np.isfinite(b) and a < b):
@@ -195,7 +249,8 @@ def find_vacua(model: PotentialModel, tol: float = 1e-12) -> VacuumTable:
         if curv <= tol:
             raise DegenerateVacuumError(
                 f"vacuum near {root:.6g} has W'' = {curv:.3g} <= tol")
-        vacua.append((root, np.sqrt(curv)))
+        root -= float(model(root, 1)) / curv
+        vacua.append((root, np.sqrt(float(model(root, 2)))))
     if not vacua:
         raise ConfigError(f"no vacua of {model.kind} found in [{a}, {b}]")
     vs, ms = zip(*vacua)

@@ -291,6 +291,10 @@ OVERSIZED = [
     ("evolve", "t_end = 8", "t_end = 1e308", "t_end"),
 ]
 
+# SG_SINGLE from [grid] t_end to [verify] window_t, where an edit can set
+# t_end and leave only the coercivity check on
+_T_END_TO_VERIFY = SG_SINGLE[SG_SINGLE.index("t_end = 8"):SG_SINGLE.index("window_t = 3.0")]
+
 # values refused with a message naming their key
 NAMED = [
     ("construct", "delta = 0.5", "delta = 1e308", "delta = 1e+308 overflows"),
@@ -301,6 +305,8 @@ NAMED = [
     ("evolve", "dx = 0.05", "dx = 0.05\ncfl = -0.5", "[grid] cfl"),
     ("evolve", "dx = 0.05", "dx = 0.05\ncfl = 0", "[grid] cfl"),
     ("evolve", "dx = 0.05", "dx = 0.05\ncfl = 5", "[grid] cfl"),
+    ("verify", _T_END_TO_VERIFY, _T_END_TO_VERIFY.replace("t_end = 8", "t_end = 1e308")
+     + "energy_drift = false\nzero_modes = false\ncovariance = false\n", "[grid] t_end"),
 ]
 
 
@@ -335,7 +341,8 @@ NAMED = [
         "max_iter-negative", "tol-negative", "construct-cfl1", "labels-not-integer",
         "x_max-1e308", "dx-1e-300", "spectrum-x_half-1e308", "spectrum-dx-1e-300",
         "profile_dx-1e-300", "half_width-1e308", "snapshot_dt-1e-300", "t_end-1e308",
-        "delta-1e308", "window_t0", "window_t-negative", "cfl-negative", "cfl0", "cfl5"])
+        "delta-1e308", "window_t0", "window_t-negative", "cfl-negative", "cfl0", "cfl5",
+        "coercivity-t_end-1e308"])
 def test_invalid_input_exit_2(tmp_path, capsys, monkeypatch, command, old, new, args):
     # vacuum labels outside the table, non-finite numbers, a zero spectrum
     # step or half width, a one-point spectrum grid, more eigenpairs than
@@ -345,9 +352,10 @@ def test_invalid_input_exit_2(tmp_path, capsys, monkeypatch, command, old, new, 
     # max_iter, a negative tol, a Courant ratio past the leapfrog's stable
     # bound, a label that is not an integer and a value asking for more grid
     # points, profile samples or time steps than MAX_COUNT, a delta whose
-    # weight e^(delta t) overflows, a covariance window that is not positive
-    # and a Courant ratio outside (0, MAX_COURANT] are config errors, none of
-    # them found by a construction of the covariance check
+    # weight e^(delta t) overflows, a covariance window that is not positive,
+    # a Courant ratio outside (0, MAX_COURANT] and a t_end that moves a kink
+    # off the grid of the coercivity sample are config errors, none of them
+    # found by a construction of the covariance check
     def no_construction(*_args, **_kwargs):
         raise AssertionError("the covariance check constructed")
 

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ from multikink import kink
 from multikink.cli import _write_csv
 from multikink.errors import ConfigError, FitError
 from multikink.numerics import gaussian_bumps, integrate_grid, central_diff
+from multikink.potential import PotentialModel, find_vacua
 
 
 def phi6_shift():
@@ -34,6 +36,63 @@ def test_sine_gordon_tails_match_closed_form(sg, sg_kink):
         tail = 4.0 * np.exp(-20.0)
         assert abs((prof.h[0] - prof.vac_left) / tail - 1.0) <= 1e-3
         assert abs((prof.h[-1] - prof.vac_right) / -tail - 1.0) <= 1e-3
+
+
+def _counting(model):
+    """model with every evaluation of W counted, directly or about a vacuum,
+    and the list whose one entry holds the count."""
+    count = [0]
+
+    def counted(f):
+        def g(*args):
+            count[0] += 1
+            return f(*args)
+        return g
+
+    return dataclasses.replace(model, derivs=(counted(model.derivs[0]), *model.derivs[1:]),
+                               about=lambda v: counted(model.about(v))), count
+
+
+def _phi6_exact(x):
+    # sqrt((1 + tanh(sqrt(2) (x - x0))) / 2) without its cancellation in the left tail
+    return 1.0 / np.sqrt(1.0 + np.exp(-2.0 * np.sqrt(2.0) * (x - phi6_shift())))
+
+
+# (model, kink label n of n -> n+1, closed form, bound on max |h - closed form|
+# over the whole table, W calls per tabulation). The bounds are three times
+# the errors measured with RK45 on the log-distance (3.5e-12 sine-Gordon,
+# 4.9e-13 phi4 and its monomial form, 9.3e-13 phi6; integrating H itself gave
+# 3.3e-11, 6.7e-11, 3.3e-12, 2.1e-11 and 3.2e-9), the W-call budgets the
+# measured counts plus 10% (1,444, 1,444, 1,696, 1,384 and 1,696;
+# integrating H itself took 5,782, 3,196, 3,976, 5,026 and 6,064)
+CLOSED_FORMS = {
+    "sine_gordon (0,1)": (PotentialModel.sine_gordon(), 0,
+                          lambda x: 4.0 * np.arctan(np.exp(x)), 1.1e-11, 1588),
+    "sine_gordon (1,2)": (PotentialModel.sine_gordon(), 1,
+                          lambda x: 2.0 * np.pi + 4.0 * np.arctan(np.exp(x)), 1.1e-11, 1588),
+    "phi4": (PotentialModel.phi4(), 0, lambda x: np.tanh(np.sqrt(2.0) * x), 1.5e-12, 1866),
+    "phi6 (1,2)": (PotentialModel.phi6(), 1, _phi6_exact, 2.8e-12, 1522),
+    "custom_poly phi4": (PotentialModel.custom_poly([1.0, 0.0, -2.0, 0.0, 1.0]), 0,
+                         lambda x: np.tanh(np.sqrt(2.0) * x), 1.5e-12, 1866),
+}
+
+
+@pytest.mark.parametrize("name", CLOSED_FORMS)
+def test_profiles_match_closed_forms_within_budget(name):
+    model, n, exact, bound, budget = CLOSED_FORMS[name]
+    counted, calls = _counting(model)
+    prof = kink.kink_profile(counted, find_vacua(model), n, n + 1)
+    assert np.max(np.abs(prof.h - exact(prof.x))) <= bound
+    assert calls[0] <= budget
+
+
+def test_custom_trig_kink_matches_sine_gordon(sg, sg_kink):
+    # both integrate W about the same vacua, cos(kv) and sin(kv) exact at 0
+    # and within one rounding at 2 pi
+    custom = PotentialModel.custom_trig([1.0, -1.0])
+    prof = kink.kink_profile(custom, find_vacua(custom), 0, 1)
+    assert np.array_equal(prof.x, sg_kink.x)
+    assert np.max(np.abs(prof.h - sg_kink.h)) <= 1e-11
 
 
 def test_center_values(phi4_kink, sg_kink, phi6_kink):

@@ -1,5 +1,6 @@
 import dataclasses
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -67,6 +68,51 @@ def test_cosine_forms_keep_relative_accuracy_near_the_vacuum(sg):
     model, _ = sg
     for w in (model(1e-9), PotentialModel.custom_trig([1.0, -1.0])(1e-9)):
         assert abs(w - 5e-19) <= 1e-12 * 5e-19
+
+
+@pytest.mark.parametrize("model, vacua, masses", [
+    (PotentialModel.sine_gordon(), (0.0, 2.0 * np.pi, 4.0 * np.pi), (1.0, 1.0, 1.0)),
+    (PotentialModel.custom_trig([1.0, -1.0]), (0.0, 2.0 * np.pi), (1.0, 1.0)),
+    (PotentialModel.phi4(), (-1.0, 1.0), (np.sqrt(8.0),) * 2),
+    (PotentialModel.phi6(), (-1.0, 0.0, 1.0), (np.sqrt(8.0), np.sqrt(2.0), np.sqrt(8.0))),
+    (PotentialModel.custom_poly([1.0, 0.0, -2.0, 0.0, 1.0]), (-1.0, 1.0), (np.sqrt(8.0),) * 2),
+])
+def test_vacua_land_on_the_nearest_double(model, vacua, masses):
+    # Brent's method alone stops within 1e-12 of a root: it left sine-Gordon's
+    # vacua at -5.4e-20 and 116 ulps above the double nearest 4 pi; the
+    # Newton step after it lands on the double nearest each vacuum
+    table = find_vacua(model)
+    assert table.vacua == vacua
+    assert table.masses == masses
+
+
+@pytest.mark.parametrize("model, exact, vacua", [
+    (PotentialModel.phi4(), lambda p: (1 - p**2) ** 2, lambda: (-1, 1)),
+    (PotentialModel.phi6(), lambda p: p**2 * (1 - p**2) ** 2, lambda: (-1, 0, 1)),
+    (PotentialModel.sine_gordon(), lambda p: 1 - mp.cos(p), lambda: (0, 2 * mp.pi, 4 * mp.pi)),
+    (PotentialModel.custom_poly([1.0, 0.0, -2.0, 0.0, 1.0]), lambda p: (1 - p**2) ** 2, lambda: (-1, 1)),
+    (PotentialModel.custom_trig([1.0, -1.0]), lambda p: 1 - mp.cos(p), lambda: (0, 2 * mp.pi)),
+    # W = (1 - cos p)(1 + 0.3 sin p), whose sine terms give 0.3 (sin p - 0.5
+    # sin 2p): W'(v) = 0 only as a sum over k, so sin(k delta) - k delta enters
+    (PotentialModel.custom_trig([1.0, -1.0], [0.3, -0.15]),
+     lambda p: (1 - mp.cos(p)) * (1 + mp.mpf(0.3) * mp.sin(p)), lambda: (0, 2 * mp.pi)),
+])
+def test_about_keeps_relative_accuracy_near_each_vacuum(model, exact, vacua):
+    # W(v + delta) straight from W cancels near each vacuum v (at delta =
+    # -1e-10, relative errors from 1.7e-7 for phi4 to 1.0 for the monomial
+    # phi4, whose W rounds to 0 there); written in delta it
+    # keeps its relative accuracy about the exact vacuum, which vacua()
+    # gives to the working precision
+    offsets = (1e-14, -1e-10, 3e-7, -1e-3, 0.05, -0.4, 0.9)
+    found = find_vacua(model).vacua
+    with mp.workdps(80):  # 1 - cos(2 pi + 1e-14) keeps 16 of 80 digits
+        assert len(found) == len(vacua())
+        for v, v_exact in zip(found, vacua()):
+            w = model.about(v)
+            for d in offsets:
+                ref = exact(v_exact + mp.mpf(d))
+                assert abs(float((w(d) - ref) / ref)) <= 1e-15
+            assert np.array_equal(w(np.array(offsets)), [w(d) for d in offsets])
 
 
 def test_degenerate_vacuum_rejected():
