@@ -8,11 +8,24 @@ Each run is `python3 perfbench/run.py --workload W --seed N --seconds 30
 the three workloads. The runs go seed by seed, and for each seed workload
 by workload; each workload runs once per checkout, the parent first on odd
 seeds and the change first on even ones.
+Every run gets the same CHILD_ENVIRONMENT on top of this process's own:
+a fixed PYTHONHASHSEED, and glibc's malloc mmap and trim thresholds fixed
+at 32 and 64 MiB, the most its dynamic threshold rises to on 64-bit
+hosts (setting them switches that adjustment off), so that the heap
+layout does not differ from run to run; run.py passes its environment on
+to its jobs, and the file records it under "child_environment". glibc's
+initial 128 KiB instead maps and unmaps every array of 128 KiB or more:
+a construct-sg2 job then takes 1.06 million minor page faults and 7.4 s,
+against 0.12 million and 5.0 s with the dynamic threshold and 19,500 and
+4.7 s with these values.
 The file is rewritten after every run, so an interrupted series keeps the
 runs it finished. Per workload and side it holds each end-to-end metric's
 median and quartiles (statistics.quantiles, method='inclusive') with the
-runs in seed order, the environment line of the first run (without its
-seed), whether every run was correct, and the job counts of each run.
+runs in seed order, the same for each run's CPU seconds (user plus
+system, of the run and every process it waited for, from the
+RUSAGE_CHILDREN difference around it) under "cpu_s", the environment line
+of the first run (without its seed), whether every run was correct, and
+the job counts of each run.
 Per workload it also counts, for each metric, the pairs (runs of one seed)
 that the change won and lost by the direction of BENCHMARK.json; a tie
 counts for neither side.
@@ -22,6 +35,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -35,6 +50,8 @@ SECONDS = 30
 COMMAND = f"python3 perfbench/run.py --workload W --seed N --seconds {SECONDS} --trace 0"
 STATISTICS = ("median and quartiles (statistics.quantiles, method='inclusive') over the "
               "runs; 'runs' lists each run's value in seed order")
+CHILD_ENVIRONMENT = {"PYTHONHASHSEED": "0", "MALLOC_MMAP_THRESHOLD_": str(32 << 20),
+                     "MALLOC_TRIM_THRESHOLD_": str(64 << 20)}
 
 
 def sides_in_order(seed: int) -> tuple[str, str]:
@@ -42,14 +59,22 @@ def sides_in_order(seed: int) -> tuple[str, str]:
     return SIDES if seed % 2 else SIDES[::-1]
 
 
-def run_benchmark(checkout: Path, workload: str, seed: int) -> str:
-    """stdout of one timed perfbench run inside checkout."""
+def _children_cpu_s() -> float:
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
+def run_benchmark(checkout: Path, workload: str, seed: int) -> tuple[str, float]:
+    """(stdout, CPU seconds) of one timed perfbench run inside checkout."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(SECONDS), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, text=True)
+    before = _children_cpu_s()
+    proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, text=True,
+                          env=dict(os.environ, **CHILD_ENVIRONMENT))
+    cpu_s = _children_cpu_s() - before
     if proc.returncode != 0:
         raise SystemExit(f"{checkout}: {workload} seed {seed} exited {proc.returncode}")
-    return proc.stdout
+    return proc.stdout, cpu_s
 
 
 def parse_run(stdout: str) -> tuple[dict, dict]:
@@ -68,20 +93,23 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": list(values)}
 
 
-def side_record(runs: list[tuple[int, dict, dict]]) -> dict:
-    """One side of one workload from its (seed, environment, result) runs."""
+def side_record(runs: list[tuple[int, dict, dict, float]]) -> dict:
+    """One side of one workload from its (seed, environment, result, CPU
+    seconds) runs."""
     runs = sorted(runs, key=lambda run: run[0])
+    results = [r for _, _, r, _ in runs]
     environment = {k: v for k, v in runs[0][1].items() if k != "seed"}
     metrics = {}
-    for name, first in runs[0][2]["metrics"].items():
-        metrics[name] = dict(summary([r["metrics"][name]["value"] for _, _, r in runs]),
+    for name, first in results[0]["metrics"].items():
+        metrics[name] = dict(summary([r["metrics"][name]["value"] for r in results]),
                              unit=first["unit"])
-    return {"correct": all(r["correct"] for _, _, r in runs),
+    return {"correct": all(r["correct"] for r in results),
+            "cpu_s": dict(summary([cpu for *_, cpu in runs]), unit="s"),
             "environment": environment,
-            "jobs_attempted": [r["attempted"] for _, _, r in runs],
-            "jobs_failed": [r["failed"] for _, _, r in runs],
+            "jobs_attempted": [r["attempted"] for r in results],
+            "jobs_failed": [r["failed"] for r in results],
             "metrics": metrics,
-            "seeds": [seed for seed, _, _ in runs]}
+            "seeds": [run[0] for run in runs]}
 
 
 def directions() -> dict:
@@ -92,8 +120,9 @@ def directions() -> dict:
 
 def pair_record(runs: dict) -> dict:
     """Of the seeds both sides ran, how many each metric's change won and
-    lost; runs[side] lists that side's (seed, environment, result) runs."""
-    by_seed = {side: {seed: r["metrics"] for seed, _, r in runs[side]} for side in SIDES}
+    lost; runs[side] lists that side's (seed, environment, result, CPU
+    seconds) runs."""
+    by_seed = {side: {seed: r["metrics"] for seed, _, r, _ in runs[side]} for side in SIDES}
     seeds = sorted(by_seed["parent"].keys() & by_seed["change"].keys())
     better = directions()
     won, lost = {}, {}
@@ -108,8 +137,9 @@ def pair_record(runs: dict) -> dict:
 
 def bench_document(runs: dict, description: str) -> dict:
     """The BENCH_<n>.json document; runs[workload][side] lists that side's
-    (seed, environment, result) runs."""
-    return {"command": COMMAND,
+    (seed, environment, result, CPU seconds) runs."""
+    return {"child_environment": CHILD_ENVIRONMENT,
+            "command": COMMAND,
             "description": description,
             "statistics": STATISTICS,
             "workloads": {w: {**{side: side_record(runs[w][side])
@@ -130,8 +160,8 @@ def main(argv=None, run=run_benchmark) -> int:
     for seed in SEEDS:
         for workload in WORKLOADS:
             for side in sides_in_order(seed):
-                stdout = run(checkouts[side], workload, seed)
-                runs[workload][side].append((seed, *parse_run(stdout)))
+                stdout, cpu_s = run(checkouts[side], workload, seed)
+                runs[workload][side].append((seed, *parse_run(stdout), cpu_s))
                 doc = bench_document(runs, args.description)
                 args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
                 print(f"seed {seed} {workload} {side} done", file=sys.stderr, flush=True)

@@ -184,25 +184,20 @@ class AnsatzLevel:
         return out
 
 
-def evaluate_ansatz(params: MultikinkParams, t: float, grid: np.ndarray) -> AnsatzLevel:
-    """The ansatz at time t on the grid; samples every kink profile once."""
-    return AnsatzLevel(params, t, grid)
-
-
 def multikink(params: MultikinkParams, t: float, grid: np.ndarray) -> FieldState:
     """The ansatz field: vacuum plus the sum of boosted kink increments.
 
     phi_dot is the exact time derivative of the superposition, using the
     tail-extended profile derivatives and the chain rule.
     """
-    level = evaluate_ansatz(params, t, grid)
+    level = AnsatzLevel(params, t, grid)
     return FieldState(t=level.t, grid=level.grid, phi=level.H, phi_dot=level.H_t)
 
 
 def linearization_potential(params: MultikinkParams, t: float, grid: np.ndarray) -> np.ndarray:
     """Potential V(t, x) of the linearized operator around the multikink
     (see AnsatzLevel.V)."""
-    return evaluate_ansatz(params, t, grid).V
+    return AnsatzLevel(params, t, grid).V
 
 
 def apply_J(h: np.ndarray) -> np.ndarray:
@@ -224,7 +219,7 @@ def zero_modes(params: MultikinkParams, j: int, t: float, grid: np.ndarray) -> M
     """AnsatzLevel.zero_modes(j) of the ansatz at time t, j checked first."""
     if not 1 <= j <= params.K:
         raise ConfigError(f"kink index {j} outside 1..{params.K}")
-    return evaluate_ansatz(params, t, grid).zero_modes(j)
+    return AnsatzLevel(params, t, grid).zero_modes(j)
 
 
 def default_rho(params: MultikinkParams) -> float:
@@ -329,7 +324,7 @@ def coercivity_sample(params: MultikinkParams, t: float, grid: np.ndarray,
         raise ConfigError("coercivity needs at least one sample")
     grid = np.asarray(grid, dtype=float)
     dx = grid_spacing(grid)
-    level = evaluate_ansatz(params, t, grid)
+    level = AnsatzLevel(params, t, grid)
     modes = [level.zero_modes(j) for j in range(1, params.K + 1)]
     duals = [psi for m in modes for psi in (m.psi0, m.psi1)]
     # the h-independent terms of quad_form_single / quad_form_multi, once

@@ -12,8 +12,11 @@ import dataclasses
 import math
 from pathlib import Path
 
+from .ansatz import make_params
+from .construct import SolverConfig
 from .errors import ConfigError
 from .evolve import MAX_COURANT
+from .lorentz import BoostSpec
 from .potential import PotentialModel, find_vacua
 
 
@@ -111,7 +114,6 @@ class ExperimentConfig:
 
     def build_grid(self):
         """The spatial grid of [grid] x_min, x_max and dx."""
-        from .construct import SolverConfig
         return SolverConfig(**self._grid_extent()).grid
 
     def cfl(self) -> float:
@@ -176,7 +178,6 @@ class ExperimentConfig:
         return find_vacua(model, tol=tol)
 
     def build_params(self, model, table):
-        from .ansatz import make_params
         labels = self.get_ints("chain", "labels", required=True)
         velocities = self.get_floats("multikink", "velocities", default=[])
         shifts = self.get_floats("multikink", "shifts", default=[])
@@ -188,12 +189,10 @@ class ExperimentConfig:
                            **self.profile_settings())
 
     def build_solver_config(self):
-        from .construct import SolverConfig
         return SolverConfig(**self._grid_extent(), cfl=self.cfl(),
                             snapshot_dt=self.get_float("construct", "snapshot_dt", default=0.25))
 
     def build_boost(self):
-        from .lorentz import BoostSpec
         if not self.has("boost"):
             raise ConfigError("missing required config section [boost]")
         return BoostSpec(v=self.get_float("boost", "v", required=True),

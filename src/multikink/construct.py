@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .ansatz import AnsatzLevel, MultikinkParams, energy_norm_sq, evaluate_ansatz, multikink
+from .ansatz import AnsatzLevel, MultikinkParams, energy_norm_sq, multikink
 from .errors import ConfigError, FitError, NoContractionError
 from .evolve import MAX_COURANT, EvolveConfig, SpaceTimeSlab, _evolve, step_plan
 from .numerics import capped_count, derivative2, fit_log_linear, grid_spacing, integrate_grid
@@ -99,13 +99,12 @@ def weighted_norm(slab: SpaceTimeSlab, T: float, delta: float) -> float:
 
 def level_nonlinearity(level: AnsatzLevel, g) -> np.ndarray:
     """N(g) = -W'(H + g) + sum_k W'(H_k) + V g at one ansatz level."""
-    g = np.asarray(g, dtype=float) if not np.isscalar(g) else float(g)
     return -level.params.model(level.H + g, 1) + level.sum_wp + level.V * g
 
 
 def nonlinearity(params: MultikinkParams, g, t: float, grid: np.ndarray) -> np.ndarray:
     """N(g) = -W'(H + g) + sum_k W'(H_k) + V g, evaluated pointwise."""
-    return level_nonlinearity(evaluate_ansatz(params, t, grid), g)
+    return level_nonlinearity(AnsatzLevel(params, t, grid), g)
 
 
 def _forcing_norm(params: MultikinkParams, t: float, grid: np.ndarray, dx: float) -> float:
@@ -163,7 +162,7 @@ def solve_backward(params: MultikinkParams, terms, t_start: float, t_final: floa
     tops = None if isinstance(lanes, int) else list(lanes)
 
     def source(t, h, out):
-        level = evaluate_ansatz(params, t, grid)
+        level = AnsatzLevel(params, t, grid)
         pot, f = terms(t, level, h)
         pot = level.V if pot is None else pot
         out[:, 1:-1] -= pot[1:-1] * h[:, 1:-1]

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 from scipy.interpolate import RectBivariateSpline
 
-from .ansatz import FieldState, MultikinkParams, energy_norm_sq, evaluate_ansatz, inner_product
+from .ansatz import AnsatzLevel, FieldState, MultikinkParams, energy_norm_sq, inner_product
 from .errors import ConfigError, InstabilityError, SectorError
 from .numerics import capped_count, derivative, grid_spacing, integrate_grid
 from .potential import PotentialModel, VacuumTable
@@ -145,18 +145,6 @@ class SpaceTimeSlab:
     @cached_property
     def tderiv_spline(self) -> RectBivariateSpline:
         return RectBivariateSpline(self.times, self.grid, self.phi_dots)
-
-    def merged(self, other: "SpaceTimeSlab") -> "SpaceTimeSlab":
-        """Union of two slabs on the same grid (overlapping times deduplicated)."""
-        if len(self.grid) != len(other.grid) or not np.allclose(self.grid, other.grid):
-            raise ConfigError("cannot merge slabs on different grids")
-        times = np.concatenate([self.times, other.times])
-        phis = np.concatenate([self.phis, other.phis])
-        dots = np.concatenate([self.phi_dots, other.phi_dots])
-        order = np.argsort(times)
-        times, phis, dots = times[order], phis[order], dots[order]
-        keep = np.concatenate([[True], np.diff(times) > 1e-10])
-        return SpaceTimeSlab(times[keep], self.grid, phis[keep], dots[keep])
 
     def save(self, directory):
         """One CSV per snapshot (columns x, phi, phi_dot) plus a manifest."""
@@ -369,7 +357,7 @@ def zero_mode_drift(params: MultikinkParams, h0: np.ndarray, grid: np.ndarray,
 
     def source(t, f, out):
         nonlocal level
-        level = evaluate_ansatz(params, t, grid)
+        level = AnsatzLevel(params, t, grid)
         out[:, 1:-1] -= level.V[1:-1] * f[:, 1:-1]
 
     def observe(_t, f, v):

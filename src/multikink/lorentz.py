@@ -112,12 +112,17 @@ def extend_backward(slab: SpaceTimeSlab, model, t_min: float,
                     config: SolverConfig) -> SpaceTimeSlab:
     """Prepend snapshots down to t_min by evolving the earliest stored state
     backward in time (the equation is globally well posed, and leapfrog is
-    time reversible), stepping and snapshotting by config.plan."""
+    time reversible), stepping and snapshotting by config.plan. The backward
+    run ends exactly at the slab's first time and keeps its own snapshot
+    there."""
     if t_min >= slab.times[0]:
         return slab
     dt, every = config.plan(t_min, slab.times[0])
     cfg = EvolveConfig(dt=-dt, t_end=t_min, snapshot_every=every)
-    return evolve_nonlinear(slab.state(0), model, cfg).merged(slab)
+    back = evolve_nonlinear(slab.state(0), model, cfg)
+    return SpaceTimeSlab(np.concatenate([back.times, slab.times[1:]]), slab.grid,
+                         np.concatenate([back.phis, slab.phis[1:]]),
+                         np.concatenate([back.phi_dots, slab.phi_dots[1:]]))
 
 
 def verify_covariance(params: MultikinkParams, boost: BoostSpec,
@@ -145,15 +150,20 @@ def verify_covariance(params: MultikinkParams, boost: BoostSpec,
                                max_iter=settings["max_iter"])
 
     pad = COVARIANCE_PAD * (config_p.x_max - config_p.x_min)
-    window_x = (config_p.x_min + pad, config_p.x_max - pad)
-    t_lo = max(rep_p.T, *(boost.primed(rep.T, x)[0] for x in window_x))
-    t_hi = min(rep_p.t_final - 1.0,
-               *(boost.primed(rep.t_final, x)[0] for x in window_x))
-    if t_hi < t_lo + window_t:
-        raise CoverageError("no common primed window; enlarge the constructions")
+    x_lo, x_hi = config_p.x_min + pad, config_p.x_max - pad
+    g, v = boost.gamma, boost.v
+    t_lo = max(rep_p.T, *(boost.primed(rep.T, x)[0] for x in (x_lo, x_hi)))
+    # the window's pullback t0 + g (t' + v x') stays at or below rep.t_final
+    t_end = min(rep_p.t_final - 1.0, *((rep.t_final - boost.t0) / g - v * x for x in (x_lo, x_hi)))
+    t_lo = max(rep_p.T, min(t_lo, t_end - window_t))
     t_hi = t_lo + window_t
+    # and x0 + g (x' + v t') on the unprimed grid
+    x_lo = max(x_lo, *((field.grid[0] - boost.x0) / g - v * t for t in (t_lo, t_hi)))
+    x_hi = min(x_hi, *((field.grid[-1] - boost.x0) / g - v * t for t in (t_lo, t_hi)))
+    if t_end < t_hi or x_hi < x_lo:
+        raise CoverageError("no common primed window; enlarge the constructions")
 
-    grid_p = np.arange(window_x[0], window_x[1] + 1e-9, config.dx)
+    grid_p = np.arange(x_lo, x_hi + 1e-9, config.dx)
     needed_t = [boost.unprimed(tp, xp)[0]
                 for tp in (t_lo, t_hi) for xp in (grid_p[0], grid_p[-1])]
     field = extend_backward(field, params.model, min(needed_t) - 0.5, config)

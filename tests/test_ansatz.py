@@ -94,7 +94,7 @@ def test_evaluator_matches_per_kink_formulas(sg, grid, labels, velocities, shift
     model, table = sg
     params = ansatz.make_params(model, table, labels, velocities, shifts)
     for t in (0.0, 4.5):
-        level = ansatz.evaluate_ansatz(params, t, grid)
+        level = ansatz.AnsatzLevel(params, t, grid)
         for got, want in zip((level.H, level.H_t, level.V, level.sum_wp),
                              _direct_pieces(params, t, grid)):
             assert np.allclose(got, want, rtol=0.0, atol=1e-13)

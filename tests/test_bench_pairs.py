@@ -37,7 +37,7 @@ def test_bench_pairs_interleaves_and_aggregates(tmp_path):
     def fake_run(checkout, workload, seed):
         side = checkout.name
         calls.append((seed, workload, side))
-        return canned_stdout(side, workload, seed)
+        return canned_stdout(side, workload, seed), seed + 0.5
 
     out = tmp_path / "BENCH_9.json"
     assert bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
@@ -53,6 +53,9 @@ def test_bench_pairs_interleaves_and_aggregates(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["command"] == ("python3 perfbench/run.py --workload W --seed N --seconds 30 "
                               "--trace 0")
+    assert doc["child_environment"] == {"PYTHONHASHSEED": "0",
+                                        "MALLOC_MMAP_THRESHOLD_": "33554432",
+                                        "MALLOC_TRIM_THRESHOLD_": "67108864"}
     assert set(doc["workloads"]) == set(bench_pairs.WORKLOADS)
     record = doc["workloads"]["derivative-sg2"]["change"]
     runs = [21.1, 21.2, 21.3, 21.4, 21.5, 21.6, 21.7, 21.8, 21.9, 22.0]
@@ -67,6 +70,11 @@ def test_bench_pairs_interleaves_and_aggregates(tmp_path):
     assert record["correct"] is False
     assert doc["workloads"]["derivative-sg2"]["parent"]["correct"] is True
     assert record["environment"] == ENVIRONMENT
+    # CPU seconds sit beside the metrics, not among them
+    cpu = [seed + 0.5 for seed in range(1, 11)]
+    q1, median, q3 = statistics.quantiles(cpu, n=4, method="inclusive")
+    assert record["cpu_s"] == {"median": median, "q1": q1, "q3": q3, "runs": cpu, "unit": "s"}
+    assert set(record["metrics"]) == {"wall_s", "peak_rss_mb", "ok_frac"}
     # a pair is won by the lower value, or by the higher for ok_frac; a tie
     # counts for neither side
     assert doc["workloads"]["derivative-sg2"]["pairs"] == {
@@ -83,3 +91,21 @@ def test_bench_pairs_reads_each_direction_from_the_benchmark():
 def test_bench_pairs_rejects_a_run_without_its_result_line():
     with pytest.raises(ValueError):
         bench_pairs.parse_run('{"environment": {}}\n')
+
+
+def test_bench_pairs_run_fixes_the_child_environment_and_counts_its_cpu(tmp_path):
+    # a stand-in perfbench/run.py that prints the variables it was given
+    # and spends some CPU time
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import json, os, time\n"
+        "end = time.process_time() + 0.05\n"
+        "while time.process_time() < end:\n"
+        "    pass\n"
+        f"names = {sorted(bench_pairs.CHILD_ENVIRONMENT)!r}\n"
+        "print(json.dumps({'environment': {n: os.environ.get(n) for n in names}}))\n"
+        "print(json.dumps({'metrics': {}}))\n")
+    stdout, cpu_s = bench_pairs.run_benchmark(tmp_path, "construct-sg2", 1)
+    environment, _ = bench_pairs.parse_run(stdout)
+    assert environment == bench_pairs.CHILD_ENVIRONMENT
+    assert cpu_s >= 0.05

@@ -157,9 +157,9 @@ def test_solve_backward_one_evaluation_per_level(sg2_params, monkeypatch):
 
     def counting(params, t, grid):
         calls.append(t)
-        return ansatz.evaluate_ansatz(params, t, grid)
+        return ansatz.AnsatzLevel(params, t, grid)
 
-    monkeypatch.setattr(construct, "evaluate_ansatz", counting)
+    monkeypatch.setattr(construct, "AnsatzLevel", counting)
     dt, _ = cfg.plan(16.0, 24.0)
     n_steps = int(round(8.0 / dt))
     # the forcing N(0) and the potential share each step's level
@@ -237,9 +237,9 @@ def test_picard_sweep_one_evaluation_per_level(sg2_params, monkeypatch):
 
     def counting(params, t, grid):
         calls.append(t)
-        return ansatz.evaluate_ansatz(params, t, grid)
+        return ansatz.AnsatzLevel(params, t, grid)
 
-    monkeypatch.setattr(construct, "evaluate_ansatz", counting)
+    monkeypatch.setattr(construct, "AnsatzLevel", counting)
     dt, _ = cfg.plan(16.0, 24.0)
     n_steps = int(round(8.0 / dt))
     _, [(_, norms)] = construct._sweep(sg2_params, cfg, 16.0, [24.0], 1, 2, DELTA, g)
@@ -354,7 +354,7 @@ def test_reference_construction_sweeps_each_level_once(monkeypatch):
     counts = _count_solves(monkeypatch)
     sweeps = _recording(monkeypatch, "_sweep")
     levels, solving = [], [False]
-    solve, evaluate = construct.solve_backward, construct.evaluate_ansatz
+    solve, evaluate = construct.solve_backward, construct.AnsatzLevel
 
     def counting_solve(*args, **kwargs):
         solving[0] = True
@@ -369,7 +369,7 @@ def test_reference_construction_sweeps_each_level_once(monkeypatch):
         return evaluate(params, t, grid)
 
     monkeypatch.setattr(construct, "solve_backward", counting_solve)
-    monkeypatch.setattr(construct, "evaluate_ansatz", counting)
+    monkeypatch.setattr(construct, "AnsatzLevel", counting)
     _, rep = construct.fixed_point(params, sconf, tol=cfg.get_float("construct", "tol"),
                                    max_iter=cfg.get_int("construct", "max_iter"))
     assert counts == {"solves": 1, "probes": 1} and len(sweeps) == 1
@@ -635,7 +635,7 @@ def test_decay_fit_error_is_reported(sg2_params, monkeypatch):
 
 def test_ansatz_pieces_match_public_potential(sg2_params):
     grid = np.arange(-34.0, 34.0 + 1e-9, 0.05)
-    level = ansatz.evaluate_ansatz(sg2_params, 21.0, grid)
+    level = ansatz.AnsatzLevel(sg2_params, 21.0, grid)
     state = ansatz.multikink(sg2_params, 21.0, grid)
     assert np.array_equal(level.V, ansatz.linearization_potential(sg2_params, 21.0, grid))
     assert np.array_equal(level.H, state.phi)
@@ -660,7 +660,7 @@ def test_nonlinearity_quadratic_smallness(sg2_params):
     b = gaussian_bumps(grid, rng)
     t = 20.0
     n0 = construct.nonlinearity(sg2_params, 0.0, t, grid)
-    level = ansatz.evaluate_ansatz(sg2_params, t, grid)
+    level = ansatz.AnsatzLevel(sg2_params, t, grid)
     lin = -sg2_params.model(level.H, 2) + level.V
     errs = []
     for eps in (1e-2, 1e-3):

@@ -1,4 +1,5 @@
 import dataclasses
+import time
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from multikink import kink
 from multikink.cli import _write_csv
-from multikink.errors import ConfigError, FitError
+from multikink.errors import ConfigError, FitError, IntegrationError
 from multikink.numerics import gaussian_bumps, integrate_grid, central_diff
 from multikink.potential import PotentialModel, find_vacua
 
@@ -218,6 +219,17 @@ def test_adjacency_required(phi6):
     model, table = phi6
     with pytest.raises(ConfigError):
         kink.kink_profile(model, table, 0, 2)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_potential_fails_the_tabulation(sg, value):
+    # RK45 would shrink its step without end on a non-finite slope
+    model, table = sg
+    broken = dataclasses.replace(model, about=lambda v: lambda d: value)
+    began = time.perf_counter()
+    with pytest.raises(IntegrationError, match="toward the vacuum 6.28318"):
+        kink.kink_profile(broken, table, 0, 1)
+    assert time.perf_counter() - began < 1.0
 
 
 def test_stationary_residual(phi4, phi4_kink):

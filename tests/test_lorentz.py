@@ -155,6 +155,36 @@ def test_covariance_single_kink(sg):
     assert report["discrepancy"] <= 1e-5
 
 
+def test_extend_backward_is_the_sorted_union(phi4_slab):
+    # the backward run and the stored slab sorted by time, the backward
+    # run's snapshot kept at the one time both hold
+    params, slab = phi4_slab
+    cfg = construct.SolverConfig(x_min=-15.0, x_max=15.0, dx=0.02)
+    ext = lorentz.extend_backward(slab, params.model, -2.3, cfg)
+    dt, every = cfg.plan(-2.3, slab.times[0])
+    back = evolve.evolve_nonlinear(slab.state(0), params.model,
+                                   evolve.EvolveConfig(dt=-dt, t_end=-2.3, snapshot_every=every))
+    times = np.concatenate([back.times, slab.times])
+    order = np.argsort(times, kind="stable")
+    keep = np.concatenate([[True], np.diff(times[order]) > 1e-10])
+    assert keep.sum() == len(times) - 1
+    for name in ("times", "phis", "phi_dots"):
+        union = np.concatenate([getattr(back, name), getattr(slab, name)])[order][keep]
+        assert np.array_equal(getattr(ext, name), union)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("v, x0", [(-0.5, 0.0), (0.6, 10.0)])
+def test_covariance_two_kinks_window_pulls_back_into_the_slab(sg2_params, v, x0):
+    # the window's end and its x range are bounded by where the primed
+    # events pull back to: t <= t_final and x on the unprimed grid
+    cfg = construct.SolverConfig(x_min=-34.0, x_max=34.0, dx=0.05)
+    report = lorentz.verify_covariance(
+        sg2_params, lorentz.BoostSpec(v=v, x0=x0), cfg,
+        {"T": None, "delta": None, "t_final": None, "tol": 1e-8, "max_iter": 25})
+    assert report["discrepancy"] <= 5e-3  # C9's bar
+
+
 def test_extend_backward_joins_slab(phi4_slab):
     # snapshots from t_min on at the plan's cadence, then the stored slab
     params, slab = phi4_slab
