@@ -20,7 +20,7 @@ from . import __version__
 from . import ansatz, construct, evolve, kink, lorentz, spectral
 from .config import ExperimentConfig
 from .errors import ConfigError, MultikinkError, NumericsError
-from .numerics import capped_count, random_pair_field
+from .numerics import capped_count, random_pair_field, require_finite
 
 
 def _write_json(path: Path, payload: dict, cfg: ExperimentConfig, seed: int):
@@ -41,8 +41,7 @@ def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]):
     written when a column holds a NaN or an infinity: that is a
     NumericsError naming the file and the column."""
     for name, column in zip(header, columns):
-        if not np.all(np.isfinite(column)):
-            raise NumericsError(f"{path}: column {name} is not finite")
+        require_finite(path, f"column {name}", column)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")

@@ -22,7 +22,7 @@ from scipy.interpolate import RectBivariateSpline
 
 from .ansatz import AnsatzLevel, FieldState, MultikinkParams, energy_norm_sq, inner_product
 from .errors import ConfigError, InstabilityError, SectorError
-from .numerics import capped_count, derivative, grid_spacing, integrate_grid
+from .numerics import capped_count, derivative, grid_spacing, integrate_grid, require_finite
 from .potential import PotentialModel, VacuumTable
 
 
@@ -110,8 +110,10 @@ class SpaceTimeSlab:
         self.phi_dots = np.asarray(phi_dots, dtype=float)
         if np.any(np.diff(self.times) <= 0):
             raise ConfigError("snapshot times must be strictly increasing")
-        if self.phis.shape != (len(self.times), len(self.grid)):
-            raise ConfigError("slab shape mismatch")
+        shape = (len(self.times), len(self.grid))
+        for name, values in (("phis", self.phis), ("phi_dots", self.phi_dots)):
+            if values.shape != shape:
+                raise ConfigError(f"{name} has shape {values.shape}, not (times, grid) = {shape}")
         self.dx = grid_spacing(self.grid)
 
     def __len__(self):
@@ -147,50 +149,36 @@ class SpaceTimeSlab:
         return RectBivariateSpline(self.times, self.grid, self.phi_dots)
 
     def save(self, directory):
-        """One CSV per snapshot (columns x, phi, phi_dot) plus a manifest."""
+        """grid.npy, phis.npy and phi_dots.npy plus a manifest.json of the
+        times. A non-finite value is a NumericsError naming its file, and
+        nothing is written."""
         directory = Path(directory)
+        arrays = {"grid": self.grid, "phis": self.phis, "phi_dots": self.phi_dots}
+        require_finite(directory / "manifest.json", "times", self.times)
+        for name, values in arrays.items():
+            require_finite(directory / f"{name}.npy", name, values)
         directory.mkdir(parents=True, exist_ok=True)
-        names = []
-        # one template per save, filled with one % per file
-        template = "x,phi,phi_dot\n" + "".join(
-            f"{x:.17g},%.17g,%.17g\n" for x in self.grid.tolist())
-        row = np.empty(2 * len(self.grid))
-        for i in range(len(self.times)):
-            name = f"snapshot_{i:05d}.csv"
-            names.append(name)
-            row[0::2], row[1::2] = self.phis[i], self.phi_dots[i]
-            with open(directory / name, "w") as fh:
-                fh.write(template % tuple(row.tolist()))
-        manifest = {"times": [float(t) for t in self.times], "files": names,
-                    "n_grid": len(self.grid),
-                    "x_min": float(self.grid[0]), "x_max": float(self.grid[-1])}
+        for name, values in arrays.items():
+            np.save(directory / f"{name}.npy", values)
         with open(directory / "manifest.json", "w") as fh:
-            json.dump(manifest, fh, sort_keys=True, indent=1)
+            json.dump({"times": self.times.tolist()}, fh, sort_keys=True, indent=1)
 
     @staticmethod
     def load(directory) -> "SpaceTimeSlab":
-        """Read a slab written by save into preallocated arrays; the x
-        column is parsed from the first file only."""
+        """Read a slab written by save. A missing, empty, truncated or
+        non-.npy file is a ConfigError naming it; the constructor checks
+        the shapes."""
         directory = Path(directory)
-        manifest = json.loads((directory / "manifest.json").read_text())
-        names, n_grid = manifest["files"], manifest["n_grid"]
-        phis = np.empty((len(names), n_grid))
-        dots = np.empty_like(phis)
-        grid = None
-        for i, name in enumerate(names):
-            path = directory / name
-            try:
-                data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2,
-                                  usecols=(1, 2) if i else (0, 1, 2))
-            except ValueError as err:
-                raise ConfigError(f"{path}: {err}") from err
-            if len(data) != n_grid:
-                raise ConfigError(f"{path} holds {len(data)} rows; the manifest says "
-                                  f"n_grid = {n_grid}")
-            if not i:
-                grid = data[:, 0]
-            phis[i], dots[i] = data[:, -2], data[:, -1]
-        return SpaceTimeSlab(manifest["times"], grid, phis, dots)
+        arrays = {}
+        try:
+            for name in ("grid", "phis", "phi_dots"):
+                path = directory / f"{name}.npy"
+                arrays[name] = np.load(path, allow_pickle=False)
+            path = directory / "manifest.json"
+            times = json.loads(path.read_text())["times"]
+        except (OSError, EOFError, ValueError) as err:
+            raise ConfigError(f"{path}: {err}") from err
+        return SpaceTimeSlab(times, **arrays)
 
 
 def _evolve(phi, pd, t0: float, grid: np.ndarray, dx: float, config: EvolveConfig,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.integrate import simpson
 
-from .errors import ConfigError, FitError
+from .errors import ConfigError, FitError, NumericsError
 
 
 def grid_spacing(x: np.ndarray) -> float:
@@ -27,6 +27,13 @@ def capped_count(count: float, what: str) -> float:
     if not count <= MAX_COUNT:
         raise ConfigError(f"{what}: {count:.3g}, not finite or above MAX_COUNT = {MAX_COUNT}")
     return count
+
+
+def require_finite(path, what: str, values):
+    """NumericsError naming path and what when values hold a NaN or an
+    infinity: the rule for every output, checked before it is written."""
+    if not np.all(np.isfinite(values)):
+        raise NumericsError(f"{path}: {what} is not finite")
 
 
 def integrate_grid(y: np.ndarray, dx: float):

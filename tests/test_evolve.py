@@ -12,7 +12,7 @@ from scipy.interpolate import CubicHermiteSpline
 
 from multikink import ansatz, evolve
 from multikink.construct import SolverConfig
-from multikink.errors import ConfigError, InstabilityError, SectorError
+from multikink.errors import ConfigError, InstabilityError, NumericsError, SectorError
 from multikink.numerics import gaussian_bumps, integrate_grid, random_pair_field
 
 
@@ -346,48 +346,52 @@ def test_slab_save_load(tmp_path, sg, grid):
                                                                      snapshot_every=20))
     slab.save(tmp_path / "slab")
     loaded = evolve.SpaceTimeSlab.load(tmp_path / "slab")
-    assert np.allclose(loaded.times, slab.times)
-    assert np.allclose(loaded.phis, slab.phis)
-    assert np.allclose(loaded.phi_dots, slab.phi_dots)
+    for a, b in ((loaded.times, slab.times), (loaded.grid, slab.grid),
+                 (loaded.phis, slab.phis), (loaded.phi_dots, slab.phi_dots)):
+        assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("index, cut", [(0, "row"), (1, "row"), (1, "mid-row")])
-def test_slab_load_rejects_a_short_snapshot(tmp_path, index, cut):
-    # a snapshot with fewer rows than the manifest's n_grid, or cut inside
-    # a row, is a config error that names the file
+def test_slab_rejects_phi_dots_of_another_shape():
+    with pytest.raises(ConfigError, match="phi_dots"):
+        evolve.SpaceTimeSlab([0.0, 1.0], np.linspace(0.0, 1.0, 5), np.zeros((2, 5)),
+                             np.zeros((3, 7)))
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[:-3])
+
+
+@pytest.mark.parametrize("name, spoil, match", [
+    ("phis.npy", _truncate, "phis.npy"),
+    ("phi_dots.npy", lambda path: path.write_bytes(b""), "phi_dots.npy"),
+    ("grid.npy", lambda path: path.write_text("x\n-1\n-0.5\n0\n0.5\n1\n"), "grid.npy"),
+    ("phis.npy", Path.unlink, "phis.npy"),
+    ("phi_dots.npy", lambda path: np.save(path, np.ones((2, 4))), "phi_dots"),
+], ids=["truncated", "empty", "csv", "missing", "wrong-shape"])
+def test_slab_load_rejects_a_bad_file(tmp_path, name, spoil, match):
+    # a truncated, empty, non-.npy or missing array file, or an array of the
+    # wrong shape, is a config error that names the file
     grid = np.linspace(-1.0, 1.0, 5)
     slab = evolve.SpaceTimeSlab([0.0, 0.5], grid, np.zeros((2, 5)), np.ones((2, 5)))
     slab.save(tmp_path / "slab")
-    name = f"snapshot_{index:05d}.csv"
-    path = tmp_path / "slab" / name
-    text = path.read_text()
-    path.write_text(text[:text.rindex("\n", 0, -1) + 1] if cut == "row"
-                    else text[:text.rindex(",")])
-    with pytest.raises(ConfigError, match=name):
+    spoil(tmp_path / "slab" / name)
+    with pytest.raises(ConfigError, match=match):
         evolve.SpaceTimeSlab.load(tmp_path / "slab")
 
 
-def test_slab_save_bytes_match_row_writer(tmp_path):
-    # the documented format: one f-string row per grid point
-    grid = np.linspace(-1.0, 1.0, 7)
-    phis = np.array([[0.0, -0.0, 1e-300, -2.5e17, np.pi, 1.0 / 3.0, 5e-324],
-                     np.sin(3.0 * grid)])
-    dots = np.array([np.exp(grid), [np.inf, -np.inf, np.nan, 1.0, -1.0, 0.1, 7.0]])
-    slab = evolve.SpaceTimeSlab([0.0, 0.5], grid, phis, dots)
-    slab.save(tmp_path / "slab")
-    for i in range(2):
-        rows = ["x,phi,phi_dot\n"] + [f"{x:.17g},{p:.17g},{d:.17g}\n"
-                                      for x, p, d in zip(grid, phis[i], dots[i])]
-        written = (tmp_path / "slab" / f"snapshot_{i:05d}.csv").read_bytes()
-        assert written == "".join(rows).encode()
-
-
-def _row_writer_bytes(slab, i):
-    """Snapshot i as the row writer first wrote it: one %-format per row."""
-    xs = [f"{x:.17g}," for x in slab.grid.tolist()]
-    rows = ["%s%.17g,%.17g\n" % row for row in
-            zip(xs, slab.phis[i].tolist(), slab.phi_dots[i].tolist())]
-    return ("x,phi,phi_dot\n" + "".join(rows)).encode()
+@pytest.mark.parametrize("array, name", [("phis", "phis.npy"), ("phi_dots", "phi_dots.npy"),
+                                         ("times", "manifest.json")])
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_slab_save_refuses_non_finite_values(tmp_path, array, name, bad):
+    # the rule for every output: a numerical failure naming the file, and
+    # nothing written
+    values = {"times": np.array([0.0, 0.5]), "grid": np.linspace(-1.0, 1.0, 7),
+              "phis": np.zeros((2, 7)), "phi_dots": np.ones((2, 7))}
+    values[array].flat[-1] = bad
+    slab = evolve.SpaceTimeSlab(**values)
+    with pytest.raises(NumericsError, match=name):
+        slab.save(tmp_path / "slab")
+    assert not (tmp_path / "slab").exists()
 
 
 def _bits(a):
@@ -398,8 +402,8 @@ def _bits(a):
 @given(st.integers(1, 3), st.integers(2, 9),
        st.floats(-100.0, 100.0), st.floats(1e-3, 10.0), st.data())
 def test_slab_save_load_property(n_times, n_grid, x_min, dx, data):
-    # finite floats of any size, -0.0 and subnormals included: the bytes
-    # are the row writer's and the reload is bit-exact
+    # finite floats of any size, -0.0 and subnormals included: the slab is
+    # the four files, and the reload is bit-exact
     finite = st.floats(allow_nan=False, allow_infinity=False)
     phis = data.draw(arrays(np.float64, (n_times, n_grid), elements=finite))
     dots = data.draw(arrays(np.float64, (n_times, n_grid), elements=finite))
@@ -407,9 +411,8 @@ def test_slab_save_load_property(n_times, n_grid, x_min, dx, data):
     slab = evolve.SpaceTimeSlab(0.25 * np.arange(n_times), grid, phis, dots)
     with tempfile.TemporaryDirectory() as tmp:
         slab.save(Path(tmp) / "slab")
-        for i in range(n_times):
-            written = (Path(tmp) / "slab" / f"snapshot_{i:05d}.csv").read_bytes()
-            assert written == _row_writer_bytes(slab, i)
+        assert sorted(p.name for p in (Path(tmp) / "slab").iterdir()) == [
+            "grid.npy", "manifest.json", "phi_dots.npy", "phis.npy"]
         loaded = evolve.SpaceTimeSlab.load(Path(tmp) / "slab")
     for a, b in ((loaded.times, slab.times), (loaded.grid, grid),
                  (loaded.phis, phis), (loaded.phi_dots, dots)):
