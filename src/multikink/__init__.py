@@ -13,8 +13,7 @@ from .kink import (  # noqa: F401
 )
 from .ansatz import (  # noqa: F401
     FieldState, ModePair, MultikinkParams, coercivity_sample, inner_product, kink_cutoff,
-    linearization_potential, make_params, multikink, quad_form_multi,
-    quad_form_single, zero_modes,
+    make_params, multikink, quad_form_multi, quad_form_single, zero_modes,
 )
 from .evolve import (  # noqa: F401
     EvolveConfig, SpaceTimeSlab, detect_sector, energy, evolve_nonlinear,

@@ -194,12 +194,6 @@ def multikink(params: MultikinkParams, t: float, grid: np.ndarray) -> FieldState
     return FieldState(t=level.t, grid=level.grid, phi=level.H, phi_dot=level.H_t)
 
 
-def linearization_potential(params: MultikinkParams, t: float, grid: np.ndarray) -> np.ndarray:
-    """Potential V(t, x) of the linearized operator around the multikink
-    (see AnsatzLevel.V)."""
-    return AnsatzLevel(params, t, grid).V
-
-
 def apply_J(h: np.ndarray) -> np.ndarray:
     """Symplectic matrix [[0, 1], [-1, 0]] acting on a two-component field."""
     return np.stack([h[1], -h[0]])
@@ -284,8 +278,7 @@ def quad_form_single(params: MultikinkParams, t: float, h: np.ndarray,
     1/2 int (h_dot^2 + 2 v h_dot h_x + h_x^2 + V h^2)."""
     if params.K != 1:
         raise ConfigError("single-kink quadratic form requires K = 1")
-    pot = linearization_potential(params, t, grid)
-    return _quad_form(h, grid_spacing(grid), pot, params.velocities[0])
+    return _quad_form(h, grid_spacing(grid), AnsatzLevel(params, t, grid).V, params.velocities[0])
 
 
 def quad_form_multi(params: MultikinkParams, t: float, h: np.ndarray,
@@ -293,8 +286,8 @@ def quad_form_multi(params: MultikinkParams, t: float, h: np.ndarray,
     """Quadratic form around the multikink with cutoff-localized cross terms:
     1/2 int (h_dot^2 + h_x^2 + 2 sum_j chi_j v_j h_dot h_x + V h^2), the
     cutoffs chi_j at half-speed default_rho(params)."""
-    pot = linearization_potential(params, t, grid)
-    return _quad_form(h, grid_spacing(grid), pot, _cutoff_velocity(params, t, grid))
+    return _quad_form(h, grid_spacing(grid), AnsatzLevel(params, t, grid).V,
+                      _cutoff_velocity(params, t, grid))
 
 
 def remove_projections(h: np.ndarray, duals: Sequence[np.ndarray], dx: float) -> np.ndarray:

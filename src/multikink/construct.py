@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .ansatz import AnsatzLevel, MultikinkParams, energy_norm_sq, multikink
+from .ansatz import AnsatzLevel, MultikinkParams, energy_norm_sq
 from .errors import ConfigError, FitError, NoContractionError
 from .evolve import MAX_COURANT, EvolveConfig, SpaceTimeSlab, _evolve, step_plan
 from .numerics import capped_count, derivative2, fit_log_linear, grid_spacing, integrate_grid
@@ -97,19 +97,14 @@ def weighted_norm(slab: SpaceTimeSlab, T: float, delta: float) -> float:
     return float(_weighted_sup(slab.times, slab.energy_norms()[:, None], T, delta)[0])
 
 
-def level_nonlinearity(level: AnsatzLevel, g) -> np.ndarray:
+def nonlinearity(level: AnsatzLevel, g) -> np.ndarray:
     """N(g) = -W'(H + g) + sum_k W'(H_k) + V g at one ansatz level."""
     return -level.params.model(level.H + g, 1) + level.sum_wp + level.V * g
 
 
-def nonlinearity(params: MultikinkParams, g, t: float, grid: np.ndarray) -> np.ndarray:
-    """N(g) = -W'(H + g) + sum_k W'(H_k) + V g, evaluated pointwise."""
-    return level_nonlinearity(AnsatzLevel(params, t, grid), g)
-
-
 def _forcing_norm(params: MultikinkParams, t: float, grid: np.ndarray, dx: float) -> float:
     """|N(0)(t)|_{L2}, the free forcing's norm."""
-    return math.sqrt(integrate_grid(nonlinearity(params, 0.0, t, grid) ** 2, dx))
+    return math.sqrt(integrate_grid(nonlinearity(AnsatzLevel(params, t, grid), 0.0) ** 2, dx))
 
 
 def default_start_time(params: MultikinkParams, grid: np.ndarray) -> float:
@@ -138,7 +133,7 @@ def fitted_forcing_rate(params: MultikinkParams, grid: np.ndarray, T: float) -> 
 
 
 def solve_backward(params: MultikinkParams, terms, t_start: float, t_final: float,
-                   config: SolverConfig, lanes=1, observe=None) -> SpaceTimeSlab:
+                   config: SolverConfig, tops=None, observe=None) -> SpaceTimeSlab:
     """Solve d_t^2 h - d_x^2 h + U h = f backward from zero data.
 
     Integrates from (h, d_t h)(t_final) = (0, 0) down to t_start with the
@@ -150,16 +145,15 @@ def solve_backward(params: MultikinkParams, terms, t_start: float, t_final: floa
     lane, and returns (U, f): the operator's potential, None meaning the
     ansatz's V, and the forcing, an (n,) array shared by every lane or one
     row per lane. The lanes are solutions of the same operator whose
-    forcings may read each other's live values. lanes is their number, all
-    starting at t_final, or each lane's top, nonincreasing from t_final and
-    on snapshot levels: a lane is inactive above its top and starts there
-    from zero data, so it equals the solve from its top on the same plan.
-    The slab returned is the last lane's; observe(t, h, h_t), if given, sees
+    forcings may read each other's live values. tops holds each lane's top,
+    nonincreasing from t_final and on snapshot levels, None meaning one lane
+    from t_final: a lane is inactive above its top and starts there from
+    zero data, so it equals the solve from its top on the same plan. The
+    slab returned is the last lane's; observe(t, h, h_t), if given, sees
     every active lane at each snapshot.
     """
     grid = config.grid
     dt, every = config.plan(t_start, t_final)
-    tops = None if isinstance(lanes, int) else list(lanes)
 
     def source(t, h, out):
         level = AnsatzLevel(params, t, grid)
@@ -168,7 +162,7 @@ def solve_backward(params: MultikinkParams, terms, t_start: float, t_final: floa
         out[:, 1:-1] -= pot[1:-1] * h[:, 1:-1]
         out[:, 1:-1] += f[..., 1:-1]
 
-    zero = np.zeros((lanes if tops is None else len(tops), len(grid)))
+    zero = np.zeros((1 if tops is None else len(tops), len(grid)))
     return _evolve(zero, zero, t_final, grid, config.dx,
                    EvolveConfig(dt=-dt, t_end=t_start, snapshot_every=every),
                    source, observe, tops)
@@ -244,9 +238,9 @@ def _sweep(params: MultikinkParams, config: SolverConfig, T: float, tops, n_cand
 
     def terms(t, level, h):
         f = np.empty_like(h)
-        f[seeds[seeds < len(h)]] = level_nonlinearity(level, 0.0 if g is None else g.phi_at(t))
+        f[seeds[seeds < len(h)]] = nonlinearity(level, 0.0 if g is None else g.phi_at(t))
         live = chains[chains < len(h)]
-        f[live] = level_nonlinearity(level, h[live - 1])
+        f[live] = nonlinearity(level, h[live - 1])
         return None, f
 
     dx = grid_spacing(config.grid)
@@ -334,7 +328,7 @@ def measure_residual(params: MultikinkParams, psi_slab: SpaceTimeSlab) -> float:
     mask = (grid >= grid[0] + RESIDUAL_MARGIN) & (grid <= grid[-1] - RESIDUAL_MARGIN)
     worst = 0.0
     # H + Psi per snapshot, held three at a time
-    fields = (multikink(params, t, grid).phi + psi
+    fields = (AnsatzLevel(params, t, grid).H + psi
               for t, psi in zip(psi_slab.times, psi_slab.phis))
     prev, cur = next(fields, None), next(fields, None)
     for i, nxt in enumerate(fields, start=1):

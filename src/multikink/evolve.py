@@ -108,6 +108,9 @@ class SpaceTimeSlab:
         self.grid = np.asarray(grid, dtype=float)
         self.phis = np.asarray(phis, dtype=float)
         self.phi_dots = np.asarray(phi_dots, dtype=float)
+        for name, values in (("times", self.times), ("grid", self.grid)):
+            if values.ndim != 1:
+                raise ConfigError(f"{name} has shape {values.shape}, not one axis")
         if np.any(np.diff(self.times) <= 0):
             raise ConfigError("snapshot times must be strictly increasing")
         shape = (len(self.times), len(self.grid))
@@ -166,17 +169,25 @@ class SpaceTimeSlab:
     @staticmethod
     def load(directory) -> "SpaceTimeSlab":
         """Read a slab written by save. A missing, empty, truncated or
-        non-.npy file is a ConfigError naming it; the constructor checks
-        the shapes."""
+        non-.npy file, an array of anything but finite real floats or a
+        manifest without a list of finite numbers as its times is a
+        ConfigError naming the file; the constructor checks the shapes."""
         directory = Path(directory)
         arrays = {}
         try:
             for name in ("grid", "phis", "phi_dots"):
                 path = directory / f"{name}.npy"
                 arrays[name] = np.load(path, allow_pickle=False)
+                if arrays[name].dtype.kind != "f" or not np.isfinite(arrays[name]).all():
+                    raise ConfigError(f"{path}: not an array of finite real floats")
             path = directory / "manifest.json"
-            times = json.loads(path.read_text())["times"]
-        except (OSError, EOFError, ValueError) as err:
+            manifest = json.loads(path.read_text())
+            if not isinstance(manifest, dict) or "times" not in manifest:
+                raise ConfigError(f'{path}: not an object {{"times": [...]}}')
+            times = np.asarray(manifest["times"], dtype=float)
+            if not np.isfinite(times).all():
+                raise ConfigError(f"{path}: times are not all finite")
+        except (OSError, EOFError, ValueError, TypeError) as err:
             raise ConfigError(f"{path}: {err}") from err
         return SpaceTimeSlab(times, **arrays)
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import FieldState, MultikinkParams, multikink
+from .ansatz import AnsatzLevel, FieldState, MultikinkParams, multikink
 from .construct import SolverConfig, fixed_point, suggest_domain
 from .errors import ConfigError, CoverageError
 from .evolve import EvolveConfig, SpaceTimeSlab, evolve_nonlinear
@@ -171,7 +171,7 @@ def verify_covariance(params: MultikinkParams, boost: BoostSpec,
     times_p = np.linspace(t_lo, t_hi, COVARIANCE_T_SAMPLES)
     diffs = np.array([
         np.abs(boost_field(field, boost, tp, grid_p).phi
-               - (multikink(params_p, tp, grid_p).phi
+               - (AnsatzLevel(params_p, tp, grid_p).H
                   + psi_p.value_spline.ev(np.full_like(grid_p, tp), grid_p)))
         for tp in times_p])
     # the first maximum in sample order, or the first NaN

@@ -9,11 +9,13 @@ from .errors import ConfigError, FitError, NumericsError
 
 
 def grid_spacing(x: np.ndarray) -> float:
-    """Spacing of a uniform grid; ConfigError if it has fewer than two points
-    or is not uniform."""
+    """Spacing of a uniform grid; ConfigError if it has fewer than two points,
+    does not increase or is not uniform."""
     dx = np.diff(x)
     if dx.size == 0:
         raise ConfigError("grid needs at least two points")
+    if not dx[0] > 0:
+        raise ConfigError(f"grid does not increase: its spacing is {dx[0]:g}")
     if not np.allclose(dx, dx[0], rtol=1e-10, atol=1e-12):
         raise ConfigError("grid is not uniform")
     return float(dx[0])

@@ -126,19 +126,19 @@ def test_energy_norm_sq_takes_stacks(n):
     assert np.array_equal(got, want)
 
 
-def test_linearization_potential_single(phi4_static, grid):
-    v = ansatz.linearization_potential(phi4_static, 0.0, grid)
+def test_level_V_single(phi4_static, grid):
+    v = ansatz.AnsatzLevel(phi4_static, 0.0, grid).V
     exact = 12.0 * np.tanh(np.sqrt(2.0) * grid) ** 2 - 4.0
     assert np.max(np.abs(v - exact)) <= 1e-8
 
 
-def test_linearization_potential_limits(phi6, sg2_params, grid):
+def test_level_V_limits(phi6, sg2_params, grid):
     model, table = phi6
     params = ansatz.make_params(model, table, (0, 1), (0.0,), (0.0,))
-    v = ansatz.linearization_potential(params, 0.0, grid)
+    v = ansatz.AnsatzLevel(params, 0.0, grid).V
     assert abs(v[0] - table.mass(0) ** 2) <= 1e-6
     assert abs(v[-1] - table.mass(1) ** 2) <= 1e-6
-    v2 = ansatz.linearization_potential(sg2_params, 30.0, grid)
+    v2 = ansatz.AnsatzLevel(sg2_params, 30.0, grid).V
     assert abs(v2[0] - 1.0) <= 1e-6
     assert abs(v2[-1] - 1.0) <= 1e-6
 

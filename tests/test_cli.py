@@ -441,7 +441,7 @@ def _shipped(name, section, key):
 
 @settings(max_examples=60, deadline=None)
 @given(target=st.sampled_from(SHIPPED_KEYS), value=st.sampled_from(EDIT_VALUES),
-       command=st.sampled_from(("kink", "multikink", "boost", "spectrum")))
+       command=st.sampled_from(("kink", "multikink", "evolve", "boost", "spectrum")))
 # two edits whose grid size overflows without the MAX_COUNT check, tried on every run
 @example(target=_shipped("sg2_construct.cfg", "grid", "x_max"), value="1e308",
          command="multikink")

@@ -21,7 +21,7 @@ def small_cfg():
 
 def _free_forcing(_t, level, _h):
     """The terms of the zero iterate R N(0): the forcing N(0)."""
-    return None, construct.level_nonlinearity(level, 0.0)
+    return None, construct.nonlinearity(level, 0.0)
 
 
 def _bump_slab(grid, times, delta0):
@@ -194,7 +194,7 @@ def _sweep_setup(sg2_params):
 def _sequential_solve(params, g, cfg):
     """One Picard iterate on its own: R N(g), g read through g.phi_at."""
     return construct.solve_backward(
-        params, lambda t, level, _h: (None, construct.level_nonlinearity(level, g.phi_at(t))),
+        params, lambda t, level, _h: (None, construct.nonlinearity(level, g.phi_at(t))),
         16.0, 24.0, cfg)
 
 
@@ -556,16 +556,17 @@ def _full_scan(params, grid):
     times = np.arange(0.5, 200.0 + 1e-9, 0.5)
     dx = grid[1] - grid[0]
     return times, np.array([math.sqrt(integrate_grid(
-        construct.nonlinearity(params, 0.0, t, grid) ** 2, dx)) for t in times])
+        construct.nonlinearity(ansatz.AnsatzLevel(params, t, grid), 0.0) ** 2, dx))
+        for t in times])
 
 
 def _counting_nonlinearity(monkeypatch):
     calls = []
     real = construct.nonlinearity
 
-    def counting(*args):
-        calls.append(args[2])
-        return real(*args)
+    def counting(level, g):
+        calls.append(level.t)
+        return real(level, g)
 
     monkeypatch.setattr(construct, "nonlinearity", counting)
     return calls
@@ -637,7 +638,6 @@ def test_ansatz_pieces_match_public_potential(sg2_params):
     grid = np.arange(-34.0, 34.0 + 1e-9, 0.05)
     level = ansatz.AnsatzLevel(sg2_params, 21.0, grid)
     state = ansatz.multikink(sg2_params, 21.0, grid)
-    assert np.array_equal(level.V, ansatz.linearization_potential(sg2_params, 21.0, grid))
     assert np.array_equal(level.H, state.phi)
     assert np.array_equal(level.H_t, state.phi_dot)
 
@@ -646,9 +646,13 @@ def test_nonlinearity_trivial_and_decay(sg, sg2_params):
     model, table = sg
     grid = np.arange(-34.0, 34.0 + 1e-9, 0.05)
     single = ansatz.make_params(model, table, (0, 1), (0.4,), (0.3,))
-    assert np.max(np.abs(construct.nonlinearity(single, 0.0, 7.0, grid))) == 0.0
-    sup30 = np.max(np.abs(construct.nonlinearity(sg2_params, 0.0, 30.0, grid)))
-    sup20 = np.max(np.abs(construct.nonlinearity(sg2_params, 0.0, 20.0, grid)))
+
+    def n0(params, t):
+        return construct.nonlinearity(ansatz.AnsatzLevel(params, t, grid), 0.0)
+
+    assert np.max(np.abs(n0(single, 7.0))) == 0.0
+    sup30 = np.max(np.abs(n0(sg2_params, 30.0)))
+    sup20 = np.max(np.abs(n0(sg2_params, 20.0)))
     assert sup30 <= sup20 * math.exp(-0.5 * 10.0)
     eta = construct.fitted_forcing_rate(sg2_params, grid, 16.0)
     assert 0.5 <= eta <= 0.75  # tail overlap rate ~ gamma (v2 - v1) m
@@ -659,12 +663,12 @@ def test_nonlinearity_quadratic_smallness(sg2_params):
     rng = np.random.default_rng(2)
     b = gaussian_bumps(grid, rng)
     t = 20.0
-    n0 = construct.nonlinearity(sg2_params, 0.0, t, grid)
     level = ansatz.AnsatzLevel(sg2_params, t, grid)
+    n0 = construct.nonlinearity(level, 0.0)
     lin = -sg2_params.model(level.H, 2) + level.V
     errs = []
     for eps in (1e-2, 1e-3):
-        n_eps = construct.nonlinearity(sg2_params, eps * b, t, grid)
+        n_eps = construct.nonlinearity(level, eps * b)
         errs.append(np.max(np.abs(n_eps - n0 - eps * lin * b)))
     assert errs[0] <= 1.0 * 1e-4 * np.max(np.abs(b)) ** 2 * 10
     assert errs[1] <= 0.02 * errs[0]  # O(eps^2) scaling

@@ -13,7 +13,7 @@ from scipy.interpolate import CubicHermiteSpline
 from multikink import ansatz, evolve
 from multikink.construct import SolverConfig
 from multikink.errors import ConfigError, InstabilityError, NumericsError, SectorError
-from multikink.numerics import gaussian_bumps, integrate_grid, random_pair_field
+from multikink.numerics import gaussian_bumps, grid_spacing, integrate_grid, random_pair_field
 
 
 @pytest.fixture(scope="module")
@@ -357,6 +357,16 @@ def test_slab_rejects_phi_dots_of_another_shape():
                              np.zeros((3, 7)))
 
 
+@pytest.mark.parametrize("grid", [[0.0, 0.0], [1.0, 0.75, 0.5, 0.25, 0.0]],
+                         ids=["constant", "decreasing"])
+def test_grid_that_does_not_increase_is_rejected(grid):
+    # its dx would be 0 or negative, and every energy norm of a slab on it nan
+    with pytest.raises(ConfigError, match="does not increase"):
+        grid_spacing(np.array(grid))
+    with pytest.raises(ConfigError, match="does not increase"):
+        evolve.SpaceTimeSlab([0.0, 1.0], grid, np.ones((2, len(grid))), np.ones((2, len(grid))))
+
+
 def _truncate(path):
     path.write_bytes(path.read_bytes()[:-3])
 
@@ -367,10 +377,24 @@ def _truncate(path):
     ("grid.npy", lambda path: path.write_text("x\n-1\n-0.5\n0\n0.5\n1\n"), "grid.npy"),
     ("phis.npy", Path.unlink, "phis.npy"),
     ("phi_dots.npy", lambda path: np.save(path, np.ones((2, 4))), "phi_dots"),
-], ids=["truncated", "empty", "csv", "missing", "wrong-shape"])
+    ("grid.npy", lambda path: np.save(path, np.array(["a"] * 5)), "grid.npy"),
+    ("grid.npy", lambda path: np.save(path, np.linspace(-1.0, 1.0, 5) + 0j), "grid.npy"),
+    ("grid.npy", lambda path: np.save(path, np.linspace(-1.0, 1.0, 10).reshape(5, 2)),
+     "grid has shape"),
+    ("phis.npy", lambda path: np.save(path, np.full((2, 5), np.nan)), "phis.npy"),
+    ("manifest.json", lambda path: path.write_text("{}"), "manifest.json"),
+    ("manifest.json", lambda path: path.write_text("[0, 1]"), "manifest.json"),
+    ("manifest.json", lambda path: path.write_text('{"times": ["a", "b"]}'), "manifest.json"),
+    ("manifest.json", lambda path: path.write_text('{"times": [[0], [1]]}'), "times has shape"),
+    ("manifest.json", lambda path: path.write_text('{"times": [0, NaN]}'), "manifest.json"),
+], ids=["truncated", "empty", "csv", "missing", "wrong-shape", "strings", "complex",
+        "2-d-grid", "nan-phis", "no-times", "not-an-object", "string-times", "2-d-times",
+        "nan-times"])
 def test_slab_load_rejects_a_bad_file(tmp_path, name, spoil, match):
-    # a truncated, empty, non-.npy or missing array file, or an array of the
-    # wrong shape, is a config error that names the file
+    # a truncated, empty, non-.npy or missing array file, an array of anything
+    # but finite real floats, a manifest without a list of finite numbers as
+    # its times, or an array of the wrong shape, is a config error that names
+    # the file (the array, for a shape)
     grid = np.linspace(-1.0, 1.0, 5)
     slab = evolve.SpaceTimeSlab([0.0, 0.5], grid, np.zeros((2, 5)), np.ones((2, 5)))
     slab.save(tmp_path / "slab")
