@@ -43,7 +43,8 @@ class ExperimentConfig:
         path = Path(path)
         if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
-        parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+        # values are read raw: a % in one is a character, not an interpolation
+        parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
         try:
             parser.read(path, encoding="utf-8")
         except (configparser.Error, UnicodeDecodeError) as exc:
@@ -56,10 +57,8 @@ class ExperimentConfig:
         self.resolved.setdefault(section, {})[key] = value
         return value
 
-    def has(self, section: str, key: str | None = None) -> bool:
-        if key is None:
-            return self._parser.has_section(section)
-        return self._parser.has_option(section, key)
+    def has(self, section: str) -> bool:
+        return self._parser.has_section(section)
 
     def _get(self, section, key, parse, expected, default=None, required=False):
         """[section] key parsed by parse, or default when the file does not

@@ -51,8 +51,8 @@ class SolverConfig:
             raise ConfigError("x_max must exceed x_min")
         if self.dx <= 0 or not 0 < self.cfl <= MAX_COURANT or self.snapshot_dt <= 0:
             raise ConfigError(f"dx, snapshot_dt must be positive, cfl in (0, {MAX_COURANT:.4g}]")
-        n = int(round(capped_count((self.x_max - self.x_min) / self.dx,
-                                   "grid points of x_min, x_max and dx")))
+        span = float(self.x_max) - float(self.x_min)  # Python floats overflow to inf silently
+        n = int(round(capped_count(span / float(self.dx), "grid points of x_min, x_max and dx")))
         if n < 8:
             raise ConfigError("domain too narrow for the stencil")
         self.grid = self.x_min + self.dx * np.arange(n + 1)
@@ -358,8 +358,8 @@ def fixed_point(params: MultikinkParams, config: SolverConfig,
                 tol: float = 1e-8, max_iter: int = 25,
                 t_final: float | None = None, g0: SpaceTimeSlab | None = None):
     """Iterate g <- R N(g) from g = 0 (or g0, stored on the solver's
-    snapshot lattice of [T, t_final]) until a weighted increment norm drops
-    below tol; returns (Psi slab, ConstructReport).
+    snapshot lattice of [T, t_final], both given) until a weighted
+    increment norm drops below tol; returns (Psi slab, ConstructReport).
 
     The iterates run PICARD_LANES at a time as the lanes of one backward
     sweep (_sweep with the one top t_final), fewer when max_iter leaves
@@ -369,19 +369,27 @@ def fixed_point(params: MultikinkParams, config: SolverConfig,
 
     T defaults to the first time the free forcing N(0) is small, delta to
     half its fitted decay rate, and the truncation time to the stabilized
-    doubling of choose_final_time. From g = 0 its windows carry the first
-    iterates too: the accepted probe R N(0) and the iterates chained live on
-    it, min(PICARD_LANES, max_iter - 1) of them, after which the sweeps go
-    on from the last. max_iter < 0, tol <= 0 or not finite and delta <= 0
-    raise ConfigError before any solve.
+    doubling of choose_final_time. Its windows carry the first iterates
+    too: the accepted probe R N(0) and the iterates chained live on it,
+    min(PICARD_LANES, max_iter - 1) of them, after which the sweeps go on
+    from the last. max_iter < 1, tol <= 0 or not finite, delta <= 0 and a
+    g0 without T and t_final or off their lattice raise ConfigError before
+    any solve.
     """
-    if max_iter < 0:
-        raise ConfigError(f"max_iter must be >= 0, got {max_iter}")
+    if max_iter < 1:
+        raise ConfigError(f"max_iter must be >= 1, got {max_iter}")
     if not 0 < tol < math.inf:
         raise ConfigError(f"tol must be positive and finite, got {tol}")
     if delta is not None:
         _check_delta(delta)
     grid = config.grid
+    if g0 is not None:
+        if T is None or t_final is None:
+            raise ConfigError("a g0 needs T and t_final given")
+        dt, every = config.plan(T, t_final)
+        n_snap = step_plan(t_final - T, dt, "steps from T to t_final")[0] // every + 1
+        if g0.phis.shape != (n_snap, len(grid)):
+            raise ConfigError(f"g0 must hold {n_snap} snapshots on the solver grid")
     if T is None:
         T = default_start_time(params, grid)
     if delta is None:
@@ -394,72 +402,52 @@ def fixed_point(params: MultikinkParams, config: SolverConfig,
         if eta <= 0:
             raise NoContractionError("free forcing does not decay; increase T")
         delta = 0.5 * eta
-    search = first = None
+    report = ConstructReport(T=T, delta=delta, t_final=t_final)
+    pending = None  # the next iterate with the weighted norms of its increments
     if t_final is None:
-        chained = 0 if g0 is not None else max(0, min(PICARD_LANES, max_iter - 1))
-        search = choose_final_time(params, config, T, delta, lanes=chained)
-        t_final = search.t_final
-        if g0 is None:
-            first = search.iterate, search.increments
+        search = choose_final_time(params, config, T, delta,
+                                   lanes=min(PICARD_LANES, max_iter - 1))
+        report.t_final = t_final = search.t_final
+        report.truncation, report.truncation_capped = search.tests, search.capped
+        pending = search.iterate, search.increments
     start_norm = _forcing_norm(params, T, grid, config.dx)
     if start_norm > 0.1:
         warnings.warn(f"|N(0)(T)| = {start_norm:.3g} is large; T may be too small")
 
-    dt, every = config.plan(T, t_final)
-    n_snap = step_plan(t_final - T, dt, "steps from T to t_final")[0] // every + 1
-    if g0 is not None and g0.phis.shape != (n_snap, len(grid)):
-        raise ConfigError(f"g0 must hold {n_snap} snapshots on the solver grid")
-    g = g0
-
-    report = ConstructReport(T=T, delta=delta, t_final=t_final)
-    if search is not None:
-        report.truncation, report.truncation_capped = search.tests, search.capped
-    ratios = []
-    rising = 0
+    g, norms, rising = g0, report.iterate_norms, 0
     while report.iterations < max_iter and not report.converged:
-        if first is not None:
-            # the truncation search's window already swept these iterates
-            g_new, dnorms = first
-            first = None
-        else:
+        if pending is None:
             lanes = min(PICARD_LANES, max_iter - report.iterations)
-            _, [(g_new, dnorms)] = _sweep(params, config, T, [t_final], 1, lanes - 1,
-                                          delta, g)
+            _, [pending] = _sweep(params, config, T, [t_final], 1, lanes - 1, delta, g)
+        (g, dnorms), pending = pending, None
         for dnorm in dnorms:
-            report.iterate_norms.append(dnorm)
-            if len(report.iterate_norms) >= 2 and report.iterate_norms[-2] > 0:
-                q = dnorm / report.iterate_norms[-2]
-                ratios.append(q)
+            norms.append(dnorm)
+            if len(norms) >= 2 and norms[-2] > 0:
+                q = dnorm / norms[-2]
                 rising = rising + 1 if q >= 1.0 else 0
                 # increments hovering at the discrete floor are a stall, not
                 # a divergence; only growth well above the floor aborts
-                if rising >= 3 and dnorm > 100.0 * min(report.iterate_norms):
+                if rising >= 3 and dnorm > 100.0 * min(norms):
                     raise NoContractionError(
                         f"increment ratio stayed >= 1 for 3 iterations (last q={q:.3g}); "
                         "try a larger T")
             report.iterations += 1
             report.converged = report.converged or dnorm < tol
-        g = g_new
-    if g is None:  # max_iter = 0 from zero
-        z = np.zeros((n_snap, len(grid)))
-        z.flags.writeable = False  # one array backs both components
-        g = SpaceTimeSlab(np.linspace(T, t_final, n_snap), grid, z, z)
+    # each ratio with the increment it ends at; ratios taken once increments
+    # reach the discrete noise floor say nothing about the map, so keep those
+    # above the geometric midpoint between the first and the smallest increment
+    ratios = [(b / a, b) for a, b in zip(norms, norms[1:]) if a > 0]
     if ratios:
-        # ratios taken once increments reach the discrete noise floor say
-        # nothing about the map; keep those above the geometric midpoint
-        # between the first and the smallest increment
-        norms = np.asarray(report.iterate_norms)
-        cutoff = math.sqrt(norms[0] * max(norms.min(), 1e-300))
-        kept = [r for r, nxt in zip(ratios, norms[1:]) if nxt >= cutoff]
-        report.contraction_ratio = float(np.median(kept if kept else ratios))
-    if report.iterations > 0:
-        report.final_residual = measure_residual(params, g)
-        try:
-            rate, r2 = decay_fit(g, T, span=min(FIT_SPAN, t_final - T - 2 * config.snapshot_dt))
-            report.fitted_decay_rate = rate
-            report.decay_fit_r2 = r2
-        except FitError as err:
-            report.decay_fit_error = str(err)
+        cutoff = math.sqrt(norms[0] * max(min(norms), 1e-300))
+        kept = [q for q, b in ratios if b >= cutoff] or [q for q, _ in ratios]
+        report.contraction_ratio = float(np.median(kept))
+    report.final_residual = measure_residual(params, g)
+    try:
+        rate, r2 = decay_fit(g, T, span=min(FIT_SPAN, t_final - T - 2 * config.snapshot_dt))
+        report.fitted_decay_rate = rate
+        report.decay_fit_r2 = r2
+    except FitError as err:
+        report.decay_fit_error = str(err)
     return g, report
 
 

@@ -86,12 +86,15 @@ def smoothstep_quintic(s: np.ndarray | float):
 def fit_log_linear(x: np.ndarray, y: np.ndarray):
     """Least-squares line through (x, log y).
 
-    Returns (slope, intercept, r_squared, rms_residual). y must be positive.
+    Returns (slope, intercept, r_squared, rms_residual). y must be positive
+    and x must not be constant.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.size < 3:
         raise FitError("need at least 3 samples for a log-linear fit")
+    if not x.min() < x.max():
+        raise FitError("log-linear fit needs x values spanning an interval")
     if np.any(y <= 0.0):
         raise FitError("log-linear fit requires positive values")
     logy = np.log(y)

@@ -330,6 +330,7 @@ NAMED = [
     ("kink", "seed = 42", "seed = 42", ["--out", "file"]),
     ("kink", "seed = 42", "seed = 42", ["--out", "file/sub"]),
     ("construct", "tol = 1e-8", "tol = 1e-8\nmax_iter = -1", []),
+    ("construct", "tol = 1e-8", "tol = 1e-8\nmax_iter = 0", []),
     ("construct", "tol = 1e-8", "tol = -1", []),
     ("construct", "dx = 0.05", "dx = 0.05\ncfl = 1.0", []),
     ("multikink", "labels = 0, 1", "labels = 0, x", []),
@@ -338,7 +339,8 @@ NAMED = [
         "spectrum-x_half0", "spectrum-k-above-grid", "coercivity_samples0", "seed-negative",
         "seed-override-negative", "spectrum-one-point-grid", "search_interval-one-value",
         "custom-no-coeffs", "config-not-utf8", "out-is-a-file", "out-under-a-file",
-        "max_iter-negative", "tol-negative", "construct-cfl1", "labels-not-integer",
+        "max_iter-negative", "max_iter-zero", "tol-negative", "construct-cfl1",
+        "labels-not-integer",
         "x_max-1e308", "dx-1e-300", "spectrum-x_half-1e308", "spectrum-dx-1e-300",
         "profile_dx-1e-300", "half_width-1e308", "snapshot_dt-1e-300", "t_end-1e308",
         "delta-1e308", "window_t0", "window_t-negative", "cfl-negative", "cfl0", "cfl5",
@@ -348,8 +350,8 @@ def test_invalid_input_exit_2(tmp_path, capsys, monkeypatch, command, old, new, 
     # step or half width, a one-point spectrum grid, more eigenpairs than
     # grid points, a search interval or coefficient list of the wrong
     # length, no coercivity samples, a negative seed, a config file that is
-    # not UTF-8, an --out naming or under a regular file, a negative
-    # max_iter, a negative tol, a Courant ratio past the leapfrog's stable
+    # not UTF-8, an --out naming or under a regular file, a max_iter below
+    # 1, a negative tol, a Courant ratio past the leapfrog's stable
     # bound, a label that is not an integer and a value asking for more grid
     # points, profile samples or time steps than MAX_COUNT, a delta whose
     # weight e^(delta t) overflows, a covariance window that is not positive,
@@ -418,21 +420,26 @@ def test_verify_records_what_it_ran(tmp_path):
     assert doc["covariance"]["primed"]["iterations"] == 1
 
 
-def _shipped_keys():
-    """(path, section, key) of every key of every shipped config."""
-    keys = []
-    for path in sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg")):
-        parser = configparser.ConfigParser()
-        parser.read(path, encoding="utf-8")
-        keys += [(path, section, key) for section in parser.sections() for key in parser[section]]
-    return keys
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
-SHIPPED_KEYS = _shipped_keys()
+def _raw_config(path):
+    """The config at path, read raw as ExperimentConfig reads it."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read(path, encoding="utf-8")
+    return parser
+
+
+def _keys(parser):
+    return [(section, key) for section in parser.sections() for key in parser[section]]
+
+
+SHIPPED_KEYS = [(path, *key) for path in sorted(CONFIGS.glob("*.cfg"))
+                for key in _keys(_raw_config(path))]
 
 
 # a fixed list, so no draw can ask for a large but feasible allocation
-EDIT_VALUES = ("0", "-1", "1e-300", "1e308", "nan", "inf", "x", "")
+EDIT_VALUES = ("0", "-1", "1e-300", "1e308", "nan", "inf", "x", "", "50%")
 
 
 def _shipped(name, section, key):
@@ -450,8 +457,12 @@ def test_no_config_edit_ends_in_a_traceback(target, value, command):
     # one key of a shipped config set to an invalid or extreme value: the
     # command succeeds, or exits 2 (config) or 3 (numerics) with a message
     path, section, key = target
-    parser = configparser.ConfigParser()
-    parser.read(path, encoding="utf-8")
+    _assert_edit_exits_cleanly(_raw_config(path), section, key, value, command)
+
+
+def _assert_edit_exits_cleanly(parser, section, key, value, command):
+    """command on parser with [section] key = value exits 0, 2 or 3 and
+    prints no traceback."""
     parser[section][key] = value
     with tempfile.TemporaryDirectory() as tmp:
         edited = Path(tmp) / "edited.cfg"
@@ -462,3 +473,30 @@ def test_no_config_edit_ends_in_a_traceback(target, value, command):
             code = main([command, "--config", str(edited), "--out", str(Path(tmp) / "o")])
     assert code in (0, 2, 3)
     assert "Traceback" not in err.getvalue()
+
+
+def _narrowed(command):
+    """The sg2 config that command runs on, read raw, with [grid] dx = 0.1."""
+    parser = _raw_config(CONFIGS / f"sg2_{command}.cfg")
+    parser["grid"]["dx"] = "0.1"
+    return parser
+
+
+NARROWED_KEYS = [(command, *key) for command in ("construct", "verify")
+                 for key in _keys(_narrowed(command))]
+
+
+@pytest.mark.slow
+@settings(max_examples=40, deadline=None)
+@given(target=st.sampled_from(NARROWED_KEYS), value=st.sampled_from(EDIT_VALUES))
+# three edits that once ended in a traceback, tried on every run: a % that
+# configparser's interpolation refused, a T at which the forcing fit's
+# sample times all round to T, and a boost origin whose primed domain
+# overflows the grid's point count
+@example(target=("construct", "construct", "tol"), value="50%")
+@example(target=("construct", "construct", "T"), value="1e308")
+@example(target=("verify", "boost", "t0"), value="1e308")
+def test_no_construct_or_verify_edit_ends_in_a_traceback(target, value):
+    # as above, for the two commands that construct, on a coarse grid
+    command, section, key = target
+    _assert_edit_exits_cleanly(_narrowed(command), section, key, value, command)
