@@ -286,36 +286,45 @@ def choose_final_time(params: MultikinkParams, config: SolverConfig, T: float,
     kept window stops changing (mirrors the limiting construction of the
     backward solver).
 
-    The first span s is max(16, 4/delta), rounded up to a whole number of
-    snapshot_dt so that every probe lies on one lattice of levels. Each
-    window is one sweep (_sweep, from g = 0) of the probes at spans s, 2s
-    and 4s, none past TRUNCATION_MAX_SPAN; the test of span s passes when
-    its gap to the probe at 2s is at most TRUNCATION_RTOL * max(1, scale),
-    and the first test that passes gives t_final = T + s. If none passes,
-    the next window starts at 4s; when the span cap stops the doubling, the
-    longest probe is
-    accepted with a warning. The accepted probe is R N(0) on [T, t_final],
-    the first fixed-point iterate, and the `lanes` iterates chained on it
-    are the next ones.
+    The first span s is max(16, 4/delta) and the reach D is 2/delta, both
+    rounded up to a whole number of snapshot_dt so that every probe lies on
+    one lattice of levels. Each window is one sweep (_sweep, from g = 0) of
+    the candidates at spans s and 2s and a last probe at 2s + D; each
+    candidate is tested against the next probe up. A test of span c
+    against the probe at span p divides its gap by 1 - e^{-delta (p - c)},
+    which makes it the candidate's distance to the untruncated limit if
+    each further rise of the top by p - c shrinks the gap by e^{-delta
+    (p - c)}, and passes when that is at most
+    TRUNCATION_RTOL * max(1, scale); the first test that passes gives
+    t_final = T + c. If none passes, the next window starts at 4s. A window
+    whose 8s passes TRUNCATION_MAX_SPAN is the last: it probes s, 2s and
+    4s, none past the cap, all candidates, and if no test passes its
+    longest probe is accepted with a warning. The accepted probe is R N(0)
+    on [T, t_final], the first fixed-point iterate, and the `lanes`
+    iterates chained on it are the next ones.
     """
     _check_delta(delta)
     step = config.snapshot_dt
-    span = step * step_plan(max(16.0, 4.0 / delta), step, "snapshots of snapshot_dt")[0]
+    span, reach = (step * step_plan(t, step, "snapshots of snapshot_dt")[0]
+                   for t in (max(16.0, 4.0 / delta), 2.0 / delta))
     tests = []
     while True:
+        capped = 8.0 * span > TRUNCATION_MAX_SPAN
         spans = [k * span for k in (1, 2, 4) if k == 1 or k * span <= TRUNCATION_MAX_SPAN]
-        capped = 2.0 * spans[-1] > TRUNCATION_MAX_SPAN
+        if not capped:
+            spans[-1] = 2.0 * span + reach
         n_cand = len(spans) if capped else len(spans) - 1
         tops = [T + s for s in spans]
         gaps, candidates = _sweep(params, config, T, tops, n_cand, lanes, delta)
         for k, (gap, scale) in enumerate(gaps):
+            gap /= -math.expm1(-delta * (spans[k + 1] - spans[k]))
             tests.append([spans[k], gap, scale])
             if gap <= TRUNCATION_RTOL * max(1.0, scale):
                 return Truncation(tops[k], *candidates[k], tests, False)
         if capped:
             warnings.warn("truncation time hit its cap before stabilizing")
             return Truncation(tops[-1], *candidates[-1], tests, True)
-        span = spans[-1]
+        span = 4.0 * span
 
 
 def measure_residual(params: MultikinkParams, psi_slab: SpaceTimeSlab) -> float:
@@ -372,9 +381,9 @@ def fixed_point(params: MultikinkParams, config: SolverConfig,
     doubling of choose_final_time. Its windows carry the first iterates
     too: the accepted probe R N(0) and the iterates chained live on it,
     min(PICARD_LANES, max_iter - 1) of them, after which the sweeps go on
-    from the last. max_iter < 1, tol <= 0 or not finite, delta <= 0 and a
-    g0 without T and t_final or off their lattice raise ConfigError before
-    any solve.
+    from the last. max_iter < 1, tol <= 0 or not finite, delta <= 0, a g0
+    without T and t_final or off their lattice, and a kink centre
+    v_k T + a_k off the grid raise ConfigError before any solve.
     """
     if max_iter < 1:
         raise ConfigError(f"max_iter must be >= 1, got {max_iter}")
@@ -392,6 +401,10 @@ def fixed_point(params: MultikinkParams, config: SolverConfig,
             raise ConfigError(f"g0 must hold {n_snap} snapshots on the solver grid")
     if T is None:
         T = default_start_time(params, grid)
+    for k, (v, a) in enumerate(zip(params.velocities, params.shifts), start=1):
+        if not grid[0] < v * T + a < grid[-1]:
+            raise ConfigError(f"kink {k} sits at x = {v * T + a:g} at T = {T:g}, off the grid "
+                              f"[{grid[0]:g}, {grid[-1]:g}] the construction solves on")
     if delta is None:
         try:
             eta = fitted_forcing_rate(params, grid, T)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ansatz import AnsatzLevel, FieldState, MultikinkParams, multikink
-from .construct import SolverConfig, fixed_point, suggest_domain
+from .construct import TRUNCATION_MAX_SPAN, SolverConfig, fixed_point, suggest_domain
 from .errors import ConfigError, CoverageError
 from .evolve import EvolveConfig, SpaceTimeSlab, evolve_nonlinear
 
@@ -135,10 +135,16 @@ def verify_covariance(params: MultikinkParams, boost: BoostSpec,
     fixed_point's tol and max_iter, used by both constructions, and may
     hold its T, delta and t_final, used by the unprimed one only: the
     primed construction picks its own. window_t, the window's length in
-    t', must be positive; it is checked before either construction.
+    t', must be positive and below TRUNCATION_MAX_SPAN: the window ends at
+    least 1 before the primed t_final, which the truncation search keeps
+    within that span of the primed T (for delta >= 0.01, whose first span
+    fits under it). Both are checked before either construction.
     """
     if not window_t > 0:
         raise ConfigError(f"window_t must be positive, got {window_t}")
+    if window_t >= TRUNCATION_MAX_SPAN:
+        raise ConfigError("window_t must be below the truncation span cap "
+                          f"{TRUNCATION_MAX_SPAN:g}, got {window_t:g}")
     psi, rep = fixed_point(params, config, **settings)
     field = ansatz_plus_error_slab(params, psi)
 

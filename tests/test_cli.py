@@ -302,6 +302,10 @@ NAMED = [
                                  "coercivity = false", "window_t must be positive"),
     ("verify", "window_t = 3.0", "window_t = -1\nenergy_drift = false\nzero_modes = false\n"
                                  "coercivity = false", "window_t must be positive"),
+    ("verify", "window_t = 3.0", "window_t = 1e308\nenergy_drift = false\nzero_modes = false\n"
+                                 "coercivity = false", "window_t must be below"),
+    ("construct", "shifts = 0.0\n\n[grid]\nx_min = -25", "shifts = -1.0\n\n[grid]\nx_min = 0",
+     "kink 1 sits at x = -0.4 at T = 2, off the grid"),
     ("evolve", "dx = 0.05", "dx = 0.05\ncfl = -0.5", "[grid] cfl"),
     ("evolve", "dx = 0.05", "dx = 0.05\ncfl = 0", "[grid] cfl"),
     ("evolve", "dx = 0.05", "dx = 0.05\ncfl = 5", "[grid] cfl"),
@@ -343,8 +347,8 @@ NAMED = [
         "labels-not-integer",
         "x_max-1e308", "dx-1e-300", "spectrum-x_half-1e308", "spectrum-dx-1e-300",
         "profile_dx-1e-300", "half_width-1e308", "snapshot_dt-1e-300", "t_end-1e308",
-        "delta-1e308", "window_t0", "window_t-negative", "cfl-negative", "cfl0", "cfl5",
-        "coercivity-t_end-1e308"])
+        "delta-1e308", "window_t0", "window_t-negative", "window_t-1e308",
+        "construct-kink-off-x_min0", "cfl-negative", "cfl0", "cfl5", "coercivity-t_end-1e308"])
 def test_invalid_input_exit_2(tmp_path, capsys, monkeypatch, command, old, new, args):
     # vacuum labels outside the table, non-finite numbers, a zero spectrum
     # step or half width, a one-point spectrum grid, more eigenpairs than
@@ -354,10 +358,12 @@ def test_invalid_input_exit_2(tmp_path, capsys, monkeypatch, command, old, new, 
     # 1, a negative tol, a Courant ratio past the leapfrog's stable
     # bound, a label that is not an integer and a value asking for more grid
     # points, profile samples or time steps than MAX_COUNT, a delta whose
-    # weight e^(delta t) overflows, a covariance window that is not positive,
-    # a Courant ratio outside (0, MAX_COURANT] and a t_end that moves a kink
-    # off the grid of the coercivity sample are config errors, none of them
-    # found by a construction of the covariance check
+    # weight e^(delta t) overflows, a covariance window that is not positive
+    # or not below the truncation span cap, a kink off the construction's
+    # grid at T (x_min = 0 with the kink at -0.4), a Courant ratio outside
+    # (0, MAX_COURANT] and a t_end that moves a kink off the grid of the
+    # coercivity sample are config errors, none of them found by a
+    # construction of the covariance check
     def no_construction(*_args, **_kwargs):
         raise AssertionError("the covariance check constructed")
 

@@ -347,8 +347,9 @@ def test_fixed_point_reuses_truncation_slab(sg2_params, monkeypatch):
 
 @pytest.mark.slow
 def test_reference_construction_sweeps_each_level_once(monkeypatch):
-    # configs/sg2_construct.cfg: the one window of [16, 80] evaluates each
-    # of its 3,585 levels once and carries all four iterates
+    # configs/sg2_construct.cfg: the one window of [16, 54.5], up to its
+    # probe at 2s + D = 32 + 6.5, evaluates each of its 2,157 levels once
+    # and carries all four iterates
     cfg = ExperimentConfig(Path(__file__).resolve().parent.parent / "configs"
                            / "sg2_construct.cfg")
     model = cfg.build_model()
@@ -376,7 +377,8 @@ def test_reference_construction_sweeps_each_level_once(monkeypatch):
     _, rep = construct.fixed_point(params, sconf, tol=cfg.get_float("construct", "tol"),
                                    max_iter=cfg.get_int("construct", "max_iter"))
     assert counts == {"solves": 1, "probes": 1} and len(sweeps) == 1
-    assert len(levels) == len(set(levels)) == 3585
+    assert len(levels) == len(set(levels)) == 2157
+    assert max(levels) == 54.5
     assert (rep.T, rep.t_final, rep.iterations) == (16.0, 48.0, 4)
 
 
@@ -451,8 +453,8 @@ def test_truncation_search_memory(sg2_params, monkeypatch):
 
 
 def test_truncation_report(sg2_params):
-    # the first test (16 against 32) fails, the second (32 against 64)
-    # passes, and both land in the report
+    # the first test (16 against 32) fails, the second (32 against
+    # 2s + D = 38.5) passes, and both land in the report
     cfg = construct.SolverConfig(x_min=-34.0, x_max=34.0, dx=0.1)
     _, rep = construct.fixed_point(sg2_params, cfg, T=16.0, delta=0.31, max_iter=1)
     assert rep.t_final == 48.0 and not rep.truncation_capped
@@ -479,17 +481,60 @@ def test_truncation_cap(sg2_params, monkeypatch):
     assert len(out.iterate) == 129
 
 
+def test_truncation_gaps_are_corrected_to_the_limit(sg2_params, monkeypatch):
+    # with set raw gaps, each test reports its raw gap divided by
+    # 1 - e^{-delta (p - c)}. The first window probes 16, 32 and
+    # 2s + D = 38.5; its raw gap of 0.9 tol against 38.5 is lifted past tol
+    # (x 1.154 at delta 0.31), so the next window starts at 4s = 64. Its 8s
+    # passes the cap of 400, so it probes 64, 128 and 256, all candidates,
+    # and 64 passes.
+    cfg = construct.SolverConfig(x_min=-34.0, x_max=34.0, dx=0.1)
+    tol, delta = construct.TRUNCATION_RTOL, 0.31
+    raw = {16.0: 2.0 * tol, 32.0: 0.9 * tol, 64.0: 0.5 * tol, 128.0: 0.5 * tol}
+    windows = []
+
+    def fake(params, config, T, tops, n_cand, lanes, delta, g=None):
+        spans = [top - T for top in tops]
+        windows.append((spans, n_cand))
+        return ([(raw[c], 0.5) for c in spans[:-1]],
+                [(f"iterate {c}", [c]) for c in spans[:n_cand]])
+
+    monkeypatch.setattr(construct, "_sweep", fake)
+    out = construct.choose_final_time(sg2_params, cfg, T=16.0, delta=delta)
+    assert windows == [([16.0, 32.0, 38.5], 2), ([64.0, 128.0, 256.0], 3)]
+    assert out.tests == [[c, raw[c] / -math.expm1(-delta * (p - c)), 0.5]
+                         for c, p in ((16.0, 32.0), (32.0, 38.5), (64.0, 128.0))]
+    assert out.tests[1][1] > tol
+    assert (out.t_final, out.iterate, out.increments, out.capped) == (80.0, "iterate 64.0",
+                                                                      [64.0], False)
+
+
+def test_fixed_point_refuses_a_kink_off_the_grid(sg2_params, monkeypatch):
+    # at T = 16 the kinks sit at -4.8 and 4.8: a grid that leaves either out
+    # is refused before any solve, with T given or found by the scan
+    def no_solve(*_args, **_kwargs):
+        raise AssertionError("a backward solve ran")
+
+    monkeypatch.setattr(construct, "solve_backward", no_solve)
+    for lo, hi, k in ((0.0, 34.0, 1), (-34.0, 2.0, 2)):
+        cfg = construct.SolverConfig(x_min=lo, x_max=hi, dx=0.1)
+        for T in (16.0, None):
+            with pytest.raises(ConfigError, match=f"kink {k} sits at .* off the grid"):
+                construct.fixed_point(sg2_params, cfg, T=T, delta=0.31, max_iter=1)
+
+
 @pytest.mark.parametrize("T", [10.1, 16.3])
 def test_truncation_search_shares_the_given_t_final_lattice(sg2_params, T):
-    # with snapshot_dt 0.1, span / (n * every) of the window [T, T + 4s] and
-    # of [T, t_final] can differ by a rounding; every whole-interval plan
-    # steps snapshot_dt / every instead, so the first increment of the
-    # automatic-t_final run is that of the run given its t_final, bit for bit
+    # with snapshot_dt 0.1, span / (n * every) of the window [T, T + 2s + D]
+    # (s = 16, D = 6.5) and of [T, t_final] can differ by a rounding; every
+    # whole-interval plan steps snapshot_dt / every instead, so the first
+    # increment of the automatic-t_final run is that of the run given its
+    # t_final, bit for bit
     cfg = construct.SolverConfig(x_min=-34.0, x_max=34.0, dx=0.1, snapshot_dt=0.1)
     kw = dict(T=T, delta=0.31, tol=1e-9, max_iter=6)
     _, auto = construct.fixed_point(sg2_params, cfg, **kw)
     _, given = construct.fixed_point(sg2_params, cfg, t_final=auto.t_final, **kw)
-    assert cfg.plan(T, auto.t_final) == cfg.plan(T, T + 64.0)
+    assert cfg.plan(T, auto.t_final) == cfg.plan(T, T + 38.5)
     assert given.iterate_norms[0] == auto.iterate_norms[0]
 
 
