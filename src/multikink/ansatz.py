@@ -72,6 +72,10 @@ class MultikinkParams:
     def gammas(self) -> tuple[float, ...]:
         return tuple(1.0 / np.sqrt(1.0 - v * v) for v in self.velocities)
 
+    def centres(self, t: float) -> tuple[float, ...]:
+        """The kink positions v_k t + a_k at time t."""
+        return tuple(v * t + a for v, a in zip(self.velocities, self.shifts))
+
     def profile(self, k: int) -> KinkProfile:
         """Profile of the k-th kink (1-indexed)."""
         return self.profiles[self.chain.pairs()[k - 1]]
@@ -124,7 +128,7 @@ class AnsatzLevel:
     def slope(self, k: int) -> np.ndarray:
         """Profile derivative H_k' at the k-th kink's argument (1-indexed)."""
         if k not in self._slopes:
-            self._slopes[k] = self.params.profile(k).deriv_at_values(self.kinks[k - 1], 1)
+            self._slopes[k] = self.params.profile(k).deriv_at_values(self.kinks[k - 1])
         return self._slopes[k]
 
     def zero_modes(self, j: int) -> "ModePair":

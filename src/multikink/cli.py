@@ -61,7 +61,7 @@ def cmd_kink(cfg: ExperimentConfig, out: Path, seed: int) -> None:
     n, n_prime = cfg.kink_labels()
     profile = kink.kink_profile(model, table, n, n_prime, **cfg.profile_settings())
     _write_csv(out / "profile.csv", ["x", "H", "dH"],
-               [profile.x, profile.h, profile.deriv(profile.x, 1)])
+               [profile.x, profile.h, profile.deriv(profile.x)])
     _write_json(out / "tails.json", {
         fit.side: {k: getattr(fit, k) for k in ("fitted_rate", "expected_rate", "fit_residual")}
         for fit in kink.fit_tails(profile)}, cfg, seed)
@@ -133,8 +133,8 @@ def cmd_boost(cfg: ExperimentConfig, out: Path, seed: int) -> None:
     boosted = lorentz.boost_params(params, boost)
     back = lorentz.boost_params(boosted, boost.inverse)
     round_trip = max(
-        max(abs(a - b) for a, b in zip(back.velocities, params.velocities)),
-        max(abs(a - b) for a, b in zip(back.shifts, params.shifts)))
+        max((abs(a - b) for a, b in zip(back.velocities, params.velocities)), default=0.0),
+        max((abs(a - b) for a, b in zip(back.shifts, params.shifts)), default=0.0))
     tp, xp = 2.0, -1.5
     t_, x_ = lorentz.BoostSpec(v=boost.v).unprimed(tp, xp)
     _write_json(out / "boosted_params.json", {
@@ -182,10 +182,10 @@ def cmd_verify(cfg: ExperimentConfig, out: Path, seed: int) -> None:
         # the sample is taken about the multikink, so every kink must be on
         # the grid; far off it the co-moving coordinates lose the grid's
         # resolution (t = 1e16) or overflow (t = 1e308)
-        for k, (v, a) in enumerate(zip(params.velocities, params.shifts), start=1):
-            if not grid[0] < a + v * t_eval < grid[-1]:
+        for k, x in enumerate(params.centres(t_eval), start=1):
+            if not grid[0] < x < grid[-1]:
                 raise ConfigError(
-                    f"[grid] t_end = {t_eval:g} puts kink {k} at x = {a + v * t_eval:g}, off the "
+                    f"[grid] t_end = {t_eval:g} puts kink {k} at x = {x:g}, off the "
                     f"grid [{grid[0]:g}, {grid[-1]:g}] that the coercivity sample needs it on")
 
     if checks["energy_drift"]:

@@ -401,9 +401,9 @@ def fixed_point(params: MultikinkParams, config: SolverConfig,
             raise ConfigError(f"g0 must hold {n_snap} snapshots on the solver grid")
     if T is None:
         T = default_start_time(params, grid)
-    for k, (v, a) in enumerate(zip(params.velocities, params.shifts), start=1):
-        if not grid[0] < v * T + a < grid[-1]:
-            raise ConfigError(f"kink {k} sits at x = {v * T + a:g} at T = {T:g}, off the grid "
+    for k, x in enumerate(params.centres(T), start=1):
+        if not grid[0] < x < grid[-1]:
+            raise ConfigError(f"kink {k} sits at x = {x:g} at T = {T:g}, off the grid "
                               f"[{grid[0]:g}, {grid[-1]:g}] the construction solves on")
     if delta is None:
         try:
@@ -505,10 +505,5 @@ def suggest_domain(params: MultikinkParams, t_max: float):
     """Spatial interval containing every kink over [0, t_max], padded by
     TAIL_MARGIN tail decay lengths of the lightest vacuum."""
     margin = TAIL_MARGIN / min(params.table.masses)
-    lo, hi = 0.0, 0.0
-    for k in range(1, params.K + 1):
-        for t in (0.0, t_max):
-            pos = params.velocities[k - 1] * t + params.shifts[k - 1]
-            lo = min(lo, pos)
-            hi = max(hi, pos)
-    return lo - margin, hi + margin
+    pos = params.centres(0.0) + params.centres(t_max)
+    return min((0.0, *pos)) - margin, max((0.0, *pos)) + margin

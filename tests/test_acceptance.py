@@ -86,7 +86,7 @@ def test_criterion_4_zero_mode_conservation(sg):
     params = ansatz.make_params(model, table, (0, 1), (0.0,), (0.0,))
     rng = np.random.default_rng(3)
     h0 = random_pair_field(grid, rng)
-    h0 += 0.3 * np.stack([np.zeros_like(grid), params.profile(1).deriv(grid, 1)])
+    h0 += 0.3 * np.stack([np.zeros_like(grid), params.profile(1).deriv(grid)])
     cfg = evolve.EvolveConfig(dt=0.9 * dx, t_end=10.0, snapshot_every=50)
     slab, pair = evolve.zero_mode_drift(params, h0, grid, 0.0, cfg)
     static = evolve.zero_mode_laws(params, slab, pair)["kink_1"]

@@ -78,7 +78,7 @@ def _direct_pieces(params, t, grid):
         prof = params.profile(k)
         hk = prof(g * (grid - v * t - a))
         H += hk - table.vacuum(labels[k - 1])
-        H_t -= g * v * prof.deriv(g * (grid - v * t - a), 1)
+        H_t -= g * v * prof.deriv(g * (grid - v * t - a))
         V += model(hk, 2) - table.mass(labels[k - 1]) ** 2
         sum_wp += model(hk, 1)
     return H, H_t, V, sum_wp
@@ -102,7 +102,8 @@ def test_evaluator_matches_per_kink_formulas(sg, grid, labels, velocities, shift
         for j in range(1, params.K + 1):
             g, v, a = params.gammas[j - 1], params.velocities[j - 1], params.shifts[j - 1]
             y = grid - v * t - a
-            d1, d2 = (params.profile(j).deriv(g * y, order) for order in (1, 2))
+            prof = params.profile(j)
+            d1, d2 = prof.deriv(g * y), prof.model(prof(g * y), 1)
             want = (np.stack([d1, -g * v * d2]),
                     np.stack([-g * v * y * d1, g * d1 + g * g * v * v * y * d2]))
             for m in (level.zero_modes(j), ansatz.zero_modes(params, j, t, grid)):
@@ -145,7 +146,7 @@ def test_level_V_limits(phi6, sg2_params, grid):
 
 def test_zero_modes_static(phi4_static, grid):
     m = ansatz.zero_modes(phi4_static, 1, 0.0, grid)
-    dH = phi4_static.profile(1).deriv(grid, 1)
+    dH = phi4_static.profile(1).deriv(grid)
     assert np.array_equal(m.Y0[0], dH)
     assert np.all(m.Y0[1] == 0.0)
     assert np.all(m.Y1[0] == 0.0)
@@ -160,8 +161,8 @@ def test_zero_modes_moving(phi4_static, grid):
     m = ansatz.zero_modes(params, 1, 0.0, grid)
     g = 2.0 / np.sqrt(3.0)
     prof = params.profile(1)
-    assert np.allclose(m.Y0[0], prof.deriv(g * grid, 1), atol=1e-13)
-    assert np.allclose(m.Y0[1], -g * 0.5 * prof.deriv(g * grid, 2), atol=1e-13)
+    assert np.allclose(m.Y0[0], prof.deriv(g * grid), atol=1e-13)
+    assert np.allclose(m.Y0[1], -g * 0.5 * prof.model(prof(g * grid), 1), atol=1e-13)
 
 
 def test_mode_duality(phi4_static, grid):
@@ -216,7 +217,7 @@ def test_cutoff_smooth_monotone(sg2_params):
 
 
 def test_quadratic_form_kernel_direction(phi4_static, grid):
-    dH = phi4_static.profile(1).deriv(grid, 1)
+    dH = phi4_static.profile(1).deriv(grid)
     h = np.stack([dH, np.zeros_like(grid)])
     q = ansatz.quad_form_single(phi4_static, 0.0, h, grid)
     assert abs(q) <= 5e-4  # O(dx^2)

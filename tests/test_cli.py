@@ -96,6 +96,28 @@ def test_cmd_kink(tmp_path):
         assert abs(tails["right"]["fitted_rate"] - 1.0) <= 0.02
 
 
+def test_cmd_kink_custom_poly_is_phi4(tmp_path):
+    # 1 - 2 phi^2 + phi^4 given as a custom polynomial is the built-in phi4:
+    # both kinks are tanh(sqrt(2) x), and the energy check reads the same
+    # gap; dH of the monomial form is evaluated with cancellation near a
+    # vacuum, so it agrees only to about 2e-8
+    runs = {}
+    for kind in ("phi4", "custom\nform = poly\ncoeffs = 1, 0, -2, 0, 1"):
+        path = tmp_path / "kink.cfg"
+        path.write_text(SG_SINGLE.replace("kind = sine_gordon", f"kind = {kind}"))
+        out = tmp_path / kind.split()[0]
+        assert main(["kink", "--config", str(path), "--out", str(out)]) == 0
+        runs[kind.split()[0]] = (np.loadtxt(out / "profile.csv", delimiter=",", skiprows=1),
+                                 _strict_json(out / "energy.json")["relative_gap"])
+    (builtin, gap_builtin), (custom, gap_custom) = runs["phi4"], runs["custom"]
+    assert np.array_equal(builtin[:, 0], custom[:, 0])
+    assert np.max(np.abs(builtin[:, 1] - custom[:, 1])) <= 1e-14
+    assert np.max(np.abs(builtin[:, 2] - custom[:, 2])) <= 1e-7
+    for data in (builtin, custom):
+        assert np.max(np.abs(data[:, 1] - np.tanh(np.sqrt(2.0) * data[:, 0]))) <= 1e-12
+    assert gap_builtin <= 1e-9 and abs(gap_builtin - gap_custom) <= 1e-12
+
+
 def test_cmd_multikink_and_evolve(tmp_path, sg_config):
     out = tmp_path / "o"
     assert main(["multikink", "--config", str(sg_config), "--out", str(out)]) == 0
@@ -217,6 +239,36 @@ def test_cmd_boost_and_spectrum(tmp_path, sg_config):
     assert spec["kernel_cosine_similarity"] >= 0.9999
 
 
+def test_cmd_boost_one_vacuum(tmp_path):
+    # a chain of one vacuum has no kinks to boost: nothing moves
+    path = tmp_path / "vacuum.cfg"
+    path.write_text(SG_SINGLE.replace("labels = 0, 1", "labels = 0").replace(
+        "velocities = 0.3\nshifts = 0.0\n", ""))
+    out = tmp_path / "o"
+    assert main(["boost", "--config", str(path), "--out", str(out)]) == 0
+    boosted = _strict_json(out / "boosted_params.json")
+    assert boosted["velocities"] == [] and boosted["shifts"] == []
+    assert boosted["round_trip_error"] == 0.0
+
+
+def test_nan_coercivity_ratio_exits_3(tmp_path, sg_config, monkeypatch, capsys):
+    # one NaN sample among finite ones makes the coercivity constant NaN,
+    # which fails the run: no spectrum.json
+    bumps, calls = cli.spectral.gaussian_bumps, []
+
+    def one_nan(grid, rng):
+        calls.append(None)
+        g = bumps(grid, rng)
+        return np.full_like(g, np.nan) if len(calls) == 3 else g
+
+    monkeypatch.setattr(cli.spectral, "gaussian_bumps", one_nan)
+    out = tmp_path / "o"
+    assert main(["spectrum", "--config", str(sg_config), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "spectrum.json" in err
+    assert not (out / "spectrum.json").exists()
+
+
 @pytest.mark.slow
 def test_cmd_verify(tmp_path, sg_config):
     out = tmp_path / "o"
@@ -311,6 +363,8 @@ NAMED = [
     ("evolve", "dx = 0.05", "dx = 0.05\ncfl = 5", "[grid] cfl"),
     ("verify", _T_END_TO_VERIFY, _T_END_TO_VERIFY.replace("t_end = 8", "t_end = 1e308")
      + "energy_drift = false\nzero_modes = false\ncovariance = false\n", "[grid] t_end"),
+    ("kink", "kind = sine_gordon", "kind = custom\nform = cubic\ncoeffs = 1, 0, -2, 0, 1",
+     "[potential] form must be 'poly' or 'trig'"),
 ]
 
 
@@ -348,7 +402,8 @@ NAMED = [
         "x_max-1e308", "dx-1e-300", "spectrum-x_half-1e308", "spectrum-dx-1e-300",
         "profile_dx-1e-300", "half_width-1e308", "snapshot_dt-1e-300", "t_end-1e308",
         "delta-1e308", "window_t0", "window_t-negative", "window_t-1e308",
-        "construct-kink-off-x_min0", "cfl-negative", "cfl0", "cfl5", "coercivity-t_end-1e308"])
+        "construct-kink-off-x_min0", "cfl-negative", "cfl0", "cfl5", "coercivity-t_end-1e308",
+        "custom-form-cubic"])
 def test_invalid_input_exit_2(tmp_path, capsys, monkeypatch, command, old, new, args):
     # vacuum labels outside the table, non-finite numbers, a zero spectrum
     # step or half width, a one-point spectrum grid, more eigenpairs than
@@ -361,9 +416,10 @@ def test_invalid_input_exit_2(tmp_path, capsys, monkeypatch, command, old, new, 
     # weight e^(delta t) overflows, a covariance window that is not positive
     # or not below the truncation span cap, a kink off the construction's
     # grid at T (x_min = 0 with the kink at -0.4), a Courant ratio outside
-    # (0, MAX_COURANT] and a t_end that moves a kink off the grid of the
-    # coercivity sample are config errors, none of them found by a
-    # construction of the covariance check
+    # (0, MAX_COURANT], a t_end that moves a kink off the grid of the
+    # coercivity sample and a custom potential form other than poly or trig
+    # are config errors, none of them found by a construction of the
+    # covariance check
     def no_construction(*_args, **_kwargs):
         raise AssertionError("the covariance check constructed")
 

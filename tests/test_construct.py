@@ -391,7 +391,7 @@ def _window_setup(sg2_params, n_grid):
 
 
 @pytest.mark.parametrize("n_grid", [3401, 300, 40])
-def test_probe_gap_matches_per_time_sampling(sg2_params, n_grid):
+def test_window_gaps_match_standalone_probes(sg2_params, n_grid):
     # the window's live gaps are those of standalone probes, sampled at
     # every common snapshot time
     cfg, gaps, _ = _window_setup(sg2_params, n_grid)
@@ -682,7 +682,7 @@ def test_decay_fit_error_is_reported(sg2_params, monkeypatch):
     assert rep.decay_fit_error is None and rep.to_dict()["decay_fit_error"] is None
 
 
-def test_ansatz_pieces_match_public_potential(sg2_params):
+def test_ansatz_level_matches_multikink(sg2_params):
     grid = np.arange(-34.0, 34.0 + 1e-9, 0.05)
     level = ansatz.AnsatzLevel(sg2_params, 21.0, grid)
     state = ansatz.multikink(sg2_params, 21.0, grid)

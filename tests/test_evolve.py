@@ -292,7 +292,7 @@ def test_zero_mode_drift_static(sg):
     params = ansatz.make_params(model, table, (0, 1), (0.0,), (0.0,))
     rng = np.random.default_rng(3)
     h0 = random_pair_field(grid, rng)
-    h0 += 0.3 * np.stack([np.zeros_like(grid), params.profile(1).deriv(grid, 1)])
+    h0 += 0.3 * np.stack([np.zeros_like(grid), params.profile(1).deriv(grid)])
     slab, pair = evolve.zero_mode_drift(params, h0, grid, 0.0,
                                         evolve.EvolveConfig(dt=0.9 * dx, t_end=10.0,
                                                             snapshot_every=50))
@@ -463,7 +463,7 @@ def _assert_hermite(slab, queries):
 
 
 @pytest.mark.parametrize("n_times, n_cols", [(2, 70), (3, 70), (5, 1), (33, 65), (129, 3401)])
-def test_time_interpolant_matches_cubic_spline(n_times, n_cols):
+def test_phi_at_matches_cubic_hermite_spline(n_times, n_cols):
     # the rows are reversed views, as backward solves return them; phi_at
     # reads only times, phis and phi_dots, so one column needs no grid
     rng = np.random.default_rng(n_times * n_cols)
@@ -473,7 +473,7 @@ def test_time_interpolant_matches_cubic_spline(n_times, n_cols):
     _assert_hermite(slab, _knot_queries(times))
 
 
-def test_time_interpolant_on_solver_levels(sg2_params):
+def test_phi_at_on_solver_levels(sg2_params):
     # the backward solver's levels t_final - step * dt, visited downward
     cfg = SolverConfig(x_min=-34.0, x_max=34.0, dx=0.1)
     dt, every = cfg.plan(16.0, 24.0)
@@ -485,7 +485,7 @@ def test_time_interpolant_on_solver_levels(sg2_params):
     _assert_hermite(slab, [24.0 + step * -dt for step in range(n_steps + 1)])
 
 
-def test_slab_sample_on_merged_slab():
+def test_phi_at_on_merged_slab():
     # the knots of two staggered slabs joined: non-uniform spacing
     rng = np.random.default_rng(5)
     grid = np.linspace(-5.0, 5.0, 300)

@@ -159,7 +159,7 @@ def test_bogomolny_saturation(phi4_kink, sg_kink, phi6_kink):
 def test_ode_residual_via_spline(phi4_kink, sg_kink):
     for prof in (phi4_kink, sg_kink):
         spline_d = prof._spline.derivative()(prof.x)
-        assert np.max(np.abs(spline_d - prof.deriv(prof.x, 1))) <= 1e-7
+        assert np.max(np.abs(spline_d - prof.deriv(prof.x))) <= 1e-7
 
 
 def test_tail_fits(phi4_kink, sg_kink, phi6_kink):
@@ -260,7 +260,7 @@ def test_gamma_inequality_on_sampled_fields(phi4):
 def test_csv_export(tmp_path, sg_kink):
     # the profile goes out the way `multikink kink` writes profile.csv
     path = tmp_path / "profile.csv"
-    _write_csv(path, ["x", "H", "dH"], [sg_kink.x, sg_kink.h, sg_kink.deriv(sg_kink.x, 1)])
+    _write_csv(path, ["x", "H", "dH"], [sg_kink.x, sg_kink.h, sg_kink.deriv(sg_kink.x)])
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     assert data.shape == (len(sg_kink.x), 3)
     assert np.array_equal(data[:, 1], sg_kink.h)
@@ -273,7 +273,7 @@ def test_tail_evaluation_beyond_grid(phi4_kink):
     x = phi4_kink.half_width + 3.0
     exact = np.tanh(np.sqrt(2.0) * x)
     assert abs(phi4_kink(x) - exact) <= 1e-9
-    assert phi4_kink.deriv(x, 1) > 0.0
+    assert phi4_kink.deriv(x) > 0.0
 
 
 def _lookup_points(prof, rng):

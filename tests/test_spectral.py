@@ -106,3 +106,17 @@ def test_invalid_multiplier(sg_disc):
     odd = sg_disc.grid * np.exp(-sg_disc.grid**2)
     with pytest.raises(InvalidMultiplierError):
         spectral.coercivity_constant(sg_disc, odd)
+
+
+def test_coercivity_constant_passes_nan_on(sg_disc, monkeypatch):
+    # one NaN sample among finite ones makes the sampled constant NaN
+    bumps, calls = spectral.gaussian_bumps, []
+
+    def one_nan(grid, rng):
+        calls.append(None)
+        g = bumps(grid, rng)
+        return np.full_like(g, np.nan) if len(calls) == 3 else g
+
+    monkeypatch.setattr(spectral, "gaussian_bumps", one_nan)
+    assert np.isnan(spectral.coercivity_constant(sg_disc, sg_disc.kernel_direction))
+    assert len(calls) == spectral.COERCIVITY_SAMPLES
