@@ -30,6 +30,8 @@ FIT_SPAN = 10.0  # both exponential fits, of |N(0)| and of |Psi|, span [T, T + F
 TRUNCATION_RTOL = 1e-8  # a probe is stable when its gap is <= this * max(1, scale)
 TRUNCATION_MAX_SPAN = 400.0  # no truncation probe runs past T + this
 RESIDUAL_MARGIN = 5.0  # the residual skips this width at either end of the grid
+EDGE_WIDTH = 1.0  # the edge ratio reads max |Psi| within this width of either grid end
+EDGE_RATIO_MAX = 1e-3  # fixed_point warns above this edge ratio: the grid may cut Psi
 TAIL_MARGIN = 18.0  # suggest_domain pads the kink paths by this / min(mass)
 LOG_FLOAT_MAX = math.log(sys.float_info.max)  # the largest delta * t of a weight e^{delta t}
 
@@ -71,6 +73,13 @@ class SolverConfig:
         if abs(span / self.snapshot_dt - n_snap) <= 1e-9:
             return self.snapshot_dt / every, every
         return span / (n_snap * every), every
+
+
+def _snapshot_count(config: SolverConfig, t_start: float, t_final: float) -> int:
+    """Snapshots a solve on [t_start, t_final] stores on config.plan's
+    lattice: one every `every` steps, both ends included."""
+    dt, every = config.plan(t_start, t_final)
+    return step_plan(t_final - t_start, dt, "steps from T to t_final")[0] // every + 1
 
 
 def _check_delta(delta: float):
@@ -183,6 +192,7 @@ class ConstructReport:
     # None: not measured
     contraction_ratio: float | None = None
     final_residual: float | None = None
+    edge_ratio: float | None = None
     fitted_decay_rate: float | None = None
     decay_fit_r2: float | None = None
     decay_fit_error: str | None = None
@@ -228,6 +238,9 @@ def _sweep(params: MultikinkParams, config: SolverConfig, T: float, tops, n_cand
     seed. candidates holds, per candidate, its chain's last lane as a slab
     and the weighted norms (weight e^{delta t} from T) of its increments, the
     seed's against g (or 0), taken per snapshot, so no seed slab is stored.
+    The shortest candidate's last lane is the sweep's own slab; each longer
+    one's is written in place, row by row from the end, into arrays sized
+    by _snapshot_count, and its slab holds those arrays.
     """
     seed, rows = {}, []
     for k in reversed(range(len(tops))):  # rows ordered by top, highest first
@@ -245,7 +258,11 @@ def _sweep(params: MultikinkParams, config: SolverConfig, T: float, tops, n_cand
 
     dx = grid_spacing(config.grid)
     gaps = [[0.0, 1e-300] for _ in tops[1:]]
-    seen = [([], [], [], []) for _ in range(n_cand)]  # times, norms, phis, dots
+    seen = [([], []) for _ in range(n_cand)]  # times, norms
+    kept = {}  # each longer candidate's last lane as (phis, phi_dots), filled from the end
+    for k in range(1, n_cand):
+        shape = (_snapshot_count(config, T, tops[k]), len(config.grid))
+        kept[k] = np.empty(shape), np.empty(shape)
 
     def observe(t, h, h_t):
         for k, p in seed.items():
@@ -258,23 +275,23 @@ def _sweep(params: MultikinkParams, config: SolverConfig, T: float, tops, n_cand
                              float(np.max(np.abs(h_t[p] - h_t[q]))))
                 gap[1] = max(gap[1], float(np.max(np.abs(h[q]))))
             if k < n_cand:
-                times, norms, phis, dots = seen[k]
+                times, norms = seen[k]
                 chain = slice(p, p + lanes + 1)
-                i = -1 - len(times)  # g's snapshot at t: the sweep runs backward
+                i = -1 - len(times)  # the snapshot's row at t: the sweep runs backward
                 base = (0.0, 0.0) if g is None else (g.phis[i][None], g.phi_dots[i][None])
                 times.append(t)
                 # increments along the chain: lane 0 against g, lane j against lane j-1
                 dh = np.diff(h[chain], axis=0, prepend=base[0])
                 dh_t = np.diff(h_t[chain], axis=0, prepend=base[1])
                 norms.append([math.sqrt(energy_norm_sq(d, dx)) for d in zip(dh, dh_t)])
-                if k:  # the shortest candidate's last lane is the sweep's slab
-                    phis.append(h[p + lanes].copy())
-                    dots.append(h_t[p + lanes].copy())
+                if k in kept:
+                    phis, dots = kept[k]
+                    phis[i], dots[i] = h[p + lanes], h_t[p + lanes]
 
     last = solve_backward(params, terms, T, tops[-1], config, rows, observe)
     candidates = []
-    for k, (times, norms, phis, dots) in enumerate(seen):
-        slab = SpaceTimeSlab(times[::-1], config.grid, phis[::-1], dots[::-1]) if k else last
+    for k, (times, norms) in enumerate(seen):
+        slab = SpaceTimeSlab(times[::-1], config.grid, *kept[k]) if k else last
         sups = _weighted_sup(np.array(times), np.array(norms), T, delta)
         candidates.append((slab, [float(n) for n in sups]))
     return [tuple(gap) for gap in gaps], candidates
@@ -352,6 +369,18 @@ def measure_residual(params: MultikinkParams, psi_slab: SpaceTimeSlab) -> float:
     return worst
 
 
+def edge_ratio(psi_slab: SpaceTimeSlab) -> float:
+    """max |Psi| within EDGE_WIDTH of either grid end over max |Psi|, both
+    over every snapshot, taken one snapshot at a time; 0 when Psi is zero.
+    A construction on a grid that cuts the solution reads well above
+    EDGE_RATIO_MAX, since the clamped ends hold Psi at zero there."""
+    grid = psi_slab.grid
+    edge = (grid <= grid[0] + EDGE_WIDTH) | (grid >= grid[-1] - EDGE_WIDTH)
+    near, whole = np.max([(np.max(np.abs(phi[edge])), np.max(np.abs(phi)))
+                          for phi in psi_slab.phis], axis=0)
+    return 0.0 if whole == 0.0 else float(near / whole)
+
+
 def decay_fit(psi_slab: SpaceTimeSlab, T: float, span: float):
     """Log-linear fit of the energy norm of (Psi, d_t Psi) over [T, T+span].
 
@@ -383,7 +412,9 @@ def fixed_point(params: MultikinkParams, config: SolverConfig,
     min(PICARD_LANES, max_iter - 1) of them, after which the sweeps go on
     from the last. max_iter < 1, tol <= 0 or not finite, delta <= 0, a g0
     without T and t_final or off their lattice, and a kink centre
-    v_k T + a_k off the grid raise ConfigError before any solve.
+    v_k T + a_k off the grid raise ConfigError before any solve. The
+    report's edge_ratio is edge_ratio(Psi), and a ratio above
+    EDGE_RATIO_MAX warns that the grid may cut the solution.
     """
     if max_iter < 1:
         raise ConfigError(f"max_iter must be >= 1, got {max_iter}")
@@ -395,8 +426,7 @@ def fixed_point(params: MultikinkParams, config: SolverConfig,
     if g0 is not None:
         if T is None or t_final is None:
             raise ConfigError("a g0 needs T and t_final given")
-        dt, every = config.plan(T, t_final)
-        n_snap = step_plan(t_final - T, dt, "steps from T to t_final")[0] // every + 1
+        n_snap = _snapshot_count(config, T, t_final)
         if g0.phis.shape != (n_snap, len(grid)):
             raise ConfigError(f"g0 must hold {n_snap} snapshots on the solver grid")
     if T is None:
@@ -455,6 +485,10 @@ def fixed_point(params: MultikinkParams, config: SolverConfig,
         kept = [q for q, b in ratios if b >= cutoff] or [q for q, _ in ratios]
         report.contraction_ratio = float(np.median(kept))
     report.final_residual = measure_residual(params, g)
+    report.edge_ratio = edge_ratio(g)
+    if report.edge_ratio > EDGE_RATIO_MAX:
+        warnings.warn(f"max |Psi| within {EDGE_WIDTH:g} of a grid end is {report.edge_ratio:.3g} "
+                      f"of its max (above {EDGE_RATIO_MAX:g}); the grid may cut the solution")
     try:
         rate, r2 = decay_fit(g, T, span=min(FIT_SPAN, t_final - T - 2 * config.snapshot_dt))
         report.fitted_decay_rate = rate

@@ -1,11 +1,13 @@
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.interpolate import CubicHermiteSpline
 
+from conftest import two_soliton_oracle
 from multikink import ansatz, construct, evolve
 from multikink.config import ExperimentConfig
 from multikink.errors import ConfigError, FitError, NoContractionError
@@ -426,6 +428,11 @@ def test_window_lanes_match_standalone_solves(sg2_params):
         if chain:
             # each candidate keeps its chain's last lane and its increments
             slab, norms = cands[int(span) - 1]
+            assert np.all(np.diff(slab.times) > 0)
+            if span > 1.0:
+                # a longer candidate's lane is written in place from the end,
+                # not gathered and reversed (the shortest is the sweep's slab)
+                assert slab.phis.flags.c_contiguous and slab.phi_dots.flags.c_contiguous
             assert np.array_equal(slab.times, last.times)
             assert np.array_equal(slab.phis, last.phis)
             assert np.array_equal(slab.phi_dots, last.phi_dots)
@@ -447,9 +454,10 @@ def test_truncation_search_memory(sg2_params, monkeypatch):
         tracemalloc.stop()
     assert counts == {"solves": 1, "probes": 1}
     assert out.t_final == 48.0
-    # measured: 7.1 MB against 2.8 MB for the accepted slab; two probe
-    # slabs compared on column blocks peaked at 10.0 MB
-    assert peak < 3 * (out.iterate.phis.nbytes + out.iterate.phi_dots.nbytes)
+    # measured: 4.68 MB against 2.81 MB for the accepted slab (1.67x); its
+    # lane gathered in lists and then copied into arrays peaked at 7.14 MB
+    # (2.54x), and two probe slabs compared on column blocks at 10.0 MB
+    assert peak < 2 * (out.iterate.phis.nbytes + out.iterate.phi_dots.nbytes)
 
 
 def test_truncation_report(sg2_params):
@@ -521,6 +529,43 @@ def test_fixed_point_refuses_a_kink_off_the_grid(sg2_params, monkeypatch):
         for T in (16.0, None):
             with pytest.raises(ConfigError, match=f"kink {k} sits at .* off the grid"):
                 construct.fixed_point(sg2_params, cfg, T=T, delta=0.31, max_iter=1)
+
+
+@pytest.mark.slow
+def test_cut_grid_warns_with_its_edge_ratio(sg2_params):
+    # both kinks sit on the grid at T = 16 (at -4.8 and 4.8), so the
+    # construction runs and converges; x_min -8 cuts Psi's left tail and
+    # moves it 7.0e-5 off the exact two-soliton, x_min -16 leaves it at the
+    # dx floor 6.4e-8. Measured edge ratios: 0.156 and 4.0e-5
+    def run(x_min):
+        cfg = construct.SolverConfig(x_min=x_min, x_max=34.0, dx=0.04)
+        psi, rep = construct.fixed_point(sg2_params, cfg, tol=1e-8)
+        error = max(float(np.max(np.abs(ansatz.multikink(sg2_params, t, cfg.grid).phi + phi
+                                         - two_soliton_oracle(t, cfg.grid))))
+                    for t, phi in zip(psi.times, psi.phis))
+        return rep, error
+
+    with pytest.warns(UserWarning, match="grid end is 0.156 of its max"):
+        rep, error = run(-8.0)
+    assert rep.converged and error > 1e-5
+    assert 0.1 < rep.edge_ratio < 0.2 and rep.to_dict()["edge_ratio"] == rep.edge_ratio
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        rep, error = run(-16.0)
+    assert rep.converged and error < 1e-7
+    assert 0.0 < rep.edge_ratio < 1e-4
+
+
+def test_edge_ratio_reads_the_ends_of_every_snapshot():
+    # max |Psi| within one length unit of either end over max |Psi|, both
+    # taken over all snapshots; a zero Psi reads 0
+    grid = np.linspace(-10.0, 10.0, 201)
+    phis = np.zeros((3, grid.size))
+    assert construct.edge_ratio(SpaceTimeSlab([0.0, 1.0, 2.0], grid, phis, phis)) == 0.0
+    phis[0, 100] = -4.0  # the largest |Psi|, mid-grid
+    phis[1, 195] = 0.5  # 0.5 from the right end
+    phis[2, 15] = 3.0  # 1.5 from the left end: outside the edge band
+    assert construct.edge_ratio(SpaceTimeSlab([0.0, 1.0, 2.0], grid, phis, phis)) == 0.125
 
 
 @pytest.mark.parametrize("T", [10.1, 16.3])
