@@ -75,13 +75,6 @@ class SolverConfig:
         return span / (n_snap * every), every
 
 
-def _snapshot_count(config: SolverConfig, t_start: float, t_final: float) -> int:
-    """Snapshots a solve on [t_start, t_final] stores on config.plan's
-    lattice: one every `every` steps, both ends included."""
-    dt, every = config.plan(t_start, t_final)
-    return step_plan(t_final - t_start, dt, "steps from T to t_final")[0] // every + 1
-
-
 def _check_delta(delta: float):
     if not delta > 0:
         raise ConfigError(f"delta must be positive, got {delta}")
@@ -142,7 +135,8 @@ def fitted_forcing_rate(params: MultikinkParams, grid: np.ndarray, T: float) -> 
 
 
 def solve_backward(params: MultikinkParams, terms, t_start: float, t_final: float,
-                   config: SolverConfig, tops=None, observe=None) -> SpaceTimeSlab:
+                   config: SolverConfig, tops=None, observe=None,
+                   keep=(-1,)) -> list[SpaceTimeSlab]:
     """Solve d_t^2 h - d_x^2 h + U h = f backward from zero data.
 
     Integrates from (h, d_t h)(t_final) = (0, 0) down to t_start with the
@@ -158,8 +152,9 @@ def solve_backward(params: MultikinkParams, terms, t_start: float, t_final: floa
     nonincreasing from t_final and on snapshot levels, None meaning one lane
     from t_final: a lane is inactive above its top and starts there from
     zero data, so it equals the solve from its top on the same plan. The
-    slab returned is the last lane's; observe(t, h, h_t), if given, sees
-    every active lane at each snapshot.
+    slabs returned are those of the lanes in keep, the last lane by
+    default, each in increasing time from its top; observe(t, h, h_t), if
+    given, sees every active lane at each snapshot.
     """
     grid = config.grid
     dt, every = config.plan(t_start, t_final)
@@ -174,7 +169,7 @@ def solve_backward(params: MultikinkParams, terms, t_start: float, t_final: floa
     zero = np.zeros((1 if tops is None else len(tops), len(grid)))
     return _evolve(zero, zero, t_final, grid, config.dx,
                    EvolveConfig(dt=-dt, t_end=t_start, snapshot_every=every),
-                   source, observe, tops)
+                   source, observe, tops, keep)
 
 
 # Picard iterates per backward sweep (pipelined waveform relaxation)
@@ -235,12 +230,10 @@ def _sweep(params: MultikinkParams, config: SolverConfig, T: float, tops, n_cand
     Returns (gaps, candidates). gaps holds (gap, scale) of each seed against
     the next longer one over their common snapshots: gap is the largest
     |phi| or |phi_t| difference, scale the largest |phi| of the longer
-    seed. candidates holds, per candidate, its chain's last lane as a slab
-    and the weighted norms (weight e^{delta t} from T) of its increments, the
-    seed's against g (or 0), taken per snapshot, so no seed slab is stored.
-    The shortest candidate's last lane is the sweep's own slab; each longer
-    one's is written in place, row by row from the end, into arrays sized
-    by _snapshot_count, and its slab holds those arrays.
+    seed. candidates holds, per candidate, its chain's last lane as a slab,
+    kept by the sweep itself (solve_backward's keep), and the weighted norms
+    (weight e^{delta t} from T) of its increments, the seed's against g (or
+    0), taken per snapshot, so no seed slab is stored.
     """
     seed, rows = {}, []
     for k in reversed(range(len(tops))):  # rows ordered by top, highest first
@@ -258,13 +251,9 @@ def _sweep(params: MultikinkParams, config: SolverConfig, T: float, tops, n_cand
 
     dx = grid_spacing(config.grid)
     gaps = [[0.0, 1e-300] for _ in tops[1:]]
-    seen = [([], []) for _ in range(n_cand)]  # times, norms
-    kept = {}  # each longer candidate's last lane as (phis, phi_dots), filled from the end
-    for k in range(1, n_cand):
-        shape = (_snapshot_count(config, T, tops[k]), len(config.grid))
-        kept[k] = np.empty(shape), np.empty(shape)
+    seen = [[] for _ in range(n_cand)]  # each candidate's increment norms, latest first
 
-    def observe(t, h, h_t):
+    def observe(_t, h, h_t):
         for k, p in seed.items():
             if p >= len(h):
                 continue
@@ -275,24 +264,19 @@ def _sweep(params: MultikinkParams, config: SolverConfig, T: float, tops, n_cand
                              float(np.max(np.abs(h_t[p] - h_t[q]))))
                 gap[1] = max(gap[1], float(np.max(np.abs(h[q]))))
             if k < n_cand:
-                times, norms = seen[k]
                 chain = slice(p, p + lanes + 1)
-                i = -1 - len(times)  # the snapshot's row at t: the sweep runs backward
+                i = -1 - len(seen[k])  # the snapshot's row: the sweep runs backward
                 base = (0.0, 0.0) if g is None else (g.phis[i][None], g.phi_dots[i][None])
-                times.append(t)
                 # increments along the chain: lane 0 against g, lane j against lane j-1
                 dh = np.diff(h[chain], axis=0, prepend=base[0])
                 dh_t = np.diff(h_t[chain], axis=0, prepend=base[1])
-                norms.append([math.sqrt(energy_norm_sq(d, dx)) for d in zip(dh, dh_t)])
-                if k in kept:
-                    phis, dots = kept[k]
-                    phis[i], dots[i] = h[p + lanes], h_t[p + lanes]
+                seen[k].append([math.sqrt(energy_norm_sq(d, dx)) for d in zip(dh, dh_t)])
 
-    last = solve_backward(params, terms, T, tops[-1], config, rows, observe)
+    ends = solve_backward(params, terms, T, tops[-1], config, rows, observe,
+                          [seed[k] + lanes for k in range(n_cand)])
     candidates = []
-    for k, (times, norms) in enumerate(seen):
-        slab = SpaceTimeSlab(times[::-1], config.grid, *kept[k]) if k else last
-        sups = _weighted_sup(np.array(times), np.array(norms), T, delta)
+    for slab, norms in zip(ends, seen):
+        sups = _weighted_sup(slab.times, np.array(norms[::-1]), T, delta)
         candidates.append((slab, [float(n) for n in sups]))
     return [tuple(gap) for gap in gaps], candidates
 
@@ -305,7 +289,8 @@ def choose_final_time(params: MultikinkParams, config: SolverConfig, T: float,
 
     The first span s is max(16, 4/delta) and the reach D is 2/delta, both
     rounded up to a whole number of snapshot_dt so that every probe lies on
-    one lattice of levels. Each window is one sweep (_sweep, from g = 0) of
+    one lattice of levels, and s at most the largest such number not above
+    TRUNCATION_MAX_SPAN (a snapshot_dt above it raises ConfigError). Each window is one sweep (_sweep, from g = 0) of
     the candidates at spans s and 2s and a last probe at 2s + D; each
     candidate is tested against the next probe up. A test of span c
     against the probe at span p divides its gap by 1 - e^{-delta (p - c)},
@@ -324,6 +309,11 @@ def choose_final_time(params: MultikinkParams, config: SolverConfig, T: float,
     step = config.snapshot_dt
     span, reach = (step * step_plan(t, step, "snapshots of snapshot_dt")[0]
                    for t in (max(16.0, 4.0 / delta), 2.0 / delta))
+    cap = step * math.floor(TRUNCATION_MAX_SPAN / step)
+    if cap <= 0:
+        raise ConfigError(f"snapshot_dt = {step:g} leaves no truncation probe within "
+                          f"TRUNCATION_MAX_SPAN = {TRUNCATION_MAX_SPAN:g} of T")
+    span = min(span, cap)
     tests = []
     while True:
         capped = 8.0 * span > TRUNCATION_MAX_SPAN
@@ -344,6 +334,11 @@ def choose_final_time(params: MultikinkParams, config: SolverConfig, T: float,
         span = 4.0 * span
 
 
+def _residual_window(grid: np.ndarray) -> np.ndarray:
+    """The grid points RESIDUAL_MARGIN clear of both ends."""
+    return (grid >= grid[0] + RESIDUAL_MARGIN) & (grid <= grid[-1] - RESIDUAL_MARGIN)
+
+
 def measure_residual(params: MultikinkParams, psi_slab: SpaceTimeSlab) -> float:
     """Sup over interior snapshots of the L2 norm of the PDE residual of
     H + Psi, RESIDUAL_MARGIN clear of the grid's ends, measured with
@@ -351,7 +346,7 @@ def measure_residual(params: MultikinkParams, psi_slab: SpaceTimeSlab) -> float:
     wide 4th-order stencil in x)."""
     grid = psi_slab.grid
     dx = psi_slab.dx
-    mask = (grid >= grid[0] + RESIDUAL_MARGIN) & (grid <= grid[-1] - RESIDUAL_MARGIN)
+    mask = _residual_window(grid)
     worst = 0.0
     # H + Psi per snapshot, held three at a time
     fields = (AnsatzLevel(params, t, grid).H + psi
@@ -410,9 +405,10 @@ def fixed_point(params: MultikinkParams, config: SolverConfig,
     doubling of choose_final_time. Its windows carry the first iterates
     too: the accepted probe R N(0) and the iterates chained live on it,
     min(PICARD_LANES, max_iter - 1) of them, after which the sweeps go on
-    from the last. max_iter < 1, tol <= 0 or not finite, delta <= 0, a g0
-    without T and t_final or off their lattice, and a kink centre
-    v_k T + a_k off the grid raise ConfigError before any solve. The
+    from the last. max_iter < 1, tol <= 0 or not finite, delta <= 0, a grid
+    with no point RESIDUAL_MARGIN clear of both ends (where the residual is
+    measured), a g0 without T and t_final or off their lattice, and a kink
+    centre v_k T + a_k off the grid raise ConfigError before any solve. The
     report's edge_ratio is edge_ratio(Psi), and a ratio above
     EDGE_RATIO_MAX warns that the grid may cut the solution.
     """
@@ -423,10 +419,15 @@ def fixed_point(params: MultikinkParams, config: SolverConfig,
     if delta is not None:
         _check_delta(delta)
     grid = config.grid
+    if not np.any(_residual_window(grid)):
+        raise ConfigError(f"no point of the grid [{grid[0]:g}, {grid[-1]:g}] lies "
+                          f"{RESIDUAL_MARGIN:g} clear of both ends, where the residual "
+                          "is measured")
     if g0 is not None:
         if T is None or t_final is None:
             raise ConfigError("a g0 needs T and t_final given")
-        n_snap = _snapshot_count(config, T, t_final)
+        dt, every = config.plan(T, t_final)
+        n_snap = step_plan(t_final - T, dt, "steps from T to t_final")[0] // every + 1
         if g0.phis.shape != (n_snap, len(grid)):
             raise ConfigError(f"g0 must hold {n_snap} snapshots on the solver grid")
     if T is None:
@@ -532,7 +533,7 @@ def param_derivative(params: MultikinkParams, psi_slab: SpaceTimeSlab, k: int,
         return wpp_full, forcing
 
     return solve_backward(params, terms, float(psi_slab.times[0]),
-                          float(psi_slab.times[-1]), config)
+                          float(psi_slab.times[-1]), config)[0]
 
 
 def suggest_domain(params: MultikinkParams, t_max: float):

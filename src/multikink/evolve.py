@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -193,7 +194,7 @@ class SpaceTimeSlab:
 
 
 def _evolve(phi, pd, t0: float, grid: np.ndarray, dx: float, config: EvolveConfig,
-            source, observe=None, starts=None) -> SpaceTimeSlab:
+            source, observe=None, starts=None, keep=(-1,)) -> list[SpaceTimeSlab]:
     """Leapfrog from (phi, pd) at t0 to config.t_end with the blended
     Laplacian; phi and pd are (n,) for one lane or (B, n) for B lanes.
     source(t, f, out) adds the other terms of the acceleration to out, which
@@ -212,10 +213,11 @@ def _evolve(phi, pd, t0: float, grid: np.ndarray, dx: float, config: EvolveConfi
     and at its start it joins from its rows of phi and pd with no arrival
     half-kick; in a backward run it then equals the run from its start.
 
-    Returns the last lane's slab from its start: its state at every
-    snapshot_every-th step and the last step; observe(t, phi, pd) sees
-    every active lane at each snapshot. Backward runs are returned in
-    increasing time."""
+    Returns one slab per lane index in keep (the last lane by default),
+    each from its lane's start: its state at every snapshot_every-th step
+    and the last step, written in place in increasing time, so a backward
+    run fills its rows from the end. observe(t, phi, pd) sees every active
+    lane at each snapshot."""
     config.validate(dx)
     span = config.t_end - t0
     if span * config.dt <= 0:
@@ -248,54 +250,47 @@ def _evolve(phi, pd, t0: float, grid: np.ndarray, dx: float, config: EvolveConfi
         levels[step] = start
     levels = levels.tolist()
 
-    first = joins[-1]  # the stored lane's first level
-    n_snap = (n_steps - first) // every + 1 + ((n_steps - first) % every != 0)
-    times = np.empty(n_snap)
-    phis = np.empty((n_snap, phi.shape[1]))
-    dots = np.empty_like(phis)
-    j = 0
+    kept = []  # (lane, times, phis, phi_dots) per kept lane, sized from its join
+    for lane in keep:
+        lane = range(len(phi))[lane]
+        n_snap = -(-(n_steps - joins[lane]) // every) + 1
+        kept.append((lane, np.empty(n_snap), np.empty((n_snap, phi.shape[1])),
+                     np.empty((n_snap, phi.shape[1]))))
 
-    def snapshot(t, f, v):
-        nonlocal j
-        if len(f) == len(phi):
-            times[j], phis[j], dots[j] = t, f[-1], v[-1]
-            j += 1
+    def snapshot(step, f, v):
+        t = levels[step]
+        for lane, times, phis, dots in kept:
+            if lane < len(f):
+                j = -(-(step - joins[lane]) // every)  # the lane's snapshots so far
+                i = j if dt > 0 else -1 - j
+                times[i], phis[i], dots[i] = t, f[lane], v[lane]
         if observe is not None:
             observe(t, f, v)
 
-    b = joins.count(0)
+    # the active lanes' rows of phi, pd and the acceleration a, in place
+    b = bisect_right(joins, 0)
     ph, v, a = phi[:b], pd[:b], np.zeros_like(phi)
     ac = a[:b]
     lap(ph, ac)
     source(t0, ph, ac)
-    snapshot(t0, ph, v)
-    join = joins[b] if b < len(joins) else -1
+    snapshot(0, ph, v)
     for step in range(1, n_steps + 1):
-        pd_half = v + (0.5 * dt) * ac
-        ph[:, 1:-1] += dt * pd_half[:, 1:-1]
-        t = levels[step]
-        if step == join:
-            # the lanes starting here join with their initial data; the
-            # kick below is the others' arrival half-kick only
-            b0, b = b, b + joins.count(step)
-            ph, ac = phi[:b], a[:b]
-            lap(ph, ac)
-            source(t, ph, ac)
-            v = np.concatenate([pd_half + (0.5 * dt) * ac[:b0], pd[b0:b]])
-            join = joins[b] if b < len(joins) else -1
-        else:
-            lap(ph, ac)
-            source(t, ph, ac)
-            v = pd_half + (0.5 * dt) * ac
+        v += (0.5 * dt) * ac
+        ph[:, 1:-1] += dt * v[:, 1:-1]
+        b0, b = b, bisect_right(joins, step)
+        ph, ac = phi[:b], a[:b]
+        lap(ph, ac)
+        source(levels[step], ph, ac)
+        # the arrival half-kick; lanes joining here keep their own velocity
+        v += (0.5 * dt) * ac[:b0]
+        v = pd[:b]
         v[:, 0] = 0.0
         v[:, -1] = 0.0
         if step % every == 0 or step == n_steps:
             if not np.all(np.isfinite(ph)):
-                raise InstabilityError(f"NaN/Inf detected at t={t}")
-            snapshot(t, ph, v)
-    if dt < 0:
-        times, phis, dots = times[::-1], phis[::-1], dots[::-1]
-    return SpaceTimeSlab(times, grid, phis, dots)
+                raise InstabilityError(f"NaN/Inf detected at t={levels[step]}")
+            snapshot(step, ph, v)
+    return [SpaceTimeSlab(times, grid, phis, dots) for _, times, phis, dots in kept]
 
 
 def evolve_nonlinear(state: FieldState, model: PotentialModel,
@@ -309,7 +304,7 @@ def evolve_nonlinear(state: FieldState, model: PotentialModel,
     def source(_t, f, out):
         out[:, 1:-1] -= model(f[:, 1:-1], 1)
 
-    return _evolve(state.phi, state.phi_dot, state.t, state.grid, state.dx, config, source)
+    return _evolve(state.phi, state.phi_dot, state.t, state.grid, state.dx, config, source)[0]
 
 
 def energy(state: FieldState, model: PotentialModel):
@@ -364,7 +359,7 @@ def zero_mode_drift(params: MultikinkParams, h0: np.ndarray, grid: np.ndarray,
         pairings.append([[inner_product(psi, pair, dx) for psi in (modes.psi0, modes.psi1)]
                          for modes in map(level.zero_modes, range(1, params.K + 1))])
 
-    slab = _evolve(h[0], h[1], t_start, grid, dx, config, source, observe)
+    [slab] = _evolve(h[0], h[1], t_start, grid, dx, config, source, observe)
     return slab, np.array(pairings[::-1] if config.dt < 0 else pairings)
 
 

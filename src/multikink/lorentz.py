@@ -137,8 +137,8 @@ def verify_covariance(params: MultikinkParams, boost: BoostSpec,
     primed construction picks its own. window_t, the window's length in
     t', must be positive and below TRUNCATION_MAX_SPAN: the window ends at
     least 1 before the primed t_final, which the truncation search keeps
-    within that span of the primed T (for delta >= 0.01, whose first span
-    fits under it). Both are checked before either construction.
+    within that span of the primed T. Both are checked before either
+    construction.
     """
     if not window_t > 0:
         raise ConfigError(f"window_t must be positive, got {window_t}")

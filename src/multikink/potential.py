@@ -228,7 +228,9 @@ def find_vacua(model: PotentialModel, tol: float = 1e-12) -> VacuumTable:
 
     Minima of W are bracketed by sign changes of W' on a fine scan grid and
     polished with Brent's method to tol; a minimum counts as a vacuum when
-    W <= VACUUM_ZERO_TOL there. W'' <= tol there raises DegenerateVacuumError.
+    |W| <= VACUUM_ZERO_TOL there. W < -VACUUM_ZERO_TOL there raises
+    ConfigError, as W must be nonnegative, and W'' <= tol there raises
+    DegenerateVacuumError.
     One Newton step on W' with the exact W'' then takes each root from
     Brent's tol to the nearest double, such as 0, 2 pi and 4 pi exactly.
     """
@@ -243,8 +245,12 @@ def find_vacua(model: PotentialModel, tol: float = 1e-12) -> VacuumTable:
     for i in np.nonzero((w1[:-1] < 0.0) & (w1[1:] >= 0.0))[0]:
         root = brentq(lambda p: float(model(p, 1)), xs[i], xs[i + 1],
                       xtol=tol, rtol=8.881784197001252e-16)
-        if float(model(root, 0)) > VACUUM_ZERO_TOL:
+        w = float(model(root, 0))
+        if w > VACUUM_ZERO_TOL:
             continue  # positive local minimum, not a vacuum
+        if w < -VACUUM_ZERO_TOL:
+            raise ConfigError(f"W = {w:.6g} < 0 at its minimum phi = {root:.6g}; "
+                              "W must be nonnegative, zero at the vacua")
         curv = float(model(root, 2))
         if curv <= tol:
             raise DegenerateVacuumError(

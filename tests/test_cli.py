@@ -365,6 +365,10 @@ NAMED = [
      + "energy_drift = false\nzero_modes = false\ncovariance = false\n", "[grid] t_end"),
     ("kink", "kind = sine_gordon", "kind = custom\nform = cubic\ncoeffs = 1, 0, -2, 0, 1",
      "[potential] form must be 'poly' or 'trig'"),
+    ("construct", "x_min = -25\nx_max = 25", "x_min = -4\nx_max = 4",
+     "no point of the grid [-4, 4] lies 5 clear of both ends"),
+    ("kink", "kind = sine_gordon", "kind = custom\ncoeffs = -0.5, 0, -2, 0, 1",
+     "W = -1.5 < 0 at its minimum"),
 ]
 
 
@@ -403,7 +407,7 @@ NAMED = [
         "profile_dx-1e-300", "half_width-1e308", "snapshot_dt-1e-300", "t_end-1e308",
         "delta-1e308", "window_t0", "window_t-negative", "window_t-1e308",
         "construct-kink-off-x_min0", "cfl-negative", "cfl0", "cfl5", "coercivity-t_end-1e308",
-        "custom-form-cubic"])
+        "custom-form-cubic", "construct-grid-inside-residual-margins", "custom-negative-minimum"])
 def test_invalid_input_exit_2(tmp_path, capsys, monkeypatch, command, old, new, args):
     # vacuum labels outside the table, non-finite numbers, a zero spectrum
     # step or half width, a one-point spectrum grid, more eigenpairs than
@@ -417,9 +421,10 @@ def test_invalid_input_exit_2(tmp_path, capsys, monkeypatch, command, old, new, 
     # or not below the truncation span cap, a kink off the construction's
     # grid at T (x_min = 0 with the kink at -0.4), a Courant ratio outside
     # (0, MAX_COURANT], a t_end that moves a kink off the grid of the
-    # coercivity sample and a custom potential form other than poly or trig
-    # are config errors, none of them found by a construction of the
-    # covariance check
+    # coercivity sample, a custom potential form other than poly or trig, a
+    # construction grid with no point 5 (RESIDUAL_MARGIN) clear of both ends
+    # and a potential whose minima lie below zero are config errors, none of
+    # them found by a construction of the covariance check
     def no_construction(*_args, **_kwargs):
         raise AssertionError("the covariance check constructed")
 

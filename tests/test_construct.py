@@ -100,8 +100,8 @@ def test_solve_backward_zero_forcing(sg, small_cfg):
     model, table = sg
     params = ansatz.make_params(model, table, (0, 1), (0.2,), (0.0,))
     zero = np.zeros_like(small_cfg.grid)
-    slab = construct.solve_backward(params, lambda _t, _level, _h: (None, zero), 2.0, 12.0,
-                                    small_cfg)
+    [slab] = construct.solve_backward(params, lambda _t, _level, _h: (None, zero), 2.0, 12.0,
+                                      small_cfg)
     assert np.max(np.abs(slab.phis)) == 0.0
     assert slab.times[0] == pytest.approx(2.0)
     assert slab.times[-1] == pytest.approx(12.0)
@@ -115,7 +115,7 @@ def test_solve_backward_apriori_bound(phi4):
     for dx in (0.1, 0.05):
         cfg = construct.SolverConfig(x_min=-25.0, x_max=25.0, dx=dx)
         bump = np.exp(-0.5 * (cfg.grid - 1.0) ** 2)
-        h = construct.solve_backward(
+        [h] = construct.solve_backward(
             params, lambda t, _level, _h: (None, math.exp(-t) * bump), 1.0, 25.0, cfg)
         f_slab = SpaceTimeSlab(h.times, cfg.grid,
                                np.array([math.exp(-t) * bump for t in h.times]),
@@ -126,8 +126,8 @@ def test_solve_backward_apriori_bound(phi4):
 
 def test_solve_backward_truncation_insensitive(sg2_params):
     cfg = construct.SolverConfig(x_min=-34.0, x_max=34.0, dx=0.05)
-    h1 = construct.solve_backward(sg2_params, _free_forcing, 16.0, 48.0, cfg)
-    h2 = construct.solve_backward(sg2_params, _free_forcing, 16.0, 80.0, cfg)
+    [h1] = construct.solve_backward(sg2_params, _free_forcing, 16.0, 48.0, cfg)
+    [h2] = construct.solve_backward(sg2_params, _free_forcing, 16.0, 80.0, cfg)
     worst = 0.0
     for t in np.linspace(16.0, 46.0, 31):
         worst = max(worst, float(np.max(np.abs(h1.phi_at(t) - h2.phi_at(t)))))
@@ -147,8 +147,8 @@ def test_stability_constant_across_parameters(sg):
         def forcing(t, v=v, a=a):
             return math.exp(-t) * np.exp(-0.5 * (cfg.grid - v * t - a - 1.0) ** 2)
 
-        h = construct.solve_backward(params, lambda t, _level, _h: (None, forcing(t)),
-                                     1.0, 25.0, cfg)
+        [h] = construct.solve_backward(params, lambda t, _level, _h: (None, forcing(t)),
+                                       1.0, 25.0, cfg)
         f_slab = SpaceTimeSlab(h.times, cfg.grid,
                                np.array([forcing(t) for t in h.times]),
                                np.zeros((len(h.times), len(cfg.grid))))
@@ -180,7 +180,7 @@ def test_solve_backward_lands_on_t_start(sg2_params):
     dt, _ = cfg.plan(0.5, 3.6)
     n, step = evolve.step_plan(0.5 - 3.6, -dt, "steps")
     assert 3.6 + n * step != 0.5
-    slab = construct.solve_backward(sg2_params, _free_forcing, 0.5, 3.6, cfg)
+    [slab] = construct.solve_backward(sg2_params, _free_forcing, 0.5, 3.6, cfg)
     assert slab.times[0] == 0.5
     assert slab.times[-1] == 3.6
 
@@ -192,7 +192,7 @@ DELTA = 0.31
 def _sweep_setup(sg2_params):
     """A dx = 0.1 grid and the first iterate R N(0) on [16, 24]."""
     cfg = construct.SolverConfig(x_min=-34.0, x_max=34.0, dx=0.1)
-    g = construct.solve_backward(sg2_params, _free_forcing, 16.0, 24.0, cfg)
+    [g] = construct.solve_backward(sg2_params, _free_forcing, 16.0, 24.0, cfg)
     return cfg, g
 
 
@@ -200,7 +200,7 @@ def _sequential_solve(params, g, cfg):
     """One Picard iterate on its own: R N(g), g read through g.phi_at."""
     return construct.solve_backward(
         params, lambda t, level, _h: (None, construct.nonlinearity(level, g.phi_at(t))),
-        16.0, 24.0, cfg)
+        16.0, 24.0, cfg)[0]
 
 
 def _observed(call, record):
@@ -209,13 +209,13 @@ def _observed(call, record):
     solve = construct.solve_backward
 
     def recording(*args):
-        *head, observe = args
+        *head, observe, keep = args
 
         def both(t, h, h_t):
             record(t, h.copy(), h_t.copy())
             observe(t, h, h_t)
 
-        return solve(*head, both)
+        return solve(*head, both, keep)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(construct, "solve_backward", recording)
@@ -398,7 +398,7 @@ def test_window_gaps_match_standalone_probes(sg2_params, n_grid):
     # every common snapshot time
     cfg, gaps, _ = _window_setup(sg2_params, n_grid)
     probes = [construct.solve_backward(sg2_params, _free_forcing, 16.0, 16.0 + span,
-                                       cfg) for span in (1.0, 2.0, 4.0)]
+                                       cfg)[0] for span in (1.0, 2.0, 4.0)]
     for (gap, scale), short, long_ in zip(gaps, probes, probes[1:]):
         n = len(short)
         assert np.array_equal(short.times, long_.times[:n])
@@ -429,10 +429,8 @@ def test_window_lanes_match_standalone_solves(sg2_params):
             # each candidate keeps its chain's last lane and its increments
             slab, norms = cands[int(span) - 1]
             assert np.all(np.diff(slab.times) > 0)
-            if span > 1.0:
-                # a longer candidate's lane is written in place from the end,
-                # not gathered and reversed (the shortest is the sweep's slab)
-                assert slab.phis.flags.c_contiguous and slab.phi_dots.flags.c_contiguous
+            # the lane is written in place from the end, not gathered and reversed
+            assert slab.phis.flags.c_contiguous and slab.phi_dots.flags.c_contiguous
             assert np.array_equal(slab.times, last.times)
             assert np.array_equal(slab.phis, last.phis)
             assert np.array_equal(slab.phi_dots, last.phi_dots)
@@ -517,6 +515,54 @@ def test_truncation_gaps_are_corrected_to_the_limit(sg2_params, monkeypatch):
                                                                       [64.0], False)
 
 
+@pytest.mark.parametrize("snapshot_dt, span", [(0.25, 400.0), (0.3, 0.3 * 1333)])
+def test_truncation_first_span_is_capped(sg2_params, monkeypatch, snapshot_dt, span):
+    # at delta = 0.005 the first span 4/delta = 800 passes the cap of 400:
+    # it is cut to the largest multiple of snapshot_dt not above the cap,
+    # whose window is the capped last one, its one probe accepted with a
+    # warning
+    cfg = construct.SolverConfig(x_min=-34.0, x_max=34.0, dx=0.1, snapshot_dt=snapshot_dt)
+    windows = []
+
+    def fake(params, config, T, tops, n_cand, lanes, delta, g=None):
+        spans = [top - T for top in tops]
+        windows.append((spans, n_cand))
+        return [], [(f"iterate {c}", [c]) for c in spans[:n_cand]]
+
+    monkeypatch.setattr(construct, "_sweep", fake)
+    with pytest.warns(UserWarning, match="cap"):
+        out = construct.choose_final_time(sg2_params, cfg, T=16.0, delta=0.005)
+    assert windows == [([span], 1)]
+    assert span <= construct.TRUNCATION_MAX_SPAN < span + snapshot_dt
+    assert (out.t_final, out.iterate, out.tests, out.capped) == (16.0 + span, f"iterate {span}",
+                                                                 [], True)
+
+
+def test_truncation_refuses_a_snapshot_step_above_the_cap(sg2_params, monkeypatch):
+    # no multiple of snapshot_dt = 500 lies within the cap of 400
+    def no_sweep(*_args, **_kwargs):
+        raise AssertionError("a sweep ran")
+
+    monkeypatch.setattr(construct, "_sweep", no_sweep)
+    cfg = construct.SolverConfig(x_min=-34.0, x_max=34.0, dx=0.1, snapshot_dt=500.0)
+    with pytest.raises(ConfigError, match="snapshot_dt = 500 leaves no truncation probe"):
+        construct.choose_final_time(sg2_params, cfg, T=16.0, delta=0.31)
+
+
+def test_fixed_point_refuses_a_grid_inside_the_residual_margins(sg2_params, monkeypatch):
+    # the residual skips RESIDUAL_MARGIN = 5 at either end: [-4.9, 4.9] has
+    # no point left and is refused before any solve; on [-5, 5] x = 0 is left
+    def no_solve(*_args, **_kwargs):
+        raise AssertionError("a backward solve ran")
+
+    monkeypatch.setattr(construct, "solve_backward", no_solve)
+    for half, err, match in ((4.9, ConfigError, "lies 5 clear of both ends"),
+                             (5.0, AssertionError, "a backward solve ran")):
+        cfg = construct.SolverConfig(x_min=-half, x_max=half, dx=0.1)
+        with pytest.raises(err, match=match):
+            construct.fixed_point(sg2_params, cfg, T=1.0, delta=0.31, max_iter=1)
+
+
 def test_fixed_point_refuses_a_kink_off_the_grid(sg2_params, monkeypatch):
     # at T = 16 the kinks sit at -4.8 and 4.8: a grid that leaves either out
     # is refused before any solve, with T given or found by the scan
@@ -591,10 +637,10 @@ def test_solve_backward_slab_forcing_matches_spline(sg2_params, small_cfg):
     phis = gaussian_bumps(small_cfg.grid, rng) * np.exp(-0.5 * times)[:, None]
     slab = SpaceTimeSlab(times, small_cfg.grid, phis, -0.5 * phis)
     spline = CubicHermiteSpline(times, phis, -0.5 * phis, axis=0)
-    a = construct.solve_backward(sg2_params, lambda t, _level, _h: (None, slab.phi_at(t)),
-                                 16.0, 20.0, small_cfg)
-    b = construct.solve_backward(sg2_params, lambda t, _level, _h: (None, spline(t)),
-                                 16.0, 20.0, small_cfg)
+    [a] = construct.solve_backward(sg2_params, lambda t, _level, _h: (None, slab.phi_at(t)),
+                                   16.0, 20.0, small_cfg)
+    [b] = construct.solve_backward(sg2_params, lambda t, _level, _h: (None, spline(t)),
+                                   16.0, 20.0, small_cfg)
     for x, y in ((a.phis, b.phis), (a.phi_dots, b.phi_dots)):
         assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(y))
 

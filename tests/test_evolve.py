@@ -179,9 +179,9 @@ def test_leapfrog_snapshot_schedule(n_steps, every, steps):
     def source(_t, _f, out):
         out[:] = 0.0
 
-    slab = evolve._evolve(phi0, pd0, 5.0, np.arange(9.0), 1.0,
-                          evolve.EvolveConfig(dt=0.125, t_end=5.0 + n_steps * 0.125,
-                                              snapshot_every=every), source)
+    [slab] = evolve._evolve(phi0, pd0, 5.0, np.arange(9.0), 1.0,
+                            evolve.EvolveConfig(dt=0.125, t_end=5.0 + n_steps * 0.125,
+                                                snapshot_every=every), source)
     steps = np.array(steps)
     assert np.array_equal(slab.times, 5.0 + steps * 0.125)
     assert slab.phis.shape == slab.phi_dots.shape == (len(steps), 9)
@@ -194,7 +194,7 @@ def test_leapfrog_snapshot_schedule(n_steps, every, steps):
 @pytest.mark.parametrize("dt", [0.05, -0.05])
 def test_lanes_match_single_lane_runs(sg, dt):
     # three lanes, each with its own initial data and forcing amplitude;
-    # every lane is the single-lane run bit for bit
+    # every lane is the single-lane run bit for bit, as observed and as kept
     model, _ = sg
     grid = np.arange(-20.0, 20.0 + 1e-9, 0.1)
     rng = np.random.default_rng(5)
@@ -204,23 +204,36 @@ def test_lanes_match_single_lane_runs(sg, dt):
     bump = np.exp(-grid**2)
     cfg = evolve.EvolveConfig(dt=dt, t_end=1.0 + 3.0 * np.sign(dt), snapshot_every=7)
 
-    def run(lanes, observe=None):
+    def run(lanes, observe=None, keep=(-1,)):
         def source(t, f, out):
             out[:, 1:-1] -= model(f[:, 1:-1], 1)
             out[:, 1:-1] += amps[lanes, None] * math.cos(t) * bump[1:-1]
-        return evolve._evolve(phi0[lanes], pd0[lanes], 1.0, grid, 0.1, cfg, source, observe)
+        return evolve._evolve(phi0[lanes], pd0[lanes], 1.0, grid, 0.1, cfg, source, observe,
+                              keep=keep)
 
     seen = []
-    last = run(slice(0, 3), lambda t, f, fd: seen.append((t, f.copy(), fd.copy())))
+    kept = run(slice(0, 3), lambda t, f, fd: seen.append((t, f.copy(), fd.copy())), range(3))
     order = slice(None) if dt > 0 else slice(None, None, -1)
     times = np.array([t for t, _, _ in seen])[order]
-    for j in range(3):
-        single = run(slice(j, j + 1))
+    for j, lane in enumerate(kept):
+        [single] = run(slice(j, j + 1))
         assert np.array_equal(single.times, times)
         assert np.array_equal(single.phis, np.array([f[j] for _, f, _ in seen])[order])
         assert np.array_equal(single.phi_dots, np.array([fd[j] for _, _, fd in seen])[order])
-    assert np.array_equal(last.phis, single.phis)
-    assert np.array_equal(last.phi_dots, single.phi_dots)
+        _assert_kept_as(lane, single)
+    # the last lane by default
+    [last] = run(slice(0, 3))
+    _assert_kept_as(last, single)
+
+
+def _assert_kept_as(lane, single):
+    """lane, a kept slab, is the single-lane run bit for bit, written in
+    place in increasing time."""
+    assert np.array_equal(lane.times, single.times)
+    assert np.all(np.diff(lane.times) > 0)
+    assert np.array_equal(lane.phis, single.phis)
+    assert np.array_equal(lane.phi_dots, single.phi_dots)
+    assert lane.phis.flags.c_contiguous and lane.phi_dots.flags.c_contiguous
 
 
 def test_joined_lanes_match_runs_from_their_start(sg):
@@ -236,25 +249,26 @@ def test_joined_lanes_match_runs_from_their_start(sg):
     bump = np.exp(-grid**2)
     cfg = evolve.EvolveConfig(dt=-0.0625, t_end=-2.0, snapshot_every=8)
 
-    def run(lanes, t0, observe=None, starts=None):
+    def run(lanes, t0, observe=None, starts=None, keep=(-1,)):
         def source(t, f, out):
             out[:, 1:-1] -= model(f[:, 1:-1], 1)
             out[:, 1:-1] += amps[lanes][:len(f), None] * math.cos(t) * bump[1:-1]
         return evolve._evolve(phi0[lanes], pd0[lanes], t0, grid, 0.1, cfg, source, observe,
-                              starts)
+                              starts, keep)
 
     seen = {}
-    last = run(slice(0, 3), 1.0, lambda t, f, fd: seen.setdefault(t, (f.copy(), fd.copy())),
-               [1.0, 0.0, -1.0])
+    kept = run(slice(0, 3), 1.0, lambda t, f, fd: seen.setdefault(t, (f.copy(), fd.copy())),
+               [1.0, 0.0, -1.0], range(3))
     assert [len(f) for f, _ in seen.values()] == [1, 1, 2, 2, 3, 3, 3]
-    for j, t0 in enumerate((1.0, 0.0, -1.0)):
-        single = run(slice(j, j + 1), t0)
-        lane = [seen[t] for t in single.times]
-        assert np.array_equal(single.phis, np.array([f[j] for f, _ in lane]))
-        assert np.array_equal(single.phi_dots, np.array([fd[j] for _, fd in lane]))
-    assert np.array_equal(last.times, single.times)
-    assert np.array_equal(last.phis, single.phis)
-    assert np.array_equal(last.phi_dots, single.phi_dots)
+    for j, (t0, lane) in enumerate(zip((1.0, 0.0, -1.0), kept)):
+        [single] = run(slice(j, j + 1), t0)
+        observed = [seen[t] for t in single.times]
+        assert np.array_equal(single.phis, np.array([f[j] for f, _ in observed]))
+        assert np.array_equal(single.phi_dots, np.array([fd[j] for _, fd in observed]))
+        _assert_kept_as(lane, single)
+    # the last lane by default
+    [last] = run(slice(0, 3), 1.0, starts=[1.0, 0.0, -1.0])
+    _assert_kept_as(last, single)
     # starts off the levels, off the snapshots or out of order are refused
     for starts in ([1.0, 0.03, -1.0], [1.0, 0.0625, -1.0], [1.0, -1.0, 0.0], [0.0, 0.0, -1.0]):
         with pytest.raises(ConfigError):

@@ -128,6 +128,14 @@ def test_positive_local_minimum_not_a_vacuum():
         find_vacua(lifted)
 
 
+def test_negative_minimum_refused():
+    # W = (1 - p^2)^2 - 1.5 has the minima of phi^4 with W = -1.5 there; W
+    # must be nonnegative, so neither is taken for a vacuum
+    lowered = PotentialModel.custom_poly([-0.5, 0.0, -2.0, 0.0, 1.0])
+    with pytest.raises(ConfigError, match=r"W = -1.5 < 0 at its minimum phi = -1"):
+        find_vacua(lowered)
+
+
 def test_validate_chain(sg, phi4, phi6):
     _, sg_table3 = sg
     assert validate_chain(sg_table3, (0, 1, 2)).labels == (0, 1, 2)
