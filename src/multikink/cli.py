@@ -195,6 +195,7 @@ def cmd_verify(cfg: ExperimentConfig, out: Path, seed: int) -> None:
             "max_drift": float(np.max(np.abs(energies[:, 0] - energies[0, 0]))),
             "sector": list(evolve.detect_sector(slab.state(len(slab) - 1), params.table)),
         }
+        del slab, energies  # read out: free them before the constructions below
 
     if checks["zero_modes"]:
         t0 = max(cfg.t_start(), 1.0)

@@ -110,10 +110,17 @@ def _forcing_norm(params: MultikinkParams, t: float, grid: np.ndarray, dx: float
 
 
 def default_start_time(params: MultikinkParams, grid: np.ndarray) -> float:
-    """First time of the scan 0.5, 1.0, ..., 200 with |N(0)(t)|_{L2} <=
-    START_THRESHOLD; the scan stops there. If no time qualifies, warns and
-    returns the scanned time of the smallest norm."""
-    times = np.arange(0.5, 200.0 + 1e-9, 0.5)
+    """First time of the scan t_x + 0.5, t_x + 1, ..., t_x + 200 with
+    |N(0)(t)|_{L2} <= START_THRESHOLD; the scan stops there. t_x, the last
+    time two adjacent kink paths cross, or 0 if none crosses after 0, keeps
+    the scan off kinks in the wrong order, where N(0) can be small before
+    it grows; a t_x that is not finite raises ConfigError. If no time
+    qualifies, warns and returns the scanned time of the smallest norm."""
+    v, a = params.velocities, params.shifts
+    t_cross = max([0.0, *((a[k] - a[k + 1]) / (v[k + 1] - v[k]) for k in range(params.K - 1))])
+    if not math.isfinite(t_cross):
+        raise ConfigError(f"the kink paths cross at t = {t_cross:g}")
+    times = t_cross + np.arange(0.5, 200.0 + 1e-9, 0.5)
     dx = grid[1] - grid[0]
     norms = []
     for t in times:
@@ -407,8 +414,9 @@ def fixed_point(params: MultikinkParams, config: SolverConfig,
     min(PICARD_LANES, max_iter - 1) of them, after which the sweeps go on
     from the last. max_iter < 1, tol <= 0 or not finite, delta <= 0, a grid
     with no point RESIDUAL_MARGIN clear of both ends (where the residual is
-    measured), a g0 without T and t_final or off their lattice, and a kink
-    centre v_k T + a_k off the grid raise ConfigError before any solve. The
+    measured), a g0 without T and t_final or off their lattice, a kink
+    centre v_k T + a_k off the grid and kink centres at T that do not
+    increase raise ConfigError before any solve. The
     report's edge_ratio is edge_ratio(Psi), and a ratio above
     EDGE_RATIO_MAX warns that the grid may cut the solution.
     """
@@ -432,10 +440,14 @@ def fixed_point(params: MultikinkParams, config: SolverConfig,
             raise ConfigError(f"g0 must hold {n_snap} snapshots on the solver grid")
     if T is None:
         T = default_start_time(params, grid)
-    for k, x in enumerate(params.centres(T), start=1):
+    centres = params.centres(T)
+    for k, x in enumerate(centres, start=1):
         if not grid[0] < x < grid[-1]:
             raise ConfigError(f"kink {k} sits at x = {x:g} at T = {T:g}, off the grid "
                               f"[{grid[0]:g}, {grid[-1]:g}] the construction solves on")
+        if k > 1 and not centres[k - 2] < x:
+            raise ConfigError(f"kink {k} sits at x = {x:g} at T = {T:g}, not right of kink "
+                              f"{k - 1} at {centres[k - 2]:g}: their paths cross after T")
     if delta is None:
         try:
             eta = fitted_forcing_rate(params, grid, T)

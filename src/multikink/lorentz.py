@@ -4,11 +4,11 @@ and the covariance check construct-then-boost vs boost-then-construct."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ansatz import AnsatzLevel, FieldState, MultikinkParams, multikink
+from .ansatz import AnsatzLevel, FieldState, MultikinkParams
 from .construct import TRUNCATION_MAX_SPAN, SolverConfig, fixed_point, suggest_domain
 from .errors import ConfigError, CoverageError
 from .evolve import EvolveConfig, SpaceTimeSlab, evolve_nonlinear
@@ -97,17 +97,6 @@ def boost_field(slab: SpaceTimeSlab, boost: BoostSpec, t_prime: float,
     return FieldState(t=float(t_prime), grid=grid_prime, phi=phi, phi_dot=phi_dot)
 
 
-def ansatz_plus_error_slab(params: MultikinkParams, psi: SpaceTimeSlab) -> SpaceTimeSlab:
-    """Full-field slab H + Psi from an error slab."""
-    phis = np.empty_like(psi.phis)
-    dots = np.empty_like(psi.phi_dots)
-    for i, t in enumerate(psi.times):
-        state = multikink(params, t, psi.grid)
-        phis[i] = state.phi + psi.phis[i]
-        dots[i] = state.phi_dot + psi.phi_dots[i]
-    return SpaceTimeSlab(psi.times, psi.grid, phis, dots)
-
-
 def extend_backward(slab: SpaceTimeSlab, model, t_min: float,
                     config: SolverConfig) -> SpaceTimeSlab:
     """Prepend snapshots down to t_min by evolving the earliest stored state
@@ -145,13 +134,16 @@ def verify_covariance(params: MultikinkParams, boost: BoostSpec,
     if window_t >= TRUNCATION_MAX_SPAN:
         raise ConfigError("window_t must be below the truncation span cap "
                           f"{TRUNCATION_MAX_SPAN:g}, got {window_t:g}")
-    psi, rep = fixed_point(params, config, **settings)
-    field = ansatz_plus_error_slab(params, psi)
+    # the field H + Psi, built in the arrays of Psi, which nothing else holds
+    field, rep = fixed_point(params, config, **settings)
+    for i, t in enumerate(field.times):
+        level = AnsatzLevel(params, t, field.grid)
+        field.phis[i] += level.H
+        field.phi_dots[i] += level.H_t
 
     params_p = boost_params(params, boost)
     lo, hi = suggest_domain(params_p, rep.t_final)
-    config_p = SolverConfig(x_min=lo, x_max=hi, dx=config.dx, cfl=config.cfl,
-                            snapshot_dt=config.snapshot_dt)
+    config_p = replace(config, x_min=lo, x_max=hi)
     psi_p, rep_p = fixed_point(params_p, config_p, tol=settings["tol"],
                                max_iter=settings["max_iter"])
 

@@ -73,6 +73,14 @@ def sg2_shift_derivatives(sg2_params, sg2_construction):
 
 
 @pytest.fixture(scope="session")
+def sg2_velocity_derivatives(sg2_params, sg2_construction):
+    cfg = sg2_construction["config"]
+    psi = sg2_construction["psi"]
+    return [construct.param_derivative(sg2_params, psi, k, "velocity", cfg)
+            for k in (1, 2)]
+
+
+@pytest.fixture(scope="session")
 def sg2_restart(sg2_params, sg2_construction):
     """Second fixed-point run started from a perturbed admissible iterate."""
     import math

@@ -369,6 +369,9 @@ NAMED = [
      "no point of the grid [-4, 4] lies 5 clear of both ends"),
     ("kink", "kind = sine_gordon", "kind = custom\ncoeffs = -0.5, 0, -2, 0, 1",
      "W = -1.5 < 0 at its minimum"),
+    ("construct", "labels = 0, 1\n\n[multikink]\nvelocities = 0.3\nshifts = 0.0",
+     "labels = 0, 1, 2\n\n[multikink]\nvelocities = -0.3, 0.3\nshifts = 10.0, -10.0",
+     "kink 2 sits at x = -9.4 at T = 2, not right of kink 1 at 9.4"),
 ]
 
 
@@ -407,7 +410,8 @@ NAMED = [
         "profile_dx-1e-300", "half_width-1e308", "snapshot_dt-1e-300", "t_end-1e308",
         "delta-1e308", "window_t0", "window_t-negative", "window_t-1e308",
         "construct-kink-off-x_min0", "cfl-negative", "cfl0", "cfl5", "coercivity-t_end-1e308",
-        "custom-form-cubic", "construct-grid-inside-residual-margins", "custom-negative-minimum"])
+        "custom-form-cubic", "construct-grid-inside-residual-margins", "custom-negative-minimum",
+        "construct-kinks-crossed-at-T"])
 def test_invalid_input_exit_2(tmp_path, capsys, monkeypatch, command, old, new, args):
     # vacuum labels outside the table, non-finite numbers, a zero spectrum
     # step or half width, a one-point spectrum grid, more eigenpairs than
@@ -422,9 +426,10 @@ def test_invalid_input_exit_2(tmp_path, capsys, monkeypatch, command, old, new, 
     # grid at T (x_min = 0 with the kink at -0.4), a Courant ratio outside
     # (0, MAX_COURANT], a t_end that moves a kink off the grid of the
     # coercivity sample, a custom potential form other than poly or trig, a
-    # construction grid with no point 5 (RESIDUAL_MARGIN) clear of both ends
-    # and a potential whose minima lie below zero are config errors, none of
-    # them found by a construction of the covariance check
+    # construction grid with no point 5 (RESIDUAL_MARGIN) clear of both ends,
+    # a potential whose minima lie below zero and a given T before the kink
+    # paths cross (at t = 100/3 for shifts 10, -10) are config errors, none
+    # of them found by a construction of the covariance check
     def no_construction(*_args, **_kwargs):
         raise AssertionError("the covariance check constructed")
 

@@ -733,6 +733,50 @@ def test_default_start_time_without_crossing(sg2_params, monkeypatch):
     assert len(calls) == len(times)
 
 
+def _translated(params, s):
+    """The same multikink translated in time by s: a_k = -v_k s."""
+    return params.with_parameters(params.velocities, [-v * s for v in params.velocities])
+
+
+def test_default_start_time_starts_after_the_kinks_cross(sg2_params):
+    # shifts (10, -10) hold the kinks in the wrong order until they cross
+    # at t = 100/3; |N(0)| is below the threshold at t = 0.5, which a scan
+    # from 0 returned, and then grows
+    grid = np.arange(-34.0, 34.0 + 1e-9, 0.05)
+    s = 100.0 / 3.0
+    moved = _translated(sg2_params, s)
+    assert moved.shifts == (10.0, -10.0)
+    T = construct.default_start_time(sg2_params, grid)
+    assert T == 16.0
+    assert construct.default_start_time(moved, grid) == T + s
+
+
+def test_default_start_time_refuses_a_crossing_past_the_floats(sg2_params, small_cfg):
+    # shifts 2e300 apart on velocities 1.1e-16 apart cross past the largest float
+    far = sg2_params.with_parameters((0.3, 0.3 + 1.1e-16), (1e300, -1e300))
+    with pytest.raises(ConfigError, match="kink paths cross at t = inf"):
+        construct.default_start_time(far, small_cfg.grid)
+
+
+@pytest.mark.slow
+def test_translated_construction_is_the_translated_solution(sg2_params):
+    # the manifold is invariant under time translation: the pair translated
+    # by s gives Psi(t + s). T, delta and t_final are translated, since the
+    # increments' weight e^(delta t) grows by e^(delta s) and the stopping
+    # rule is not translation-invariant. Measured at dx 0.05: 2.30e-15 in
+    # phi and 3.94e-15 in phi_t against max |Psi| 8.6e-4; the bound 2e-14
+    # keeps a margin of 5 over the larger
+    cfg = construct.SolverConfig(x_min=-34.0, x_max=34.0, dx=0.05)
+    s = 100.0 / 3.0
+    psi, rep = construct.fixed_point(sg2_params, cfg, tol=1e-8, max_iter=25)
+    moved, _ = construct.fixed_point(
+        _translated(sg2_params, s), cfg, T=rep.T + s, delta=rep.delta,
+        t_final=rep.t_final + s, tol=1e-8, max_iter=6)
+    assert np.allclose(moved.times - s, psi.times, rtol=0, atol=1e-13)
+    assert np.max(np.abs(moved.phis - psi.phis)) <= 2e-14
+    assert np.max(np.abs(moved.phi_dots - psi.phi_dots)) <= 2e-14
+
+
 def _single_kink_construction(sg, small_cfg):
     model, table = sg
     params = ansatz.make_params(model, table, (0, 1), (0.3,), (0.0,))

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from multikink import ansatz, construct, evolve, lorentz
 from multikink.errors import ConfigError, CoverageError
+from multikink.numerics import derivative
 
 
 def test_boost_spec_validation():
@@ -183,6 +186,53 @@ def test_covariance_two_kinks_window_pulls_back_into_the_slab(sg2_params, v, x0)
         sg2_params, lorentz.BoostSpec(v=v, x0=x0), cfg,
         {"T": None, "delta": None, "t_final": None, "tol": 1e-8, "max_iter": 25})
     assert report["discrepancy"] <= 5e-3  # C9's bar
+
+
+@pytest.mark.slow
+def test_covariance_memory(sg2_params, monkeypatch):
+    # H + Psi is built in the arrays of Psi, not in a copy beside it
+    cfg = construct.SolverConfig(x_min=-34.0, x_max=34.0, dx=0.1)
+    sizes = []
+    real = lorentz.fixed_point
+
+    def recording(*args, **kwargs):
+        psi, rep = real(*args, **kwargs)
+        sizes.append(psi.phis.nbytes + psi.phi_dots.nbytes)
+        return psi, rep
+
+    monkeypatch.setattr(lorentz, "fixed_point", recording)
+    tracemalloc.start()
+    try:
+        lorentz.verify_covariance(
+            sg2_params, lorentz.BoostSpec(v=0.2), cfg,
+            {"T": None, "delta": None, "t_final": None, "tol": 1e-8, "max_iter": 25})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # measured: 5.67 MB against 1.41 MB for the unprimed Psi (4.04x); with
+    # H + Psi copied beside Psi it peaked at 7.04 MB (5.01x)
+    assert peak < 4.5 * sizes[0]
+
+
+@pytest.mark.slow
+def test_infinitesimal_lorentz_identity(sg2_params, sg2_construction, sg2_velocity_derivatives):
+    # the generator of the boosts of boost_params: (x d_t + t d_x) Psi =
+    # sum_k [-(1 - v_k^2) d_{v_k} Psi + v_k a_k d_{a_k} Psi], with every
+    # a_k = 0 here. Measured over [T, T + 12] against max |rhs| 8.68e-3:
+    # 2.20e-7 at dx 0.04 and 5.84e-8 at dx 0.02 (second order); the bound
+    # 2e-7 keeps a margin of 3.4 at dx 0.02. The opposite sign gives 1.74e-2
+    cfg = sg2_construction["config"]
+    rep = sg2_construction["report"]
+    psi = sg2_construction["psi"]
+    worst = opposite = 0.0
+    for i in np.nonzero(psi.times <= rep.T + 12.0 + 1e-9)[0]:
+        lhs = cfg.grid * psi.phi_dots[i] + psi.times[i] * derivative(psi.phis[i], cfg.dx)
+        rhs = -sum((1.0 - v * v) * d.phis[i]
+                   for v, d in zip(sg2_params.velocities, sg2_velocity_derivatives))
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+        opposite = max(opposite, float(np.max(np.abs(lhs + rhs))))
+    assert worst <= 2e-7
+    assert opposite > 1e-2
 
 
 def test_extend_backward_joins_slab(phi4_slab):
