@@ -26,7 +26,7 @@ from .evolve import MAX_COURANT, EvolveConfig, SpaceTimeSlab, _evolve, step_plan
 from .numerics import capped_count, derivative2, fit_log_linear, grid_spacing, integrate_grid
 
 START_THRESHOLD = 1e-3  # T is the first scanned time with |N(0)(T)|_{L2} <= this
-FIT_SPAN = 10.0  # both exponential fits, of |N(0)| and of |Psi|, span [T, T + FIT_SPAN]
+FIT_SPAN = 10.0  # the exponential fit of |Psi| (fitted_decay_rate) spans [T, T + FIT_SPAN]
 TRUNCATION_RTOL = 1e-8  # a probe is stable when its gap is <= this * max(1, scale)
 TRUNCATION_MAX_SPAN = 400.0  # no truncation probe runs past T + this
 RESIDUAL_MARGIN = 5.0  # the residual skips this width at either end of the grid
@@ -132,13 +132,17 @@ def default_start_time(params: MultikinkParams, grid: np.ndarray) -> float:
     return float(times[np.argmin(norms)])
 
 
-def fitted_forcing_rate(params: MultikinkParams, grid: np.ndarray, T: float) -> float:
-    """Exponential decay rate eta of |N(0)(t)| over [T, T + FIT_SPAN]."""
-    times = np.linspace(T, T + FIT_SPAN, 21)
-    dx = grid[1] - grid[0]
-    norms = np.array([_forcing_norm(params, t, grid, dx) for t in times])
-    slope, _, _, _ = fit_log_linear(times, norms)
-    return -slope
+def forcing_rate(params: MultikinkParams) -> float:
+    """Exponential decay rate eta of the free forcing N(0): the min over
+    adjacent kinks k, k+1 of m min(gamma_k, gamma_{k+1}) (v_{k+1} - v_k), m
+    the mass of the vacuum they share, the slower rate at which either
+    kink's tail reaches the other (Manton and Sutcliffe, Topological
+    Solitons, ch. 5). Positive, as the velocities increase. Without a pair
+    N(0) is zero, and eta is the smallest mass, the slowest tail rate."""
+    v, gammas, labels = params.velocities, params.gammas, params.chain.labels
+    rates = (params.table.mass(labels[k + 1]) * min(gammas[k], gammas[k + 1]) * (v[k + 1] - v[k])
+             for k in range(params.K - 1))
+    return float(min(rates, default=min(params.table.masses)))
 
 
 def solve_backward(params: MultikinkParams, terms, t_start: float, t_final: float,
@@ -408,7 +412,7 @@ def fixed_point(params: MultikinkParams, config: SolverConfig,
     first increment below tol.
 
     T defaults to the first time the free forcing N(0) is small, delta to
-    half its fitted decay rate, and the truncation time to the stabilized
+    half its decay rate forcing_rate, and the truncation time to the stabilized
     doubling of choose_final_time. Its windows carry the first iterates
     too: the accepted probe R N(0) and the iterates chained live on it,
     min(PICARD_LANES, max_iter - 1) of them, after which the sweeps go on
@@ -449,15 +453,7 @@ def fixed_point(params: MultikinkParams, config: SolverConfig,
             raise ConfigError(f"kink {k} sits at x = {x:g} at T = {T:g}, not right of kink "
                               f"{k - 1} at {centres[k - 2]:g}: their paths cross after T")
     if delta is None:
-        try:
-            eta = fitted_forcing_rate(params, grid, T)
-        except FitError:
-            # forcing is identically zero (single boosted kinks are exact);
-            # any weight below the slowest tail rate works
-            eta = min(params.table.masses)
-        if eta <= 0:
-            raise NoContractionError("free forcing does not decay; increase T")
-        delta = 0.5 * eta
+        delta = 0.5 * forcing_rate(params)
     report = ConstructReport(T=T, delta=delta, t_final=t_final)
     pending = None  # the next iterate with the weighted norms of its increments
     if t_final is None:

@@ -562,9 +562,9 @@ NARROWED_KEYS = [(command, *key) for command in ("construct", "verify")
 @settings(max_examples=40, deadline=None)
 @given(target=st.sampled_from(NARROWED_KEYS), value=st.sampled_from(EDIT_VALUES))
 # three edits that once ended in a traceback, tried on every run: a % that
-# configparser's interpolation refused, a T at which the forcing fit's
-# sample times all round to T, and a boost origin whose primed domain
-# overflows the grid's point count
+# configparser's interpolation refused, a T at which the sample times of
+# the forcing fit that once chose delta all rounded to T, and a boost
+# origin whose primed domain overflows the grid's point count
 @example(target=("construct", "construct", "tol"), value="50%")
 @example(target=("construct", "construct", "T"), value="1e308")
 @example(target=("verify", "boost", "t0"), value="1e308")

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from multikink.config import ExperimentConfig
 from multikink.errors import ConfigError, FitError, NoContractionError
 from multikink.evolve import SpaceTimeSlab
 from multikink.numerics import derivative2, fit_log_linear, gaussian_bumps, integrate_grid
+from multikink.potential import find_vacua
 
 
 @pytest.fixture(scope="module")
@@ -837,19 +839,54 @@ def test_nonlinearity_trivial_and_decay(sg, sg2_params):
     sup30 = np.max(np.abs(n0(sg2_params, 30.0)))
     sup20 = np.max(np.abs(n0(sg2_params, 20.0)))
     assert sup30 <= sup20 * math.exp(-0.5 * 10.0)
-    eta = construct.fitted_forcing_rate(sg2_params, grid, 16.0)
-    assert 0.5 <= eta <= 0.75  # tail overlap rate ~ gamma (v2 - v1) m
 
 
-def test_fit_needs_an_interval(sg2_params):
-    # at T = 1e308 every sample time of the forcing fit rounds to T: a fit
-    # error (fixed_point then falls back to the slowest tail rate), not an
-    # overflow in np.polyfit
+def _fitted_forcing_rate(params, config):
+    """The rule forcing_rate replaced, kept as its oracle: the decay rate of
+    |N(0)| fitted over 21 times on [T, T + 10] from the automatic T."""
+    T = construct.default_start_time(params, config.grid)
+    times = np.linspace(T, T + 10.0, 21)
+    norms = [construct._forcing_norm(params, t, config.grid, config.dx) for t in times]
+    return -fit_log_linear(times, np.array(norms))[0]
+
+
+# fit / formula - 1 measured on x in [-45, 45], dx 0.05, and each bound about
+# twice that. The fit reads high where two exponentials of close rates blend.
+# In phi6 the shared vacuum has mass sqrt(2) and the outer ones 2 sqrt(2):
+# the outer mass would halve the fit against the formula.
+@pytest.mark.parametrize("kind, velocities, bound", [
+    ("sg", (-0.3, 0.3), 2.5e-4),            # measured -1.19e-4
+    ("sg", (-0.1, 0.1), 1e-3),              # measured -4.84e-4
+    ("sg", (-0.2, 0.6), 3.5e-3),            # measured +1.66e-3
+    ("sg", (-0.4, 0.05, 0.45), 3e-2),       # measured +1.48e-2
+    ("phi6", (-0.2, 0.4), 2.5e-2),          # measured +1.19e-2
+    ("phi6", (-0.5, 0.1), 1.2e-2),          # measured +5.71e-3
+])
+def test_forcing_rate_matches_the_fit(request, kind, velocities, bound):
+    model, table = request.getfixturevalue(kind)
+    if len(velocities) == 3:  # the sine-Gordon chain 0, 2 pi, 4 pi, 6 pi
+        model = replace(model, search_interval=(-1.0, 20.0))
+        table = find_vacua(model)
+    labels = range(len(velocities) + 1)
+    params = ansatz.make_params(model, table, labels, velocities, (0.0,) * len(velocities))
+    config = construct.SolverConfig(x_min=-45.0, x_max=45.0, dx=0.05)
+    eta = construct.forcing_rate(params)
+    assert abs(_fitted_forcing_rate(params, config) / eta - 1.0) <= bound
+
+
+def test_forcing_rate_without_a_pair(sg, phi6):
+    # N(0) of one kink, or of none, is zero: the rate is the smallest mass
+    for model, table in (sg, phi6):
+        for labels, v in (((0, 1), (0.4,)), ((1, 2), (-0.6,)), ((1,), ())):
+            params = ansatz.make_params(model, table, labels, v, (0.3,) * len(v))
+            assert construct.forcing_rate(params) == min(table.masses)
+
+
+def test_fit_needs_an_interval():
+    # sample times that span no interval are a fit error, not an overflow
+    # in np.polyfit
     with pytest.raises(FitError, match="interval"):
         fit_log_linear(np.full(5, 2.0), np.arange(1.0, 6.0))
-    grid = np.arange(-34.0, 34.0 + 1e-9, 0.1)
-    with pytest.raises(FitError, match="interval"):
-        construct.fitted_forcing_rate(sg2_params, grid, 1e308)
 
 
 def test_nonlinearity_quadratic_smallness(sg2_params):
@@ -885,6 +922,9 @@ def test_fixed_point_reference(sg2_construction):
     assert rep.contraction_ratio < 0.5
     assert rep.fitted_decay_rate > 0.0
     assert rep.decay_fit_r2 >= 0.99
+    # Psi decays at the forcing's rate 2 delta: measured 0.628941 against
+    # 0.628971 (4.8e-5 relative)
+    assert rep.fitted_decay_rate == pytest.approx(2.0 * rep.delta, rel=1e-4)
     assert all(b <= a or b < 1e-8 for a, b in
                zip(rep.iterate_norms[1:], rep.iterate_norms[2:]))
 
