@@ -116,14 +116,15 @@ class AnsatzLevel:
         self.params = params
         self.t = float(t)
         self.grid = np.asarray(grid, dtype=float)
+        self.centres = params.centres(self.t)
         self.kinks = [params.profile(k)(params.gammas[k - 1] * self.coord(k))
                       for k in range(1, params.K + 1)]
         self._slopes: dict[int, np.ndarray] = {}
 
     def coord(self, k: int) -> np.ndarray:
-        """y_k = x - v_k t - a_k, the k-th kink's co-moving coordinate."""
-        p = self.params
-        return self.grid - p.velocities[k - 1] * self.t - p.shifts[k - 1]
+        """y_k = x - c_k, the k-th kink's co-moving coordinate, c_k its
+        centre in params.centres(t), read once per level."""
+        return self.grid - self.centres[k - 1]
 
     def slope(self, k: int) -> np.ndarray:
         """Profile derivative H_k' at the k-th kink's argument (1-indexed)."""
@@ -229,15 +230,14 @@ def default_rho(params: MultikinkParams) -> float:
 
 def kink_cutoff(params: MultikinkParams, j: int, t: float, x, rho: float):
     """Smooth bump following the j-th kink: 1 within |u|<=1, 0 for |u|>=2,
-    u = (x - v_j t - a_j) / (rho t). Requires t > 0."""
+    u = (x - c_j) / (rho t), c_j its centre in params.centres(t); t > 0."""
     if t <= 0:
         raise ConfigError("the cutoff is defined for t > 0 only")
     if rho <= 0:
         raise ConfigError("rho must be positive")
     if not 1 <= j <= params.K:
         raise ConfigError(f"kink index {j} outside 1..{params.K}")
-    u = np.abs((np.asarray(x, dtype=float) - params.velocities[j - 1] * t
-                - params.shifts[j - 1]) / (rho * t))
+    u = np.abs((np.asarray(x, dtype=float) - params.centres(t)[j - 1]) / (rho * t))
     val = 1.0 - smoothstep_quintic(u - 1.0)
     return float(val) if val.ndim == 0 else val
 

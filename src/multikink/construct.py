@@ -61,14 +61,15 @@ class SolverConfig:
 
     def plan(self, t_start: float, t_final: float):
         """(dt, snapshot_every) landing exactly on both endpoints with a
-        uniform snapshot cadence. A span that is a whole number of
+        uniform snapshot cadence, snapshot_every the step_plan count of
+        steps of cfl * dx per snapshot_dt. A span that is a whole number of
         snapshot_dt, up to step_plan's slack, keeps that number and steps
         snapshot_dt / every, so all such plans share one step length."""
         span = t_final - t_start
         if span <= 0:
             raise ConfigError("t_final must exceed t_start")
-        every = max(1, math.ceil(capped_count(self.snapshot_dt / (self.cfl * self.dx),
-                                              "steps of cfl * dx per snapshot_dt")))
+        every = step_plan(self.snapshot_dt, self.cfl * self.dx,
+                          "steps of cfl * dx per snapshot_dt")[0]
         n_snap = max(2, step_plan(span, self.snapshot_dt, "snapshots of snapshot_dt")[0])
         if abs(span / self.snapshot_dt - n_snap) <= 1e-9:
             return self.snapshot_dt / every, every
@@ -507,25 +508,15 @@ def fixed_point(params: MultikinkParams, config: SolverConfig,
     return g, report
 
 
-def shift_derivative_of_kink(level: AnsatzLevel, k: int) -> np.ndarray:
-    """d H_k / d a_k = -gamma_k H'(gamma_k (x - v_k t - a_k))."""
-    return -level.params.gammas[k - 1] * level.slope(k)
-
-
-def velocity_derivative_of_kink(level: AnsatzLevel, k: int) -> np.ndarray:
-    """d H_k / d v_k = H'(gamma_k y) (gamma_k^3 v_k y - gamma_k t)."""
-    g, v = level.params.gammas[k - 1], level.params.velocities[k - 1]
-    return level.slope(k) * (g**3 * v * level.coord(k) - g * level.t)
-
-
 def param_derivative(params: MultikinkParams, psi_slab: SpaceTimeSlab, k: int,
                      which: str, config: SolverConfig) -> SpaceTimeSlab:
     """Solve the linear equation for d Psi / d a_k or d Psi / d v_k.
 
     The equation's whole potential is W''(H + Psi), which replaces the
     ansatz's V (never built here), and its right-hand side is
-    -(W''(H + Psi) - W''(H_k)) dH_k, which reads W'' of the k-th kink only;
-    both are evaluated along the stored Psi slab, read between its
+    -(W''(H + Psi) - W''(H_k)) dH_k, which reads W'' of the k-th kink only,
+    dH_k/da_k = -gamma_k H_k' and dH_k/dv_k = H_k' (gamma_k^3 v_k y_k -
+    gamma_k t); both are evaluated along the stored Psi slab, read between its
     snapshots through psi_slab.phi_at, the cubic Hermite interpolant of its
     phi and phi_t, which keeps no state.
     """
@@ -533,11 +524,12 @@ def param_derivative(params: MultikinkParams, psi_slab: SpaceTimeSlab, k: int,
         raise ConfigError("which must be 'shift' or 'velocity'")
     if not 1 <= k <= params.K:
         raise ConfigError(f"kink index {k} outside 1..{params.K}")
-    dkink = shift_derivative_of_kink if which == "shift" else velocity_derivative_of_kink
+    g, v = params.gammas[k - 1], params.velocities[k - 1]
 
     def terms(t, level, _h):
+        dkink = level.slope(k) * (-g if which == "shift" else g**3 * v * level.coord(k) - g * t)
         wpp_full = params.model(level.H + psi_slab.phi_at(t), 2)
-        forcing = -(wpp_full - params.model(level.kinks[k - 1], 2)) * dkink(level, k)
+        forcing = -(wpp_full - params.model(level.kinks[k - 1], 2)) * dkink
         return wpp_full, forcing
 
     return solve_backward(params, terms, float(psi_slab.times[0]),

@@ -100,8 +100,8 @@ def test_evaluator_matches_per_kink_formulas(sg, grid, labels, velocities, shift
             assert np.allclose(got, want, rtol=0.0, atol=1e-13)
         # the zero modes read off the level are the profile formulas bit for bit
         for j in range(1, params.K + 1):
-            g, v, a = params.gammas[j - 1], params.velocities[j - 1], params.shifts[j - 1]
-            y = grid - v * t - a
+            g, v = params.gammas[j - 1], params.velocities[j - 1]
+            y = grid - params.centres(t)[j - 1]
             prof = params.profile(j)
             d1, d2 = prof.deriv(g * y), prof.model(prof(g * y), 1)
             want = (np.stack([d1, -g * v * d2]),

@@ -13,7 +13,8 @@ from multikink import ansatz, construct, evolve
 from multikink.config import ExperimentConfig
 from multikink.errors import ConfigError, FitError, NoContractionError
 from multikink.evolve import SpaceTimeSlab
-from multikink.numerics import derivative2, fit_log_linear, gaussian_bumps, integrate_grid
+from multikink.numerics import (derivative, derivative2, fit_log_linear, gaussian_bumps,
+                                 integrate_grid)
 from multikink.potential import find_vacua
 
 
@@ -777,6 +778,43 @@ def test_translated_construction_is_the_translated_solution(sg2_params):
     assert np.allclose(moved.times - s, psi.times, rtol=0, atol=1e-13)
     assert np.max(np.abs(moved.phis - psi.phis)) <= 2e-14
     assert np.max(np.abs(moved.phi_dots - psi.phi_dots)) <= 2e-14
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("kind, space_bound, time_bound", [
+    ("phi6", 1e-7, 5e-7),    # measured 3.15e-8 and 1.79e-7
+    ("phi4", 4e-8, 2.5e-7),  # measured 1.30e-8 and 7.59e-8
+])
+def test_translation_identities_on_nonintegrable_chains(phi4, kind, space_bound, time_bound):
+    # Psi depends on x and the shifts through x - (v_k t + a_k) only, so
+    # d_x Psi + sum_k d_{a_k} Psi = 0 and d_t Psi = sum_k v_k d_{a_k} Psi at
+    # every snapshot, d_x taken as in C8. The sums with their sign flipped
+    # read about 2 max |Psi_x| and 2 max |Psi_t| (measured 1.50e-3 and
+    # 1.43e-3 on phi6, 4.27e-4 and 4.74e-4 on phi4), so a bound far below
+    # them shows the identities and not a small Psi
+    if kind == "phi6":  # the chain 0, 1, 2 of configs/phi6_construct.cfg
+        cfg = ExperimentConfig(Path(__file__).resolve().parent.parent / "configs"
+                               / "phi6_construct.cfg")
+        model = cfg.build_model()
+        params = cfg.build_params(model, cfg.build_table(model))
+        config, settings = cfg.build_solver_config(), cfg.fixed_point_settings()
+    else:  # the kink-antikink 0, 1, 0 with automatic T, delta and t_final
+        model, table = phi4
+        params = ansatz.make_params(model, table, (0, 1, 0), (-0.2, 0.2), (0.0, 0.0))
+        config, settings = construct.SolverConfig(x_min=-40.0, x_max=40.0, dx=0.04), {"tol": 1e-8}
+    psi, report = construct.fixed_point(params, config, **settings)
+    if kind == "phi4":  # the suite's first kink-antikink construction
+        assert (report.T, report.t_final, len(report.iterate_norms)) == (10.5, 26.5, 4)
+    shifts = [construct.param_derivative(params, psi, k, "shift", config) for k in (1, 2)]
+    worst = np.zeros(4)
+    for i in range(len(psi)):
+        psi_x = derivative(psi.phis[i], config.dx)
+        sum_a = shifts[0].phis[i] + shifts[1].phis[i]
+        sum_va = params.velocities[0] * shifts[0].phis[i] + params.velocities[1] * shifts[1].phis[i]
+        worst = np.maximum(worst, [np.max(np.abs(d)) for d in (
+            psi_x + sum_a, psi.phi_dots[i] - sum_va, psi_x - sum_a, psi.phi_dots[i] + sum_va)])
+    assert worst[0] <= space_bound and worst[1] <= time_bound
+    assert worst[2] >= 1e-4 and worst[3] >= 1e-4
 
 
 def _single_kink_construction(sg, small_cfg):

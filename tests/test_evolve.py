@@ -574,6 +574,17 @@ def test_step_plan_matches_solver_plan():
             n, step = evolve.step_plan(t_start - (t_start + span), -dt, "steps")
             assert n == max(2, math.ceil(span / 0.25)) * every
             assert step == -dt
+    # the steps per snapshot are step_plan's count, its slack included:
+    # snapshot_dt / (cfl dx) one rounding above 7 or 1 keeps 7 or 1 steps,
+    # and one rounding above 13 at the largest Courant ratio keeps 13 steps,
+    # whose dt passes the CFL check's 1e-15 allowance
+    for dx, cfl, snapshot_dt, every, dt in [
+            (0.02, 0.5, 0.07, 7, 0.01), (0.1, 0.7, 0.07, 1, 0.07),
+            (0.02, evolve.MAX_COURANT, 0.25607030284669874, 13, 0.25607030284669874 / 13)]:
+        cfg = SolverConfig(x_min=-10.0, x_max=10.0, dx=dx, cfl=cfl, snapshot_dt=snapshot_dt)
+        assert every == evolve.step_plan(snapshot_dt, cfl * dx, "steps")[0]
+        assert cfg.plan(1.0, 1.0 + 20 * snapshot_dt) == (dt, every)
+        evolve.EvolveConfig(dt=-dt, t_end=0.0, snapshot_every=every).validate(dx)
 
 
 def _old_zero_mode_loop(params, slab, pairings):
