@@ -54,7 +54,8 @@ class MultikinkParams:
     def __post_init__(self):
         K = self.chain.K
         if len(self.velocities) != K or len(self.shifts) != K:
-            raise ConfigError("velocities and shifts must have one entry per kink")
+            raise ConfigError(f"one velocity and one shift per kink: {K} kinks, got "
+                              f"{len(self.velocities)} velocities and {len(self.shifts)} shifts")
         v = self.velocities
         if any(not -1.0 < vi < 1.0 for vi in v):
             raise ConfigError("velocities must lie in (-1, 1)")

@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from . import ansatz, construct, evolve, kink, lorentz, spectral
 from .config import ExperimentConfig
-from .errors import ConfigError, MultikinkError, NumericsError
+from .errors import ConfigError, NumericsError
 from .numerics import capped_count, random_pair_field, require_finite
 
 
@@ -257,9 +257,6 @@ def main(argv=None) -> int:
         return 2
     except NumericsError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except MultikinkError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 3
     return 0
 

@@ -157,8 +157,10 @@ class ExperimentConfig:
         if interval is not None and len(interval) != 2:
             raise ConfigError(f"[potential] search_interval needs two values, got {len(interval)}")
         given = {} if interval is None else {"search_interval": tuple(interval)}
-        if kind in ("phi4", "phi6", "sine_gordon"):
-            return dataclasses.replace(PotentialModel.builtin(kind), **given)
+        kinds = {"phi4": PotentialModel.phi4, "phi6": PotentialModel.phi6,
+                 "sine_gordon": PotentialModel.sine_gordon}  # the built-in potentials
+        if kind in kinds:
+            return dataclasses.replace(kinds[kind](), **given)
         if kind == "custom":
             form = self.get_str("potential", "form", default="poly")
             coeffs = self.get_floats("potential", "coeffs", required=True)
@@ -170,7 +172,7 @@ class ExperimentConfig:
                 sin_coeffs = self.get_floats("potential", "sin_coeffs", default=[])
                 return PotentialModel.custom_trig(coeffs, sin_coeffs, **given)
             raise ConfigError(f"[potential] form must be 'poly' or 'trig', got {form!r}")
-        raise ConfigError(f"[potential] kind must be phi4, phi6, sine_gordon or custom, got {kind!r}")
+        raise ConfigError(f"[potential] kind must be {', '.join(kinds)} or custom, got {kind!r}")
 
     def build_table(self, model: PotentialModel):
         tol = self.get_float("potential", "vacuum_tol", default=1e-12)
@@ -180,10 +182,6 @@ class ExperimentConfig:
         labels = self.get_ints("chain", "labels", required=True)
         velocities = self.get_floats("multikink", "velocities", default=[])
         shifts = self.get_floats("multikink", "shifts", default=[])
-        if len(velocities) != len(labels) - 1 or len(shifts) != len(labels) - 1:
-            raise ConfigError(
-                f"chain with {len(labels)} labels needs {len(labels) - 1} velocities and shifts; "
-                f"got {len(velocities)} and {len(shifts)}")
         return make_params(model, table, labels, velocities, shifts,
                            **self.profile_settings())
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .ansatz import AnsatzLevel, MultikinkParams, energy_norm_sq
 from .errors import ConfigError, FitError, NoContractionError
-from .evolve import MAX_COURANT, EvolveConfig, SpaceTimeSlab, _evolve, step_plan
+from .evolve import MAX_COURANT, STEP_SLACK, EvolveConfig, SpaceTimeSlab, _evolve, step_plan
 from .numerics import capped_count, derivative2, fit_log_linear, grid_spacing, integrate_grid
 
 START_THRESHOLD = 1e-3  # T is the first scanned time with |N(0)(T)|_{L2} <= this
@@ -71,7 +71,7 @@ class SolverConfig:
         every = step_plan(self.snapshot_dt, self.cfl * self.dx,
                           "steps of cfl * dx per snapshot_dt")[0]
         n_snap = max(2, step_plan(span, self.snapshot_dt, "snapshots of snapshot_dt")[0])
-        if abs(span / self.snapshot_dt - n_snap) <= 1e-9:
+        if abs(span / self.snapshot_dt - n_snap) <= STEP_SLACK:
             return self.snapshot_dt / every, every
         return span / (n_snap * every), every
 
@@ -83,8 +83,8 @@ def _check_delta(delta: float):
 
 def _weighted_sup(times: np.ndarray, norms: np.ndarray, T: float, delta: float):
     """Per column of norms (one row per time): max over the times >= T of
-    e^{delta t} * norm. A weight past the largest float raises ConfigError."""
-    _check_delta(delta)
+    e^{delta t} * norm, delta > 0 checked by the caller. A weight past the
+    largest float raises ConfigError."""
     mask = times >= T - 1e-9
     if not np.any(mask):
         raise ConfigError("slab has no snapshots at or after T")
@@ -97,6 +97,7 @@ def _weighted_sup(times: np.ndarray, norms: np.ndarray, T: float, delta: float):
 def weighted_norm(slab: SpaceTimeSlab, T: float, delta: float) -> float:
     """sup over snapshots t >= T of e^{delta t} * |(g, g_t)(t)|, the H^1 x
     L^2 norm."""
+    _check_delta(delta)
     return float(_weighted_sup(slab.times, slab.energy_norms()[:, None], T, delta)[0])
 
 
@@ -315,9 +316,9 @@ def choose_final_time(params: MultikinkParams, config: SolverConfig, T: float,
     4s, none past the cap, all candidates, and if no test passes its
     longest probe is accepted with a warning. The accepted probe is R N(0)
     on [T, t_final], the first fixed-point iterate, and the `lanes`
-    iterates chained on it are the next ones.
+    iterates chained on it are the next ones. delta > 0 is fixed_point's
+    check.
     """
-    _check_delta(delta)
     step = config.snapshot_dt
     span, reach = (step * step_plan(t, step, "snapshots of snapshot_dt")[0]
                    for t in (max(16.0, 4.0 / delta), 2.0 / delta))

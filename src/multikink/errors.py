@@ -1,7 +1,7 @@
 """Exception hierarchy shared by all modules.
 
-ConfigError maps to CLI exit code 2, NumericsError (and subclasses) to
-exit code 3.
+ConfigError maps to CLI exit code 2, NumericsError to exit code 3; every
+other class subclasses exactly one of the two.
 """
 
 

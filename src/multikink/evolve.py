@@ -29,13 +29,15 @@ from .potential import PotentialModel, VacuumTable
 
 STABLE_FRACTION = 0.97  # leapfrog runs keep (4 + 4 blend/3) (dt/dx)^2 <= 4 * this
 MAX_COURANT = math.sqrt(STABLE_FRACTION)  # the largest |dt|/dx keeping it: blend 0
+STEP_SLACK = 1e-9  # step_plan's rounding slack in steps, the Courant bound's relative slack
 
 
 @dataclass
 class EvolveConfig:
-    """Leapfrog run parameters; |dt| must be at most MAX_COURANT * dx. A
-    run takes the fewest steps of at most |dt| that land on t_end
-    (step_plan); a backward run whose dt tiles its span steps exactly dt."""
+    """Leapfrog run parameters; |dt| must be at most MAX_COURANT * dx, up
+    to the relative STEP_SLACK that step_plan's counts allow. A run takes
+    the fewest steps of at most |dt| that land on t_end (step_plan); a
+    backward run whose dt tiles its span steps exactly dt."""
 
     dt: float
     t_end: float
@@ -44,7 +46,7 @@ class EvolveConfig:
     def validate(self, dx: float):
         if abs(self.dt) <= 0:
             raise ConfigError("dt must be nonzero")
-        if abs(self.dt) > MAX_COURANT * dx + 1e-15:
+        if abs(self.dt) > MAX_COURANT * dx * (1.0 + STEP_SLACK):
             raise ConfigError(f"CFL violation: |dt|={abs(self.dt)} exceeds {MAX_COURANT * dx}")
         if self.snapshot_every < 1:
             raise ConfigError("snapshot_every must be >= 1")
@@ -63,9 +65,10 @@ class EvolveConfig:
 
 def step_plan(span: float, dt: float, what: str) -> tuple[int, float]:
     """(n, span / n): the fewest steps of at most |dt| covering span, the one
-    step-count rule. The 1e-9 slack keeps a whole number of steps up to
-    rounding; a count not finite or above MAX_COUNT raises ConfigError naming what."""
-    n = max(1, math.ceil(capped_count(abs(span / dt), what) - 1e-9))
+    step-count rule. A slack of STEP_SLACK steps keeps a whole number of
+    steps up to rounding; a count not finite or above MAX_COUNT raises
+    ConfigError naming what."""
+    n = max(1, math.ceil(capped_count(abs(span / dt), what) - STEP_SLACK))
     return n, span / n
 
 
@@ -207,11 +210,12 @@ def _evolve(phi, pd, t0: float, grid: np.ndarray, dx: float, config: EvolveConfi
     backward runs with one dt share their levels whatever their top. Both
     ends are pinned, which the sums can miss by a rounding.
 
-    starts, if given, holds each lane's start time: the first lane's is
-    t0, the others follow in the run's order on snapshot levels. A lane is
-    inactive before its start, so the active lanes are a prefix of the rows,
-    and at its start it joins from its rows of phi and pd with no arrival
-    half-kick; in a backward run it then equals the run from its start.
+    starts, if given, holds each lane's start time, one per row of phi: the
+    first lane's is t0, the others follow in the run's order on snapshot
+    levels. A lane is inactive before its start, so the active lanes are a
+    prefix of the rows, and at its start it joins from its rows of phi and
+    pd with no arrival half-kick; in a backward run it then equals the run
+    from its start.
 
     Returns one slab per lane index in keep (the last lane by default),
     each from its lane's start: its state at every snapshot_every-th step
@@ -223,7 +227,7 @@ def _evolve(phi, pd, t0: float, grid: np.ndarray, dx: float, config: EvolveConfi
     if span * config.dt <= 0:
         raise ConfigError("sign of dt must match t_end - t_start")
     n_steps, dt = step_plan(span, config.dt, "steps of dt from the start to t_end")
-    if dt < 0 and abs(span / config.dt - n_steps) <= 1e-9:
+    if dt < 0 and abs(span / config.dt - n_steps) <= STEP_SLACK:
         dt = config.dt
     every = config.snapshot_every
     phi = np.array(phi, dtype=float, ndmin=2)
@@ -237,8 +241,6 @@ def _evolve(phi, pd, t0: float, grid: np.ndarray, dx: float, config: EvolveConfi
         levels = config.t_end - dt * np.arange(n_steps, -1, -1)
     levels[0], levels[-1] = t0, config.t_end
     joins = [0] * len(phi)
-    if starts is not None and len(starts) != len(phi):
-        raise ConfigError("need one start per lane")
     for lane, start in enumerate(starts or ()):
         step = int(round((start - t0) / dt))
         if not 0 <= step <= n_steps or abs(levels[step] - start) > 1e-6 * abs(dt):

@@ -22,7 +22,7 @@ from scipy.interpolate import CubicSpline
 
 from .errors import ConfigError, FitError, IntegrationError
 from .numerics import capped_count, fit_log_linear, integrate_grid
-from .potential import PotentialModel, VacuumTable
+from .potential import PotentialModel, VacuumTable, validate_chain
 
 _TAIL_SWITCH = 1e-10  # distance to the vacuum at which integration hands over to the tail
 _LOG_TAIL_SWITCH = math.log(_TAIL_SWITCH)
@@ -63,16 +63,9 @@ def bogomolny_bound(model: PotentialModel, phi_a: float, phi_b: float) -> float:
     return float(val)
 
 
-def _check_labels(table: VacuumTable, n: int, n_prime: int):
-    if not (0 <= n < len(table) and 0 <= n_prime < len(table)):
-        raise ConfigError(f"vacuum labels ({n}, {n_prime}) outside 0..{len(table) - 1}")
-
-
 def kink_energy(model: PotentialModel, table: VacuumTable, n: int, n_prime: int) -> float:
     """Rest energy of the kink/antikink between adjacent vacua n and n_prime."""
-    _check_labels(table, n, n_prime)
-    if abs(n - n_prime) != 1:
-        raise ConfigError("kink energy requires adjacent vacua")
+    validate_chain(table, (n, n_prime))
     lo, hi = sorted((table.vacuum(n), table.vacuum(n_prime)))
     return bogomolny_bound(model, lo, hi)
 
@@ -212,9 +205,7 @@ def kink_profile(model: PotentialModel, table: VacuumTable, n: int, n_prime: int
     Kinks are integrated from the midpoint value at x = 0 in both
     directions; antikinks are produced by exact reflection of the kink.
     """
-    _check_labels(table, n, n_prime)
-    if abs(n - n_prime) != 1:
-        raise ConfigError("kink profiles exist only between adjacent vacua")
+    validate_chain(table, (n, n_prime))
     if dx <= 0:
         raise ConfigError("dx must be positive")
     if n_prime == n - 1:

@@ -175,15 +175,6 @@ class PotentialModel:
         return PotentialModel(kind="custom", derivs=tuple(make(n) for n in range(_MAX_ORDER + 1)),
                               about=about, search_interval=tuple(search_interval))
 
-    @staticmethod
-    def builtin(kind: str) -> "PotentialModel":
-        try:
-            return {"phi4": PotentialModel.phi4,
-                    "phi6": PotentialModel.phi6,
-                    "sine_gordon": PotentialModel.sine_gordon}[kind]()
-        except KeyError:
-            raise ConfigError(f"unknown potential kind {kind!r}") from None
-
 
 @dataclass(frozen=True)
 class VacuumTable:

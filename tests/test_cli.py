@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from multikink import cli, lorentz
+from multikink import cli, errors, lorentz
 from multikink.cli import main
 from multikink.config import ExperimentConfig
 from multikink.errors import NumericsError
@@ -307,6 +307,33 @@ def test_invalid_chain_exit_2(tmp_path, capsys):
     path.write_text(SG_SINGLE.replace("labels = 0, 1", "labels = 0, 2"))
     assert main(["multikink", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert "(0, 2)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n, n_prime, message", [
+    (5, 6, "label 5 outside vacuum table of size 3"),
+    (0, 2, "labels (0, 2) are not adjacent vacua"),
+])
+def test_kink_and_spectrum_refuse_labels_alike(tmp_path, capsys, n, n_prime, message):
+    # kink and spectrum check [kink] n, n_prime with the one chain check:
+    # the same exit and the same stderr line
+    path = tmp_path / "labels.cfg"
+    path.write_text(SG_SINGLE.replace("n = 0\nn_prime = 1", f"n = {n}\nn_prime = {n_prime}"))
+    errs = []
+    for command in ("kink", "spectrum"):
+        assert main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 2
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1] == f"config error: {message}\n"
+
+
+def test_every_package_error_has_one_exit_code():
+    # main maps ConfigError to exit 2 and NumericsError to exit 3 and
+    # catches nothing else, so every package error is exactly one of them
+    classes = [c for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, errors.MultikinkError)]
+    assert len(classes) > 3
+    for cls in classes:
+        if cls is not errors.MultikinkError:
+            assert issubclass(cls, errors.ConfigError) != issubclass(cls, errors.NumericsError), cls
 
 
 def test_missing_boost_section_exit_2(tmp_path):

@@ -37,6 +37,9 @@ def test_cfl_validation(grid):
     assert edge.stencil_blend(0.02) <= 1e-12
     with pytest.raises(ConfigError):
         evolve.EvolveConfig(dt=0.02, t_end=1.0).validate(0.02)
+    # the bound's slack is STEP_SLACK (1e-9) relative and no more
+    with pytest.raises(ConfigError, match="CFL violation"):
+        evolve.EvolveConfig(dt=evolve.MAX_COURANT * 0.02 * (1 + 1e-8), t_end=1.0).validate(0.02)
 
 
 def test_static_kink_is_fixed_point(phi4, phi4_static, grid):
@@ -576,11 +579,14 @@ def test_step_plan_matches_solver_plan():
             assert step == -dt
     # the steps per snapshot are step_plan's count, its slack included:
     # snapshot_dt / (cfl dx) one rounding above 7 or 1 keeps 7 or 1 steps,
-    # and one rounding above 13 at the largest Courant ratio keeps 13 steps,
-    # whose dt passes the CFL check's 1e-15 allowance
+    # and one rounding, or a share 1e-12, above 13 at the largest Courant
+    # ratio keeps 13 steps, whose dt exceeds MAX_COURANT * dx by that share
+    # and passes the CFL check, which allows the same relative STEP_SLACK
     for dx, cfl, snapshot_dt, every, dt in [
             (0.02, 0.5, 0.07, 7, 0.01), (0.1, 0.7, 0.07, 1, 0.07),
-            (0.02, evolve.MAX_COURANT, 0.25607030284669874, 13, 0.25607030284669874 / 13)]:
+            (0.02, evolve.MAX_COURANT, 0.25607030284669874, 13, 0.25607030284669874 / 13),
+            (0.02, evolve.MAX_COURANT, 13 * evolve.MAX_COURANT * 0.02 * (1 + 1e-12), 13,
+             0.019697715603611908)]:
         cfg = SolverConfig(x_min=-10.0, x_max=10.0, dx=dx, cfl=cfl, snapshot_dt=snapshot_dt)
         assert every == evolve.step_plan(snapshot_dt, cfl * dx, "steps")[0]
         assert cfg.plan(1.0, 1.0 + 20 * snapshot_dt) == (dt, every)
