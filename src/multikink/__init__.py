@@ -5,7 +5,7 @@ potentials."""
 __version__ = "0.1.0"
 
 from .potential import (  # noqa: F401
-    ChainOfVacua, PotentialModel, VacuumTable, find_vacua, validate_chain,
+    PotentialModel, VacuumTable, find_vacua, validate_chain,
 )
 from .kink import (  # noqa: F401
     KinkProfile, TailFit, bogomolny_bound, fit_tails, kink_energy, kink_profile,

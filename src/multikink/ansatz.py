@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConfigError
 from .kink import KinkProfile, kink_profile
 from .numerics import central_diff, grid_spacing, integrate_grid, random_pair_field, smoothstep_quintic
-from .potential import ChainOfVacua, PotentialModel, VacuumTable, validate_chain
+from .potential import PotentialModel, VacuumTable, validate_chain
 
 
 @dataclass
@@ -37,7 +37,8 @@ class FieldState:
 
 @dataclass(frozen=True)
 class MultikinkParams:
-    """A chain of vacua with admissible velocities and shifts.
+    """A chain of vacuum labels n_0..n_K, as potential.validate_chain
+    returns it, with admissible velocities and shifts of its K kinks.
 
     Carries the potential, vacuum table and the kink profiles for every
     adjacent pair so that all ansatz operations are self-contained.
@@ -46,13 +47,13 @@ class MultikinkParams:
 
     model: PotentialModel
     table: VacuumTable
-    chain: ChainOfVacua
+    labels: tuple[int, ...]
     velocities: tuple[float, ...]
     shifts: tuple[float, ...]
     profiles: Mapping[tuple[int, int], KinkProfile] = field(repr=False)
 
     def __post_init__(self):
-        K = self.chain.K
+        K = self.K
         if len(self.velocities) != K or len(self.shifts) != K:
             raise ConfigError(f"one velocity and one shift per kink: {K} kinks, got "
                               f"{len(self.velocities)} velocities and {len(self.shifts)} shifts")
@@ -61,13 +62,18 @@ class MultikinkParams:
             raise ConfigError("velocities must lie in (-1, 1)")
         if any(not a < b for a, b in zip(v, v[1:])):
             raise ConfigError("velocities must be strictly increasing")
-        for pair in self.chain.pairs():
+        for pair in zip(self.labels, self.labels[1:]):
             if pair not in self.profiles:
                 raise ConfigError(f"missing kink profile for vacuum pair {pair}")
 
     @property
     def K(self) -> int:
-        return self.chain.K
+        return len(self.labels) - 1
+
+    def check_kink(self, k: int) -> None:
+        """Refuse k with ConfigError unless it indexes a kink, 1..K."""
+        if not 1 <= k <= self.K:
+            raise ConfigError(f"kink index {k} outside 1..{self.K}")
 
     @cached_property
     def gammas(self) -> tuple[float, ...]:
@@ -79,10 +85,10 @@ class MultikinkParams:
 
     def profile(self, k: int) -> KinkProfile:
         """Profile of the k-th kink (1-indexed)."""
-        return self.profiles[self.chain.pairs()[k - 1]]
+        return self.profiles[self.labels[k - 1], self.labels[k]]
 
     def with_parameters(self, velocities, shifts) -> "MultikinkParams":
-        return MultikinkParams(model=self.model, table=self.table, chain=self.chain,
+        return MultikinkParams(model=self.model, table=self.table, labels=self.labels,
                                velocities=tuple(float(v) for v in velocities),
                                shifts=tuple(float(a) for a in shifts),
                                profiles=self.profiles)
@@ -90,15 +96,13 @@ class MultikinkParams:
 
 def make_params(model: PotentialModel, table: VacuumTable, labels: Sequence[int],
                 velocities: Sequence[float], shifts: Sequence[float],
-                dx: float = 0.01, half_width: float | None = None) -> MultikinkParams:
-    """Validate the chain and tabulate one profile per adjacent vacuum pair."""
-    chain = validate_chain(table, labels)
-    profiles = {}
-    for pair in chain.pairs():
-        if pair not in profiles:
-            profiles[pair] = kink_profile(model, table, pair[0], pair[1],
-                                          half_width=half_width, dx=dx)
-    return MultikinkParams(model=model, table=table, chain=chain,
+                **profile) -> MultikinkParams:
+    """Validate the chain and tabulate one profile per adjacent vacuum pair,
+    passing the keywords profile (dx, half_width) on to kink_profile."""
+    labels = validate_chain(table, labels)
+    profiles = {pair: kink_profile(model, table, *pair, **profile)
+                for pair in dict.fromkeys(zip(labels, labels[1:]))}
+    return MultikinkParams(model=model, table=table, labels=labels,
                            velocities=tuple(float(v) for v in velocities),
                            shifts=tuple(float(a) for a in shifts), profiles=profiles)
 
@@ -152,9 +156,9 @@ class AnsatzLevel:
     def H(self) -> np.ndarray:
         """Vacuum plus the sum of the kink increments."""
         p = self.params
-        H = np.full_like(self.grid, p.table.vacuum(p.chain.labels[0]))
+        H = np.full_like(self.grid, p.table.vacuum(p.labels[0]))
         for k, hk in enumerate(self.kinks, start=1):
-            H += hk - p.table.vacuum(p.chain.labels[k - 1])
+            H += hk - p.table.vacuum(p.labels[k - 1])
         return H
 
     @cached_property
@@ -173,12 +177,11 @@ class AnsatzLevel:
         the squared masses of the end vacua. For K = 0 this is the constant
         squared mass of the single vacuum."""
         p = self.params
-        labels = p.chain.labels
         if p.K == 0:
-            return np.full_like(self.grid, p.table.mass(labels[0]) ** 2)
+            return np.full_like(self.grid, p.table.mass(p.labels[0]) ** 2)
         V = p.model(self.kinks[0], 2)
         for j in range(1, p.K):
-            V = V + p.model(self.kinks[j], 2) - p.table.mass(labels[j]) ** 2
+            V = V + p.model(self.kinks[j], 2) - p.table.mass(p.labels[j]) ** 2
         return V
 
     @cached_property
@@ -217,8 +220,7 @@ class ModePair:
 
 def zero_modes(params: MultikinkParams, j: int, t: float, grid: np.ndarray) -> ModePair:
     """AnsatzLevel.zero_modes(j) of the ansatz at time t, j checked first."""
-    if not 1 <= j <= params.K:
-        raise ConfigError(f"kink index {j} outside 1..{params.K}")
+    params.check_kink(j)
     return AnsatzLevel(params, t, grid).zero_modes(j)
 
 
@@ -236,8 +238,7 @@ def kink_cutoff(params: MultikinkParams, j: int, t: float, x, rho: float):
         raise ConfigError("the cutoff is defined for t > 0 only")
     if rho <= 0:
         raise ConfigError("rho must be positive")
-    if not 1 <= j <= params.K:
-        raise ConfigError(f"kink index {j} outside 1..{params.K}")
+    params.check_kink(j)
     u = np.abs((np.asarray(x, dtype=float) - params.centres(t)[j - 1]) / (rho * t))
     val = 1.0 - smoothstep_quintic(u - 1.0)
     return float(val) if val.ndim == 0 else val

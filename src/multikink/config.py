@@ -50,7 +50,6 @@ class ExperimentConfig:
         except (configparser.Error, UnicodeDecodeError) as exc:
             raise ConfigError(f"config parse error: {exc}") from exc
         self._parser = parser
-        self.path = str(path)
         self.resolved: dict[str, dict] = {}
 
     def _record(self, section: str, key: str, value):

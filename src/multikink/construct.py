@@ -141,7 +141,7 @@ def forcing_rate(params: MultikinkParams) -> float:
     kink's tail reaches the other (Manton and Sutcliffe, Topological
     Solitons, ch. 5). Positive, as the velocities increase. Without a pair
     N(0) is zero, and eta is the smallest mass, the slowest tail rate."""
-    v, gammas, labels = params.velocities, params.gammas, params.chain.labels
+    v, gammas, labels = params.velocities, params.gammas, params.labels
     rates = (params.table.mass(labels[k + 1]) * min(gammas[k], gammas[k + 1]) * (v[k + 1] - v[k])
              for k in range(params.K - 1))
     return float(min(rates, default=min(params.table.masses)))
@@ -301,9 +301,10 @@ def choose_final_time(params: MultikinkParams, config: SolverConfig, T: float,
     backward solver).
 
     The first span s is max(16, 4/delta) and the reach D is 2/delta, both
+    clipped to the cap, the largest whole number of snapshot_dt not above
+    TRUNCATION_MAX_SPAN (a snapshot_dt above it raises ConfigError), and
     rounded up to a whole number of snapshot_dt so that every probe lies on
-    one lattice of levels, and s at most the largest such number not above
-    TRUNCATION_MAX_SPAN (a snapshot_dt above it raises ConfigError). Each window is one sweep (_sweep, from g = 0) of
+    one lattice of levels. Each window is one sweep (_sweep, from g = 0) of
     the candidates at spans s and 2s and a last probe at 2s + D; each
     candidate is tested against the next probe up. A test of span c
     against the probe at span p divides its gap by 1 - e^{-delta (p - c)},
@@ -320,13 +321,12 @@ def choose_final_time(params: MultikinkParams, config: SolverConfig, T: float,
     check.
     """
     step = config.snapshot_dt
-    span, reach = (step * step_plan(t, step, "snapshots of snapshot_dt")[0]
-                   for t in (max(16.0, 4.0 / delta), 2.0 / delta))
     cap = step * math.floor(TRUNCATION_MAX_SPAN / step)
     if cap <= 0:
         raise ConfigError(f"snapshot_dt = {step:g} leaves no truncation probe within "
                           f"TRUNCATION_MAX_SPAN = {TRUNCATION_MAX_SPAN:g} of T")
-    span = min(span, cap)
+    span, reach = (step * step_plan(min(t, cap), step, "snapshots of snapshot_dt")[0]
+                   for t in (max(16.0, 4.0 / delta), 2.0 / delta))
     tests = []
     while True:
         capped = 8.0 * span > TRUNCATION_MAX_SPAN
@@ -523,8 +523,7 @@ def param_derivative(params: MultikinkParams, psi_slab: SpaceTimeSlab, k: int,
     """
     if which not in ("shift", "velocity"):
         raise ConfigError("which must be 'shift' or 'velocity'")
-    if not 1 <= k <= params.K:
-        raise ConfigError(f"kink index {k} outside 1..{params.K}")
+    params.check_kink(k)
     g, v = params.gammas[k - 1], params.velocities[k - 1]
 
     def terms(t, level, _h):

@@ -180,7 +180,6 @@ class PotentialModel:
 class VacuumTable:
     """Vacua of a potential in increasing order with their masses."""
 
-    model: PotentialModel
     vacua: tuple[float, ...]
     masses: tuple[float, ...]
 
@@ -198,20 +197,6 @@ class VacuumTable:
 
     def mass(self, n: int) -> float:
         return self.masses[n]
-
-
-@dataclass(frozen=True)
-class ChainOfVacua:
-    """Sequence of vacuum labels with |n_{k-1} - n_k| = 1 for every step."""
-
-    labels: tuple[int, ...]
-
-    @property
-    def K(self) -> int:
-        return len(self.labels) - 1
-
-    def pairs(self):
-        return list(zip(self.labels, self.labels[1:]))
 
 
 def find_vacua(model: PotentialModel, tol: float = 1e-12) -> VacuumTable:
@@ -251,11 +236,12 @@ def find_vacua(model: PotentialModel, tol: float = 1e-12) -> VacuumTable:
     if not vacua:
         raise ConfigError(f"no vacua of {model.kind} found in [{a}, {b}]")
     vs, ms = zip(*vacua)
-    return VacuumTable(model=model, vacua=tuple(vs), masses=tuple(ms))
+    return VacuumTable(vacua=tuple(vs), masses=tuple(ms))
 
 
-def validate_chain(table: VacuumTable, labels: Sequence[int]) -> ChainOfVacua:
-    """Check labels index the table and consecutive labels are adjacent."""
+def validate_chain(table: VacuumTable, labels: Sequence[int]) -> tuple[int, ...]:
+    """The labels as a tuple of ints, checked to index the table with
+    consecutive labels adjacent vacua, |n_{k-1} - n_k| = 1."""
     labels = tuple(int(n) for n in labels)
     if len(labels) < 1:
         raise InvalidChainError("a chain needs at least one vacuum label")
@@ -265,4 +251,4 @@ def validate_chain(table: VacuumTable, labels: Sequence[int]) -> ChainOfVacua:
     for n, n2 in zip(labels, labels[1:]):
         if abs(n - n2) != 1:
             raise InvalidChainError(f"labels ({n}, {n2}) are not adjacent vacua")
-    return ChainOfVacua(labels=labels)
+    return labels

@@ -68,7 +68,7 @@ def test_admissibility():
 
 def _direct_pieces(params, t, grid):
     """H, H_t, V and sum_k W'(H_k) kink by kink from the profile formulas."""
-    labels, table, model = params.chain.labels, params.table, params.model
+    labels, table, model = params.labels, params.table, params.model
     H = np.full_like(grid, table.vacuum(labels[0]))
     H_t = np.zeros_like(grid)
     V = np.full_like(grid, table.mass(labels[0]) ** 2)

@@ -518,12 +518,16 @@ def test_truncation_gaps_are_corrected_to_the_limit(sg2_params, monkeypatch):
                                                                       [64.0], False)
 
 
-@pytest.mark.parametrize("snapshot_dt, span", [(0.25, 400.0), (0.3, 0.3 * 1333)])
-def test_truncation_first_span_is_capped(sg2_params, monkeypatch, snapshot_dt, span):
+@pytest.mark.parametrize("snapshot_dt, delta, span", [(0.25, 0.005, 400.0),
+                                                     (0.3, 0.005, 0.3 * 1333),
+                                                     (0.25, 1e-7, 400.0)])
+def test_truncation_first_span_is_capped(sg2_params, monkeypatch, snapshot_dt, delta, span):
     # at delta = 0.005 the first span 4/delta = 800 passes the cap of 400:
     # it is cut to the largest multiple of snapshot_dt not above the cap,
     # whose window is the capped last one, its one probe accepted with a
-    # warning
+    # warning; at delta = 1e-7 the span 4e7 and the reach 2e7 are cut to
+    # the cap before they are counted in snapshots, whose 1.6e8 would pass
+    # MAX_COUNT
     cfg = construct.SolverConfig(x_min=-34.0, x_max=34.0, dx=0.1, snapshot_dt=snapshot_dt)
     windows = []
 
@@ -534,7 +538,7 @@ def test_truncation_first_span_is_capped(sg2_params, monkeypatch, snapshot_dt, s
 
     monkeypatch.setattr(construct, "_sweep", fake)
     with pytest.warns(UserWarning, match="cap"):
-        out = construct.choose_final_time(sg2_params, cfg, T=16.0, delta=0.005)
+        out = construct.choose_final_time(sg2_params, cfg, T=16.0, delta=delta)
     assert windows == [([span], 1)]
     assert span <= construct.TRUNCATION_MAX_SPAN < span + snapshot_dt
     assert (out.t_final, out.iterate, out.tests, out.capped) == (16.0 + span, f"iterate {span}",
@@ -1020,6 +1024,22 @@ def test_no_contraction_detected(sg2_params, monkeypatch):
                               tol=1e-14, max_iter=12)
     # it fires at the 8th increment, the first above 100x the smallest
     assert len(norms) == 9
+
+
+@pytest.mark.parametrize("k", [0, 3])
+@pytest.mark.parametrize("call", ["zero_modes", "kink_cutoff", "param_derivative"])
+def test_a_kink_index_outside_the_chain_is_refused(sg2_params, small_cfg, call, k):
+    # sg2_params has K = 2: k = 0 and k = K + 1 index no kink.
+    # param_derivative refuses k before any solve, so a zero slab will do
+    grid = small_cfg.grid
+    zeros = np.zeros((2, len(grid)))
+    calls = {"zero_modes": lambda: ansatz.zero_modes(sg2_params, k, 1.0, grid),
+             "kink_cutoff": lambda: ansatz.kink_cutoff(sg2_params, k, 1.0, grid, 0.03),
+             "param_derivative": lambda: construct.param_derivative(
+                 sg2_params, SpaceTimeSlab([0.0, 0.25], grid, zeros, zeros), k, "shift",
+                 small_cfg)}
+    with pytest.raises(ConfigError, match=rf"kink index {k} outside 1\.\.2$"):
+        calls[call]()
 
 
 @pytest.mark.slow

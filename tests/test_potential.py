@@ -138,9 +138,9 @@ def test_negative_minimum_refused():
 
 def test_validate_chain(sg, phi4, phi6):
     _, sg_table3 = sg
-    assert validate_chain(sg_table3, (0, 1, 2)).labels == (0, 1, 2)
+    assert validate_chain(sg_table3, (0, 1, 2)) == (0, 1, 2)
     _, phi4_table = phi4
-    assert validate_chain(phi4_table, (0, 1, 0)).labels == (0, 1, 0)
+    assert validate_chain(phi4_table, (0, 1, 0)) == (0, 1, 0)
     _, phi6_table = phi6
     with pytest.raises(InvalidChainError):
         validate_chain(phi6_table, (0, 2))
